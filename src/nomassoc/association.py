@@ -426,6 +426,6 @@ def expected_concentration(
         raise DataError("expected_concentration requires at least one variable")
     if len(set(resolved)) != len(resolved):
         raise DataError("variables must be distinct")
-    _, cell_mass, _ = _joint_codes(dataset, sorted(resolved))
+    cell_mass = _joint_codes(dataset, sorted(resolved))[1]
     p = cell_mass / dataset.total_mass
     return float(np.sum(p * p))

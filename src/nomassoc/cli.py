@@ -156,7 +156,7 @@ def _resolve(dataset: CategoricalDataset, names, flag: str):
 def _weights_spec(raw: str, printer: Printer | None = None):
     if raw.startswith("file:"):
         path = raw[len("file:"):]
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             values = [float(line.strip()) for line in fh if line.strip()]
         vec = WeightVector.from_raw(np.asarray(values))
         if printer is not None:
@@ -345,10 +345,11 @@ def _cmd_simulate(args) -> int:
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=args.delimiter)
         writer.writerow(COLUMN_NAMES)
-        columns = [ds.codes[ds.index_of(n)] for n in COLUMN_NAMES]
-        levels = [ds.variable(n).levels for n in COLUMN_NAMES]
-        for r in range(ds.n_rows):
-            writer.writerow([levels[j][columns[j][r]] for j in range(len(columns))])
+        label_columns = [
+            np.asarray(ds.variable(n).levels)[ds.codes[ds.index_of(n)]].tolist()
+            for n in COLUMN_NAMES
+        ]
+        writer.writerows(zip(*label_columns))
     print(f"wrote {ds.n_rows} rows to {args.output} (seed={args.seed})")
     return 0
 

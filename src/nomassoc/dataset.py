@@ -5,7 +5,15 @@ variable plus an optional non-negative mass per row, so exact probability
 tables (masses) and raw observation files (unit masses) share one
 representation.  :func:`compose` turns any subset of variables into a single
 composite variable over its *observed* joint levels, and :func:`contingency`
-builds the joint mass table between a composite and a response.
+builds the joint mass table between a composite and a response through
+:func:`joint_table`, the one place such tables are counted.
+
+Composite codes come from a counting kernel, not a sort: each member is
+paired onto the codes so far in O(n) time, with the n-row int64 key, one
+byte of occupancy and one int64 remap entry per key slot (see
+:func:`_joint_codes`); only key ranges too wide to count are sorted.
+Greedy selection carries the chosen set's codes across steps, so a
+candidate costs one pairing.
 
 All structures are immutable after construction; the underlying numpy
 arrays are marked read-only so datasets can be shared across workers.
@@ -14,6 +22,7 @@ arrays are marked read-only so datasets can be shared across workers.
 from __future__ import annotations
 
 import csv
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -178,15 +187,16 @@ def load_delimited(
 ) -> CategoricalDataset:
     """Read a delimited UTF-8 text file into a dataset.
 
-    The first record must be a header of unique names.  Category levels are
-    the distinct observed strings in first-appearance order.  ``missing_policy``
+    A leading byte-order mark is skipped.  The first record must be a
+    header of unique names.  Category levels are the distinct observed
+    strings in first-appearance order.  ``missing_policy``
     is ``"own-category"`` (the missing token becomes a regular level) or
     ``"drop-row"``.  If ``mass_column`` names a column, it supplies per-row
     masses instead of 1.0 and is not encoded as a variable.
     """
     if missing_policy not in ("own-category", "drop-row"):
         raise DataError(f"unknown missing policy {missing_policy!r}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)
@@ -338,31 +348,129 @@ class CompositeVariable:
         return "(" + ",".join(self.member_names) + ")"
 
 
-def _joint_codes(
-    dataset: CategoricalDataset, indices: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense codes of the joint variable over ``indices``.
+#: A pairing step counts over a table of ``cells * cardinality`` key slots
+#: while that table has at most this many slots per row (or at most
+#: ``_SMALL_SLOTS``); a wider key range, such as two high-cardinality
+#: variables, is ranked by a sort, whose memory follows the rows alone.
+_SLOTS_PER_ROW = 16
+_SMALL_SLOTS = 1 << 16
 
-    Returns ``(row_codes, cell_mass, representative_rows)`` where codes are
-    lexicographic over member codes and zero-mass cells are dropped
-    (row_codes -1).  Codes are compacted after each pairing step so the key
-    range never overflows.
+
+def _pair(
+    key: np.ndarray, cells: int, codes: np.ndarray, card: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One pairing step: dense codes of the ``(key, codes)`` pairs.
+
+    ``key`` holds codes in ``[0, cells)``.  Each pair is a slot
+    ``key * card + code``; a boolean scatter marks the occupied slots and
+    one scatter over those numbers them in order, so the codes are
+    lexicographic over ``(key, code)`` with no sort, in O(n + slots).
+    Returns ``(codes, occupied)``, ``occupied`` listing the occupied slots
+    in ascending order.
     """
-    key = dataset.codes[indices[0]].copy()
-    for idx in indices[1:]:
-        card = dataset.variables[idx].cardinality
-        key = key * card + dataset.codes[idx]
-        uniq, key = np.unique(key, return_inverse=True)
-    uniq, first_rows, inverse = np.unique(
-        key, return_index=True, return_inverse=True
-    )
-    cell_mass = np.bincount(inverse, weights=dataset.mass, minlength=len(uniq))
+    key = key * card
+    key += codes
+    slots = cells * card
+    if slots > _SLOTS_PER_ROW * len(key) + _SMALL_SLOTS:
+        occupied, key = np.unique(key, return_inverse=True)
+        return key, occupied
+    seen = np.zeros(slots, dtype=bool)
+    seen[key] = True
+    occupied = np.flatnonzero(seen)
+    remap = np.empty(slots, dtype=np.int64)  # read at occupied slots only
+    remap[occupied] = np.arange(len(occupied))
+    return remap[key], occupied
+
+
+def _positive_cells(
+    key: np.ndarray, cells: int, mass: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the zero-mass cells of ``key`` (codes in ``[0, cells)``) and
+    renumber the rest in order; rows of dropped cells get -1."""
+    cell_mass = np.bincount(key, weights=mass, minlength=cells)
     keep = cell_mass > 0
     if keep.all():
-        return inverse, cell_mass, first_rows
-    remap = np.full(len(uniq), -1, dtype=np.int64)
-    remap[keep] = np.arange(int(keep.sum()))
-    return remap[inverse], cell_mass[keep], first_rows[keep]
+        return key, cell_mass
+    remap = np.cumsum(keep)
+    remap -= 1
+    remap[~keep] = -1
+    return remap[key], cell_mass[keep]
+
+
+@dataclass(frozen=True)
+class _Occupied:
+    """The tuples a member set takes in some row, zero-mass ones included.
+
+    ``key`` numbers each row's tuple, lexicographically over member codes
+    in ascending member index; ``scenarios[k]`` holds the member codes of
+    tuple ``k``.  Greedy selection carries one of these for its chosen set
+    so that trying a candidate costs one pairing step.
+    """
+
+    members: tuple[int, ...]
+    key: np.ndarray  # (n_rows,) int64
+    scenarios: np.ndarray  # (cells, len(members)) int64
+
+    @classmethod
+    def empty(cls, dataset: CategoricalDataset) -> "_Occupied":
+        return cls((), np.zeros(dataset.n_rows, dtype=np.int64),
+                   np.zeros((1, 0), dtype=np.int64))
+
+
+def _extend(dataset: CategoricalDataset, base: _Occupied, idx: int) -> _Occupied:
+    """``base`` with variable ``idx`` added as a member.
+
+    The pairing numbers tuples with ``idx`` as the last member; when ``idx``
+    sorts before a member of ``base`` the tuples are re-ranked by a lexsort
+    of their scenario codes, one row per tuple, and the row codes follow by
+    one gather.
+    """
+    card = dataset.variables[idx].cardinality
+    key, occupied = _pair(base.key, len(base.scenarios), dataset.codes[idx], card)
+    parent, code = np.divmod(occupied, card)
+    cells = len(occupied)
+    pos = bisect(base.members, idx)
+    scenarios = np.insert(base.scenarios[parent], pos, code, axis=1)
+    if pos < len(base.members):
+        order = np.lexsort(scenarios.T[::-1])
+        rank = np.empty(cells, dtype=np.int64)
+        rank[order] = np.arange(cells)
+        key = rank[key]
+        scenarios = scenarios[order]
+    members = base.members[:pos] + (idx,) + base.members[pos:]
+    return _Occupied(members, key, scenarios)
+
+
+def _joint_codes(
+    dataset: CategoricalDataset,
+    indices: Sequence[int],
+    base: _Occupied | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense codes of the joint variable over ``indices``.
+
+    Returns ``(row_codes, cell_mass)``: codes are lexicographic over member
+    codes in ascending member index (``indices`` must be sorted), and
+    zero-mass cells are dropped (row_codes -1).  With ``base``, the
+    variables of ``indices`` are added to that member set instead.
+
+    Each member after the first costs one O(n) pairing step
+    (:func:`_pair`), and the cell masses one ``bincount`` in row order.
+    Codes are compacted after every step, so the key range stays below
+    ``cells * cardinality``; memory is the n-row int64 key plus one byte of
+    occupancy and one int64 remap entry per key slot.
+    """
+    if base is not None:
+        for idx in indices:
+            base = _extend(dataset, base, idx)
+        return _positive_cells(base.key, len(base.scenarios), dataset.mass)
+    key = dataset.codes[indices[0]]
+    cells = dataset.variables[indices[0]].cardinality
+    for idx in indices[1:]:
+        key, occupied = _pair(
+            key, cells, dataset.codes[idx], dataset.variables[idx].cardinality
+        )
+        cells = len(occupied)
+    return _positive_cells(key, cells, dataset.mass)
 
 
 def compose(dataset: CategoricalDataset, indices: Sequence[VarRef]) -> CompositeVariable:
@@ -377,7 +485,10 @@ def compose(dataset: CategoricalDataset, indices: Sequence[VarRef]) -> Composite
     if len(set(resolved)) != len(resolved):
         raise DataError("composite members must be distinct")
     members = tuple(sorted(resolved))
-    row_codes, cell_mass, rep_rows = _joint_codes(dataset, members)
+    row_codes, cell_mass = _joint_codes(dataset, members)
+    rows = np.flatnonzero(row_codes >= 0)
+    rep_rows = np.empty(len(cell_mass), dtype=np.int64)
+    rep_rows[row_codes[rows]] = rows  # any row of a cell has its codes
     scenario_codes = np.stack(
         [dataset.codes[i][rep_rows] for i in members], axis=1
     )
@@ -486,6 +597,30 @@ def _as_composite(
     return compose(dataset, list(ref))
 
 
+def joint_table(
+    row_codes: np.ndarray,
+    n_cells: int,
+    target_codes: np.ndarray,
+    n_target: int,
+    mass: np.ndarray,
+) -> np.ndarray:
+    """Mass table ``(n_cells, n_target)``: entry ``[i, s]`` sums ``mass``
+    over rows with row code ``i`` and target code ``s``.
+
+    Rows where either code is -1 (a zero-mass tuple) are left out; when no
+    code is -1, no row is copied.  Masses add in row order, so the table
+    does not depend on how the codes were built.
+    """
+    combined = row_codes * n_target
+    combined += target_codes
+    if row_codes.min(initial=0) < 0 or target_codes.min(initial=0) < 0:
+        valid = (row_codes >= 0) & (target_codes >= 0)
+        combined, mass = combined[valid], mass[valid]
+    return np.bincount(
+        combined, weights=mass, minlength=n_cells * n_target
+    ).reshape(n_cells, n_target)
+
+
 def contingency(
     dataset: CategoricalDataset,
     x,
@@ -507,7 +642,6 @@ def contingency(
         n_y = yc.observed_cardinality
         y_labels = tuple("/".join(t) for t in yc.scenario_labels)
         y_name = yc.name
-        valid = (xc.row_codes >= 0) & (y_codes >= 0)
     else:
         y_idx = dataset.index_of(y)
         if y_idx in xc.member_indices:
@@ -518,12 +652,9 @@ def contingency(
         n_y = dataset.variables[y_idx].cardinality
         y_labels = dataset.variables[y_idx].levels
         y_name = dataset.variables[y_idx].name
-        valid = xc.row_codes >= 0
-    n_x = xc.observed_cardinality
-    combined = xc.row_codes[valid] * n_y + y_codes[valid]
-    mass = np.bincount(
-        combined, weights=dataset.mass[valid], minlength=n_x * n_y
-    ).reshape(n_x, n_y)
+    mass = joint_table(
+        xc.row_codes, xc.observed_cardinality, y_codes, n_y, dataset.mass
+    )
     return ContingencyTable(
         mass,
         x_labels=tuple("/".join(t) for t in xc.scenario_labels),

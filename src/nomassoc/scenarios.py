@@ -83,22 +83,25 @@ def generate_flu(config: FluScenarioConfig) -> CategoricalDataset:
     """
     rng = np.random.default_rng(config.seed)
     n = config.n
-    x1 = (rng.random(n) < 0.25).astype(np.int64)
-    x2 = (rng.random(n) < 0.25).astype(np.int64)
-    cell = x1 * 2 + x2
+    u = np.empty(n)  # one buffer takes every uniform draw in turn
+    x1 = rng.random(out=u) < 0.25
+    x2 = rng.random(out=u) < 0.25
+    cell = 2 * x1 + x2
     cdf = np.cumsum(CONDITIONALS, axis=1)
-    y = (cdf[cell] <= rng.random(n)[:, None]).sum(axis=1).astype(np.int64)
-    lost3 = rng.random(n) < config.flip_prob
-    lost4 = rng.random(n) < config.flip_prob
+    rng.random(out=u)
+    y = np.zeros(n, dtype=np.int64)
+    for k in range(cdf.shape[1]):  # y = number of cdf steps at or below u
+        y += cdf[:, k][cell] <= u
+    lost3 = rng.random(out=u) < config.flip_prob
+    lost4 = rng.random(out=u) < config.flip_prob
     if config.one_sided_noise:
         r3 = x1 & ~lost3
         r4 = x2 & ~lost4
     else:
         r3 = x1 ^ lost3
         r4 = x2 ^ lost4
-    s5 = x1 & x2 & (rng.random(n) < config.s5_prob)
-    codes = [y, x1, x2, r3.astype(np.int64), r4.astype(np.int64),
-             s5.astype(np.int64)]
+    s5 = x1 & x2 & (rng.random(out=u) < config.s5_prob)
+    codes = [y] + [c.astype(np.int64) for c in (x1, x2, r3, r4, s5)]
     return CategoricalDataset(_variables(), codes, validate=False)
 
 

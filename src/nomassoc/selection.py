@@ -34,7 +34,15 @@ from .association import (
     resolve_weights,
     weighted_tau,
 )
-from .dataset import CategoricalDataset, ContingencyTable, VarRef, _joint_codes
+from .dataset import (
+    CategoricalDataset,
+    ContingencyTable,
+    VarRef,
+    _extend,
+    _joint_codes,
+    _Occupied,
+    joint_table,
+)
 from .errors import DataError
 
 #: Environment variable bounding evaluation parallelism (default 1).
@@ -56,7 +64,6 @@ class SelectionConfig:
     epsilon: float = 1e-9
     max_vars: int | None = None
     max_cells: int | None = 10_000
-    tie_break: str = "fewest-cells-then-lowest-index"
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -65,8 +72,6 @@ class SelectionConfig:
             raise DataError("max_vars must be positive when given")
         if self.max_cells is not None and self.max_cells < 1:
             raise DataError("max_cells must be positive when given")
-        if self.tie_break != "fewest-cells-then-lowest-index":
-            raise DataError(f"unknown tie-break policy {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -124,21 +129,40 @@ def _evaluate_all(
     return [(c, cells, value) for c, (cells, value) in zip(candidates, results)]
 
 
+#: Objective of a composite, from its ``(row_codes, cell_mass)``.
+Score = Callable[[np.ndarray, np.ndarray], float]
+
+
+def _measure(
+    dataset: CategoricalDataset, score: Score, indices: Sequence[int]
+) -> tuple[int, float]:
+    """``(observed cells, objective value)`` of the composite over
+    ``indices``, built from scratch."""
+    row_codes, cell_mass = _joint_codes(dataset, sorted(indices))
+    return len(cell_mass), score(row_codes, cell_mass)
+
+
 def _greedy(
     dataset: CategoricalDataset,
     candidates: list[int],
     config: SelectionConfig,
     objective: str,
-    measure: Callable[[tuple[int, ...]], tuple[int, float]],
+    score: Score,
     empty_value: float,
     maximise: bool,
     workers: int,
 ) -> SelectionResult:
-    """Shared forward/backward loop; ``measure`` maps an index tuple to
-    ``(observed cells, objective value)``."""
+    """Shared forward/backward loop.
+
+    The forward phase carries the chosen set's occupied tuples, so each
+    candidate costs one pairing step; the backward phase builds each
+    reduced set from scratch.  Both give the codes, and so the values, of
+    :func:`_measure`.
+    """
     sign = 1.0 if maximise else -1.0
     cap = config.max_cells
     chosen: list[int] = []
+    occupied = _Occupied.empty(dataset)
     current = empty_value
     trace: list[SelectionStep] = []
     skipped_ever: set[int] = set()
@@ -154,7 +178,8 @@ def _greedy(
             break
 
         def evaluate(cand: int) -> tuple[int, float]:
-            return measure(tuple(chosen) + (cand,))
+            row_codes, cell_mass = _joint_codes(dataset, (cand,), occupied)
+            return len(cell_mass), score(row_codes, cell_mass)
 
         evals = _evaluate_all(remaining, evaluate, workers)
         usable = [(c, cells, v) for c, cells, v in evals
@@ -172,6 +197,7 @@ def _greedy(
             terminated = "no-gain"
             break
         chosen.append(best_cand)
+        occupied = _extend(dataset, occupied, best_cand)
         current = best_value
         trace.append(
             SelectionStep(
@@ -189,7 +215,7 @@ def _greedy(
         removal = None
         for v in chosen:  # selection order; restart after each removal
             rest = tuple(c for c in chosen if c != v)
-            value = measure(rest)[1] if rest else empty_value
+            value = _measure(dataset, score, rest)[1] if rest else empty_value
             if sign * (current - value) <= config.epsilon:
                 removal = (v, value)
                 break
@@ -234,42 +260,30 @@ def _response_weights(
     return alpha, positive
 
 
-def _tau_measure(
+def _tau_score(
     dataset: CategoricalDataset, y_idx: int, alpha: WeightVector
-) -> Callable[[tuple[int, ...]], tuple[int, float]]:
+) -> Score:
     y_meta = dataset.variables[y_idx]
     y_codes = dataset.codes[y_idx]
-    n_y = y_meta.cardinality
 
-    def measure(indices: tuple[int, ...]) -> tuple[int, float]:
-        if y_idx in indices:
-            raise DataError("response cannot be part of an explanatory set")
-        row_codes, cell_mass, _ = _joint_codes(dataset, sorted(indices))
-        cells = len(cell_mass)
-        valid = row_codes >= 0
-        mass = np.bincount(
-            row_codes[valid] * n_y + y_codes[valid],
-            weights=dataset.mass[valid],
-            minlength=cells * n_y,
-        ).reshape(cells, n_y)
+    def score(row_codes: np.ndarray, cell_mass: np.ndarray) -> float:
+        mass = joint_table(
+            row_codes, len(cell_mass), y_codes, y_meta.cardinality, dataset.mass
+        )
         table = ContingencyTable(
             mass, y_labels=y_meta.levels, y_name=y_meta.name
         )
-        vector = association_vector(table)
-        return cells, weighted_tau(vector, alpha)
+        return weighted_tau(association_vector(table), alpha)
 
-    return measure
+    return score
 
 
-def _concentration_measure(
-    dataset: CategoricalDataset,
-) -> Callable[[tuple[int, ...]], tuple[int, float]]:
-    def measure(indices: tuple[int, ...]) -> tuple[int, float]:
-        _, cell_mass, _ = _joint_codes(dataset, sorted(indices))
+def _concentration_score(dataset: CategoricalDataset) -> Score:
+    def score(row_codes: np.ndarray, cell_mass: np.ndarray) -> float:
         p = cell_mass / dataset.total_mass
-        return len(cell_mass), float(np.sum(p * p))
+        return float(np.sum(p * p))
 
-    return measure
+    return score
 
 
 def _resolve_candidates(
@@ -308,13 +322,12 @@ def select_supervised(
     if y_idx in resolved:
         raise DataError("response cannot be a candidate")
     alpha, _ = _response_weights(dataset, y_idx, config.weights)
-    measure = _tau_measure(dataset, y_idx, alpha)
     return _greedy(
         dataset,
         resolved,
         config,
         objective="association",
-        measure=measure,
+        score=_tau_score(dataset, y_idx, alpha),
         empty_value=0.0,
         maximise=True,
         workers=_worker_count(workers),
@@ -337,13 +350,12 @@ def select_structural(
     is a point mass (concentration 1).
     """
     resolved = _resolve_candidates(dataset, candidates)
-    measure = _concentration_measure(dataset)
     return _greedy(
         dataset,
         resolved,
         config,
         objective="concentration",
-        measure=measure,
+        score=_concentration_score(dataset),
         empty_value=1.0,
         maximise=False,
         workers=_worker_count(workers),
@@ -390,13 +402,8 @@ def _is_determined(
             target_codes, weights=dataset.mass, minlength=n_t
         ) > 0
         return int(positive.sum()) <= 1
-    row_codes, cell_mass, _ = _joint_codes(dataset, sorted(given))
-    valid = row_codes >= 0
-    joint = np.bincount(
-        row_codes[valid] * n_t + target_codes[valid],
-        weights=dataset.mass[valid],
-        minlength=len(cell_mass) * n_t,
-    ).reshape(len(cell_mass), n_t)
+    row_codes, cell_mass = _joint_codes(dataset, sorted(given))
+    joint = joint_table(row_codes, len(cell_mass), target_codes, n_t, dataset.mass)
     return bool(np.all((joint > 0).sum(axis=1) <= 1))
 
 
@@ -419,7 +426,6 @@ def verify_basis(
     if len(set(basis_idx)) != len(basis_idx):
         raise DataError("basis variables must be distinct")
     eps = config.epsilon
-    basis_cells = len(_joint_codes(dataset, sorted(basis_idx))[1])
 
     if response is not None:
         y_idx = dataset.index_of(response)
@@ -429,14 +435,14 @@ def verify_basis(
         if y_idx in cand:
             raise DataError("response cannot be a candidate")
         alpha, _ = _response_weights(dataset, y_idx, config.weights)
-        measure = _tau_measure(dataset, y_idx, alpha)
-        value = measure(tuple(basis_idx))[1]
-        full_value = measure(tuple(cand))[1]
+        score = _tau_score(dataset, y_idx, alpha)
+        basis_cells, value = _measure(dataset, score, basis_idx)
+        full_value = _measure(dataset, score, cand)[1]
         loo = []
         irredundant = True
         for v in basis_idx:
             rest = tuple(c for c in basis_idx if c != v)
-            loo_value = measure(rest)[1] if rest else 0.0
+            loo_value = _measure(dataset, score, rest)[1] if rest else 0.0
             loo.append((v, loo_value))
             if full_value - loo_value <= eps:
                 irredundant = False
@@ -453,9 +459,9 @@ def verify_basis(
         )
 
     cand = _resolve_candidates(dataset, candidates)
-    conc = _concentration_measure(dataset)
-    value = conc(tuple(basis_idx))[1]
-    full_value = conc(tuple(cand))[1]
+    score = _concentration_score(dataset)
+    basis_cells, value = _measure(dataset, score, basis_idx)
+    full_value = _measure(dataset, score, cand)[1]
     determinism = []
     achieves = True
     for v in cand:
@@ -468,7 +474,7 @@ def verify_basis(
     irredundant = True
     for v in basis_idx:
         rest = tuple(c for c in basis_idx if c != v)
-        loo.append((v, conc(rest)[1] if rest else 1.0))
+        loo.append((v, _measure(dataset, score, rest)[1] if rest else 1.0))
         if _is_determined(dataset, v, rest):
             irredundant = False
     return BasisReport(

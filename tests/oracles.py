@@ -79,6 +79,22 @@ def weighted_tau(joint, scheme="gk"):
     return sum(raw[s] / z * lifts[s] for s in lifts)
 
 
+def joint_codes(rows, masses, positions):
+    """Composite over ``positions``: ``(row_codes, scenarios, cell_masses)``.
+
+    Cells are the tuples with positive total mass, sorted; rows of zero-mass
+    tuples get -1.  Masses add in row order.
+    """
+    cells = {}
+    for row, m in zip(rows, masses):
+        key = tuple(row[p] for p in positions)
+        cells[key] = cells.get(key, 0.0) + m
+    scenarios = sorted(key for key, m in cells.items() if m > 0)
+    index = {key: i for i, key in enumerate(scenarios)}
+    row_codes = [index.get(tuple(row[p] for p in positions), -1) for row in rows]
+    return row_codes, scenarios, [cells[key] for key in scenarios]
+
+
 def concentration(masses):
     """sum(p^2) over a list of cell masses."""
     total = sum(masses)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 
@@ -102,6 +103,16 @@ class TestSubcommands:
         assert "weights.normalized: 0.5000 0.2500 0.2500" in out
         assert "weights.regular: true" in out
 
+    def test_weights_file_with_byte_order_mark(self, capsys, loan_file, tmp_path):
+        wpath = tmp_path / "w.txt"
+        wpath.write_bytes(b"\xef\xbb\xbf2\n1\n1\n")
+        code, out = run(
+            capsys, "tau", "--response", "Risk", "--given", "OnTime",
+            "--weights", f"file:{wpath}", loan_file,
+        )
+        assert code == 0
+        assert "weights.normalized: 0.5000 0.2500 0.2500" in out
+
     def test_select_supervised(self, capsys, screening_file):
         code, out = run(
             capsys, "select", "supervised", "--response", "Y",
@@ -163,6 +174,17 @@ class TestSubcommands:
         capsys.readouterr()
         code, out = run(capsys, "inspect", str(path))
         assert code == 0 and "rows: 100" in out
+
+    @pytest.mark.parametrize("extra, digest", [
+        ([], "e6a43f9c431aef927d9998ac1b2b944c37992d3a1dd1098620641031627e48c1"),
+        (["--delimiter", ";", "--symmetric-noise"],
+         "7301674251ceb85f199f961d6d4d517814186a31726373c048e7efee782e3e4e"),
+    ])
+    def test_simulate_file_bytes_are_unchanged(self, tmp_path, capsys, extra, digest):
+        path = tmp_path / "sim.csv"
+        argv = ["simulate", "flu", "-n", "2000", "--seed", "11", "-o", str(path)]
+        assert dispatch(argv + extra) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_threads_flag_same_output(self, capsys, screening_file):
         base = [

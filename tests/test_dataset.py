@@ -75,6 +75,13 @@ class TestLoadDelimited:
         ds = load_delimited(path, delimiter=";")
         assert ds.names == ("u", "v")
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfY,X\na,p\nb,q\n")
+        ds = load_delimited(path)
+        assert ds.names == ("Y", "X")
+        assert ds.variable("Y").levels == ("a", "b")
+
 
 class TestFromScenarios:
     def test_exact_masses_and_normalisation(self):

@@ -3,7 +3,7 @@
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nomassoc import (
@@ -21,6 +21,10 @@ from nomassoc import (
     resolve_weights,
     weighted_tau,
 )
+from nomassoc import dataset
+from nomassoc.dataset import _extend, _joint_codes, _Occupied
+
+import oracles
 
 
 @st.composite
@@ -161,3 +165,88 @@ def test_zero_lift_iff_columnwise_independence(table):
             mass[:, level] / table.total, p_x * p_s, atol=1e-12
         )
         assert (v.components[pos] <= 1e-12) == indep
+
+
+@st.composite
+def composites(draw, max_vars=6, max_levels=5, max_rows=40):
+    """A dataset with some zero-mass rows and unobserved levels, a sorted
+    member set of it, and an order in which to add the members."""
+    n_vars = draw(st.integers(1, max_vars))
+    n_rows = draw(st.integers(1, max_rows))
+    cards = draw(st.lists(st.integers(1, max_levels), min_size=n_vars,
+                          max_size=n_vars))
+    columns = [
+        draw(st.lists(st.integers(0, card - 1), min_size=n_rows,
+                      max_size=n_rows))
+        for card in cards
+    ]
+    masses = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0]),
+                           min_size=n_rows, max_size=n_rows))
+    masses[0] = masses[0] or 0.7  # total mass must be positive
+    members = draw(st.lists(st.integers(0, n_vars - 1), min_size=1,
+                            max_size=n_vars, unique=True))
+    metas = [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
+             for v, card in enumerate(cards)]
+    ds = CategoricalDataset(metas, [np.asarray(c) for c in columns],
+                            np.asarray(masses))
+    return ds, sorted(members), members
+
+
+#: Four members, zero-mass rows and an unobserved level (V2 has 4 levels).
+FOUR_MEMBERS = CategoricalDataset(
+    [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
+     for v, card in enumerate((2, 3, 4, 2, 3))],
+    [np.array(c) for c in ([0, 1, 1, 0, 1, 0], [2, 0, 1, 2, 0, 2],
+                           [3, 0, 1, 3, 0, 3], [1, 1, 0, 0, 1, 1],
+                           [0, 2, 2, 1, 2, 0])],
+    np.array([1.0, 0.0, 2.5, 0.0, 0.5, 1.0]),
+)
+
+
+def check_against_oracle(ds, members, order):
+    rows = list(zip(*[c.tolist() for c in ds.codes]))
+    want_codes, want_scenarios, want_mass = oracles.joint_codes(
+        rows, ds.mass.tolist(), members
+    )
+
+    row_codes, cell_mass = _joint_codes(ds, members)
+    assert row_codes.tolist() == want_codes
+    assert cell_mass.tolist() == want_mass
+
+    comp = compose(ds, members)
+    assert comp.row_codes.tolist() == want_codes
+    assert comp.scenario_codes.tolist() == [list(t) for t in want_scenarios]
+    assert comp.cell_mass.tolist() == want_mass
+
+    # carried across steps: members added in the given order, re-ranking
+    # whenever a new member sorts before an earlier one
+    base = _Occupied.empty(ds)
+    for idx in order[:-1]:
+        base = _extend(ds, base, idx)
+    row_codes, cell_mass = _joint_codes(ds, order[-1:], base)
+    assert row_codes.tolist() == want_codes
+    assert cell_mass.tolist() == want_mass
+
+
+@given(composites())
+@example((FOUR_MEMBERS, [0, 1, 2, 4], [4, 2, 0, 1]))
+@example((FOUR_MEMBERS, [2], [2]))
+@settings(max_examples=200, deadline=None)
+def test_joint_codes_match_dict_oracle(case):
+    check_against_oracle(*case)
+
+
+def test_wide_key_ranges_match_dict_oracle():
+    # 600 x 600 key slots are too many to count for 300 rows, so these
+    # pairs are ranked by the sort
+    rng = np.random.default_rng(17)
+    cards = (600, 3, 600)
+    metas = [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
+             for v, card in enumerate(cards)]
+    ds = CategoricalDataset(
+        metas, [rng.integers(0, card, 300) for card in cards],
+        rng.choice([0.0, 1.0, 2.0], 300),
+    )
+    assert 600 * 600 > dataset._SLOTS_PER_ROW * 300 + dataset._SMALL_SLOTS
+    check_against_oracle(ds, [0, 1, 2], [2, 0, 1])
+    check_against_oracle(ds, [0, 2], [2, 0])

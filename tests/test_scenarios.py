@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,20 @@ class TestGenerate:
         a = generate_flu(FluScenarioConfig(n=500, seed=3))
         b = generate_flu(FluScenarioConfig(n=500, seed=3))
         assert all(np.array_equal(x, y) for x, y in zip(a.codes, b.codes))
+
+    @pytest.mark.parametrize("seed, one_sided, digest", [
+        (1, True, "9023bdf0ab3d04a4709f8ddfa15edd19cb27704ab682cf4c783333cee2fb3c76"),
+        (1, False, "f1e30d8e5f379890138b48a25897873d79a4ce660970f8e114d887846eaeed66"),
+        (8, True, "4b21543f1db200cc9b53c4101e9779e7af92102edf719ec7142e3ec28ddd70e4"),
+        (8, False, "d2d8545c42f2203d1fb8a0b544a9233d5e22eb2d1a187c37003d12a488adeab2"),
+    ])
+    def test_codes_of_fixed_seeds_are_unchanged(self, seed, one_sided, digest):
+        # SHA-256 of the little-endian int64 codes, column after column
+        ds = generate_flu(
+            FluScenarioConfig(n=5000, seed=seed, one_sided_noise=one_sided)
+        )
+        raw = np.stack(ds.codes).astype("<i8").tobytes()
+        assert hashlib.sha256(raw).hexdigest() == digest
 
     def test_one_sided_noise_never_corrupts_negatives(self):
         ds = generate_flu(FluScenarioConfig(n=20_000, seed=1))

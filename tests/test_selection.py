@@ -15,6 +15,7 @@ from nomassoc import (
     verify_basis,
 )
 
+from nomassoc import selection
 import oracles
 
 
@@ -196,6 +197,55 @@ class TestStructural:
             assert expected_concentration(ds, list(range(k))) == pytest.approx(
                 ref, abs=1e-13
             )
+
+
+class TestIncrementalBuild:
+    """The forward phase carries the chosen set's codes across steps; every
+    value it reports must equal a from-scratch build of the same set."""
+
+    @staticmethod
+    def dataset():
+        rng = np.random.default_rng(16)
+        n = 400
+        columns = {f"V{j}": rng.integers(0, 2 + j % 3, n) for j in range(6)}
+        # Y follows the highest-index variables, so they are chosen first
+        # and the lower-index candidates sort before a chosen member
+        y = (columns["V5"] + columns["V4"] * (rng.random(n) < 0.7)) % 3
+        mass = rng.choice([0.0, 1.0, 2.0], n, p=[0.1, 0.6, 0.3])
+        metas = [VariableMeta("Y", ("0", "1", "2"))] + [
+            VariableMeta(name, tuple(str(k) for k in range(c.max() + 1)))
+            for name, c in columns.items()
+        ]
+        return CategoricalDataset(metas, [y] + list(columns.values()), mass)
+
+    @staticmethod
+    def assert_trace_matches(ds, result, score):
+        chosen: list[int] = []
+        below = False
+        for step in result.trace:
+            for cand, value in step.scores:
+                assert value == selection._measure(ds, score, chosen + [cand])[1]
+                below = below or any(cand < c for c in chosen)
+            chosen.append(step.chosen)
+            assert step.value == selection._measure(ds, score, chosen)[1]
+        assert below, "no candidate sorted before a chosen member"
+
+    def test_supervised(self):
+        ds = self.dataset()
+        result = select_supervised(ds, "Y", config=SelectionConfig(epsilon=0.0))
+        assert len(result.trace) >= 3
+        alpha, _ = selection._response_weights(ds, 0, "gk")
+        self.assert_trace_matches(
+            ds, result, selection._tau_score(ds, 0, alpha)
+        )
+
+    def test_structural(self):
+        ds = self.dataset()
+        result = select_structural(ds, config=SelectionConfig(epsilon=0.0))
+        assert len(result.trace) >= 3
+        self.assert_trace_matches(
+            ds, result, selection._concentration_score(ds)
+        )
 
 
 class TestVerifyBasis:
