@@ -31,6 +31,7 @@ from .dataset import (
     ContingencyTable,
     VariableMeta,
     compose,
+    compress,
     contingency,
     expand_to_unit_rows,
     from_scenarios,
@@ -112,6 +113,7 @@ __all__ = [
     "bootstrap",
     "check",
     "compose",
+    "compress",
     "contingency",
     "equal_weights",
     "expand_to_unit_rows",

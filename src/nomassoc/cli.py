@@ -7,6 +7,11 @@ Output formats (``--format``): ``human`` prints aligned tables,
 ``delimited`` prints delimiter-separated rows, ``structured`` prints
 deterministic ``key = value`` lines (nested keys joined with dots, matrix
 entries keyed by row and column labels) suitable for scripting.
+
+matrix, vector, tau, select and equiv read only joint mass tables, so they
+run on the file's distinct rows with summed counts (``compress``), with
+results bit-identical to the row form; inspect, predict and bootstrap keep
+one row per line.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .association import (
     resolve_weights,
     weighted_tau,
 )
-from .dataset import CategoricalDataset, contingency, load_delimited
+from .dataset import CategoricalDataset, compress, contingency, load_delimited
 from .equivalence import EquivalenceLevel, check, hierarchy_scan
 from .errors import DataError, NomassocError
 from .prediction import fit, predict_and_score
@@ -181,6 +186,7 @@ def _cmd_inspect(args) -> int:
     ds = _load(args)
     pr = _printer(args)
     pr.kv("rows", ds.n_rows)
+    pr.kv("distinct_rows", compress(ds).n_rows)
     pr.kv("variables", ds.n_variables)
     pr.kv("total_mass", ds.total_mass)
     for v in ds.variables:
@@ -191,7 +197,7 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    ds = _load(args)
+    ds = compress(_load(args))
     pr = _printer(args)
     table, _ = _response_vector(ds, args, pr)
     m = association_matrix(table)
@@ -202,7 +208,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_vector(args) -> int:
-    ds = _load(args)
+    ds = compress(_load(args))
     pr = _printer(args)
     _, vec = _response_vector(ds, args, pr)
     if vec.excluded_levels:
@@ -212,7 +218,7 @@ def _cmd_vector(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    ds = _load(args)
+    ds = compress(_load(args))
     pr = _printer(args)
     spec = _weights_spec(args.weights, pr)
     _, vec = _response_vector(ds, args, pr)
@@ -222,7 +228,7 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    ds = _load(args)
+    ds = compress(_load(args))
     pr = _printer(args)
     spec = _weights_spec(args.weights, pr)
     config = SelectionConfig(
@@ -259,7 +265,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    ds = _load(args)
+    ds = compress(_load(args))
     pr = _printer(args)
     alpha = _weights_spec(args.weights, pr) if args.weights else None
     x1 = _resolve(ds, _names(args.x1, "--x1"), "--x1")

@@ -177,6 +177,64 @@ class CategoricalDataset:
 # -- construction ---------------------------------------------------------
 
 
+class _RecordIndex(dict):
+    """Numbers each distinct record in first-appearance order.
+
+    Indexing with a record tuple returns its id; :meth:`__missing__` runs
+    once per distinct record, so the per-record work below is paid once
+    however often the record repeats.  For each id it keeps the record's
+    stripped values (``None`` for a blank, dropped or malformed record) and
+    its mass, and for a malformed record a problem description, which
+    :func:`load_delimited` raises at the line where the record first occurs.
+    """
+
+    def __init__(self, width, var_positions, mass_idx, missing_token, drop):
+        super().__init__()
+        self.width = width
+        self.var_positions = var_positions
+        self.mass_idx = mass_idx
+        self.missing_token = missing_token
+        self.drop = drop
+        self.values: list[tuple[str, ...] | None] = []
+        self.masses: list[float] = []
+        self.problems: dict[int, str] = {}
+
+    def __missing__(self, record: tuple[str, ...]) -> int:
+        rid = self[record] = len(self)
+        values, mass = self._check(rid, record)
+        self.values.append(values)
+        self.masses.append(mass)
+        return rid
+
+    def _check(self, rid: int, record: tuple[str, ...]):
+        if not record:  # blank line
+            return None, 0.0
+        if len(record) != self.width:
+            self.problems[rid] = (
+                f"expected {self.width} fields, got {len(record)}"
+            )
+            return None, 0.0
+        values = tuple(v.strip() for v in record)
+        if values == record:
+            values = record  # share the key's tuple
+        if self.drop and any(
+            values[i] == self.missing_token for i in self.var_positions
+        ):
+            return None, 0.0
+        if self.mass_idx is None:
+            return values, 1.0
+        text = values[self.mass_idx]
+        try:
+            mass = float(text)
+        except ValueError:
+            self.problems[rid] = f"mass value {text!r} is not a number"
+            return None, 0.0
+        if not np.isfinite(mass) or mass < 0:
+            self.problems[rid] = f"mass value {mass!r} is invalid"
+            return None, 0.0
+        return values, mass
+
+
 def load_delimited(
     path,
     *,
@@ -188,11 +246,17 @@ def load_delimited(
     """Read a delimited UTF-8 text file into a dataset.
 
     A leading byte-order mark is skipped.  The first record must be a
-    header of unique names.  Category levels are the distinct observed
-    strings in first-appearance order.  ``missing_policy``
-    is ``"own-category"`` (the missing token becomes a regular level) or
-    ``"drop-row"``.  If ``mass_column`` names a column, it supplies per-row
-    masses instead of 1.0 and is not encoded as a variable.
+    header of unique names.  Surrounding whitespace is stripped from names
+    and values.  Category levels are the distinct observed strings in
+    first-appearance order.  ``missing_policy`` is ``"own-category"`` (the
+    missing token becomes a regular level) or ``"drop-row"``.  If
+    ``mass_column`` names a column, it supplies per-row masses instead of
+    1.0 and is not encoded as a variable.  A malformed record is reported
+    at the first line where it occurs.
+
+    Each distinct record is checked and encoded once; the rows are one
+    gather of the distinct records' codes, so the per-line cost is the CSV
+    parse and one dictionary lookup.
     """
     if missing_policy not in ("own-category", "drop-row"):
         raise DataError(f"unknown missing policy {missing_policy!r}")
@@ -213,47 +277,34 @@ def load_delimited(
                 )
             mass_idx = header.index(mass_column)
         var_positions = [i for i in range(len(header)) if i != mass_idx]
-        columns: list[list[str]] = [[] for _ in var_positions]
-        masses: list[float] = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(record)}",
-                    line=lineno,
-                )
-            if missing_policy == "drop-row" and any(
-                record[i] == missing_token for i in var_positions
-            ):
-                continue
-            if mass_idx is not None:
-                try:
-                    m = float(record[mass_idx])
-                except ValueError:
-                    raise ParseError(
-                        f"mass value {record[mass_idx]!r} is not a number",
-                        line=lineno,
-                    ) from None
-                if not np.isfinite(m) or m < 0:
-                    raise ParseError(f"mass value {m!r} is invalid", line=lineno)
-                masses.append(m)
-            for col, i in zip(columns, var_positions):
-                col.append(record[i])
-    if not columns or not columns[0]:
+        index = _RecordIndex(len(header), var_positions, mass_idx,
+                             missing_token, missing_policy == "drop-row")
+        ids = np.fromiter(map(index.__getitem__, map(tuple, reader)),
+                          dtype=np.int64)
+    if index.problems:
+        # ids follow first appearance, so the smallest bad id is the bad
+        # record that occurs first; line 1 is the header
+        first = min(index.problems)
+        line = int(np.argmax(ids == first)) + 2
+        raise ParseError(index.problems[first], line=line)
+    kept = np.array([v is not None for v in index.values], dtype=bool)
+    if not var_positions or not kept.any():
         raise ParseError("file contains a header but no data rows")
+    if not kept.all():
+        ids = ids[kept[ids]]
 
     variables = []
     codes = []
-    for col, i in zip(columns, var_positions):
+    for i in var_positions:
         level_index: dict[str, int] = {}
-        arr = np.empty(len(col), dtype=np.int64)
-        for r, label in enumerate(col):
-            code = level_index.setdefault(label, len(level_index))
-            arr[r] = code
+        record_codes = np.array(
+            [level_index.setdefault(v[i], len(level_index))
+             if v is not None else 0 for v in index.values],
+            dtype=np.int64,
+        )
         variables.append(VariableMeta(header[i], tuple(level_index)))
-        codes.append(arr)
-    mass = np.asarray(masses, dtype=np.float64) if mass_idx is not None else None
+        codes.append(record_codes[ids])
+    mass = np.asarray(index.masses)[ids] if mass_idx is not None else None
     return CategoricalDataset(variables, codes, mass)
 
 
@@ -473,6 +524,37 @@ def _joint_codes(
     return _positive_cells(key, cells, dataset.mass)
 
 
+def _representatives(row_codes: np.ndarray, n_cells: int) -> np.ndarray:
+    """One row of each cell (codes ``[0, n_cells)``, -1 rows ignored); any
+    row of a cell has its member codes."""
+    rows = np.flatnonzero(row_codes >= 0)
+    rep_rows = np.empty(n_cells, dtype=np.int64)
+    rep_rows[row_codes[rows]] = rows
+    return rep_rows
+
+
+def compress(dataset: CategoricalDataset) -> CategoricalDataset:
+    """The distinct rows of ``dataset`` with their masses summed.
+
+    Rows follow the lexicographic order of their codes, and rows of zero
+    mass are gone; the variables, with all their levels, are unchanged.
+    Every measure of the package reads a dataset only through the masses
+    of its joint cells, so on the result it is computed over one row per
+    cell.  Integer masses below 2**53 add exactly in any order, so those
+    results are bit-identical to the row form's; any other dataset is
+    returned unchanged.
+    """
+    mass = dataset.mass
+    if not (dataset.total_mass < 2**53 and np.array_equal(mass, np.floor(mass))):
+        return dataset
+    row_codes, cell_mass = _joint_codes(dataset, range(dataset.n_variables))
+    rows = _representatives(row_codes, len(cell_mass))
+    return CategoricalDataset(
+        dataset.variables, [c[rows] for c in dataset.codes], cell_mass,
+        validate=False,
+    )
+
+
 def compose(dataset: CategoricalDataset, indices: Sequence[VarRef]) -> CompositeVariable:
     """View an ordered set of variables as one composite categorical variable.
 
@@ -486,9 +568,7 @@ def compose(dataset: CategoricalDataset, indices: Sequence[VarRef]) -> Composite
         raise DataError("composite members must be distinct")
     members = tuple(sorted(resolved))
     row_codes, cell_mass = _joint_codes(dataset, members)
-    rows = np.flatnonzero(row_codes >= 0)
-    rep_rows = np.empty(len(cell_mass), dtype=np.int64)
-    rep_rows[row_codes[rows]] = rows  # any row of a cell has its codes
+    rep_rows = _representatives(row_codes, len(cell_mass))
     scenario_codes = np.stack(
         [dataset.codes[i][rep_rows] for i in members], axis=1
     )
@@ -521,7 +601,7 @@ class ContingencyTable:
     """
 
     __slots__ = ("mass", "x_marginal", "y_marginal", "total",
-                 "x_labels", "y_labels", "x_name", "y_name")
+                 "_x_labels", "y_labels", "x_name", "y_name")
 
     def __init__(
         self,
@@ -546,9 +626,9 @@ class ContingencyTable:
         self.x_marginal = _readonly(mass.sum(axis=1))
         self.y_marginal = _readonly(mass.sum(axis=0))
         self.total = total
-        self.x_labels = tuple(x_labels) if x_labels is not None else tuple(
-            str(i) for i in range(mass.shape[0])
-        )
+        # default labels are built when read: a selection score builds a
+        # table per candidate and never reads them
+        self._x_labels = tuple(x_labels) if x_labels is not None else None
         self.y_labels = tuple(y_labels) if y_labels is not None else tuple(
             str(s) for s in range(mass.shape[1])
         )
@@ -558,6 +638,12 @@ class ContingencyTable:
     @classmethod
     def from_counts(cls, counts, **kwargs) -> "ContingencyTable":
         return cls(np.asarray(counts, dtype=np.float64), **kwargs)
+
+    @property
+    def x_labels(self) -> tuple:
+        if self._x_labels is None:
+            return tuple(str(i) for i in range(self.x_levels))
+        return self._x_labels
 
     @property
     def x_levels(self) -> int:

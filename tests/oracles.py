@@ -7,6 +7,8 @@ produces constitute an independent check of the library's vectorised paths.
 
 from __future__ import annotations
 
+import csv
+import math
 from collections import defaultdict
 from itertools import product
 
@@ -93,6 +95,62 @@ def joint_codes(rows, masses, positions):
     index = {key: i for i, key in enumerate(scenarios)}
     row_codes = [index.get(tuple(row[p] for p in positions), -1) for row in rows]
     return row_codes, scenarios, [cells[key] for key in scenarios]
+
+
+class BadLine(Exception):
+    """A record :func:`load_delimited` rejects; ``line`` is its line number
+    (1 is the header), or ``None`` when no data row is left."""
+
+    def __init__(self, line):
+        super().__init__(f"line {line}")
+        self.line = line
+
+
+def load_delimited(path, delimiter=",", missing_token="__NA__",
+                   missing_policy="own-category", mass_column=None):
+    """Read a delimited file cell by cell: ``(names, levels, codes, masses)``.
+
+    ``levels[v]`` lists variable ``v``'s labels in first-appearance order,
+    ``codes[v]`` its per-row codes, ``masses`` the per-row masses (``None``
+    without a mass column).  Values are stripped before the missing-token
+    comparison.  Raises :class:`BadLine` at the first bad record.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        header = [h.strip() for h in next(reader)]
+        mass_idx = header.index(mass_column) if mass_column is not None else None
+        positions = [i for i in range(len(header)) if i != mass_idx]
+        columns = [[] for _ in positions]
+        masses = []
+        for lineno, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) != len(header):
+                raise BadLine(lineno)
+            record = [value.strip() for value in record]
+            if missing_policy == "drop-row" and any(
+                record[i] == missing_token for i in positions
+            ):
+                continue
+            if mass_idx is not None:
+                try:
+                    m = float(record[mass_idx])
+                except ValueError:
+                    raise BadLine(lineno) from None
+                if not math.isfinite(m) or m < 0:
+                    raise BadLine(lineno)
+                masses.append(m)
+            for col, i in zip(columns, positions):
+                col.append(record[i])
+    if not columns or not columns[0]:
+        raise BadLine(None)
+    levels, codes = [], []
+    for col in columns:
+        index = {}
+        codes.append([index.setdefault(label, len(index)) for label in col])
+        levels.append(tuple(index))
+    names = [header[i] for i in positions]
+    return names, levels, codes, masses if mass_idx is not None else None
 
 
 def concentration(masses):

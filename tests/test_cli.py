@@ -17,6 +17,16 @@ def screening_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def flu_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "flu.csv"
+    code = dispatch(
+        ["simulate", "flu", "-n", "20000", "--seed", "5", "-o", str(path)]
+    )
+    assert code == 0
+    return str(path)
+
+
 @pytest.fixture()
 def loan_file(tmp_path):
     # expand the On-Time x Risk table into unit rows
@@ -185,6 +195,40 @@ class TestSubcommands:
         argv = ["simulate", "flu", "-n", "2000", "--seed", "11", "-o", str(path)]
         assert dispatch(argv + extra) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_inspect_reports_distinct_rows(self, capsys, tmp_path):
+        path = tmp_path / "rep.csv"
+        path.write_text("u,v\na,x\nb,x\na,x\n")
+        code, out = run(capsys, "inspect", str(path))
+        assert code == 0
+        assert "rows: 3" in out and "distinct_rows: 2" in out
+        # non-integer masses are not merged, so every row stays
+        path.write_text("u,w\na,0.5\na,0.5\n")
+        code, out = run(capsys, "inspect", "--mass-column", "w", str(path))
+        assert code == 0
+        assert "rows: 2" in out and "distinct_rows: 2" in out
+
+    # digests of the structured output computed before these commands ran
+    # on distinct rows: the compressed form must be bit-identical
+    @pytest.mark.parametrize("argv, digest", [
+        (["matrix", "--response", "Y", "--given", "X1,X2"],
+         "99ddd7f4fd66502ac9edd6b08512cbb5b81ae3f99879604062ceefc70c15195d"),
+        (["vector", "--response", "Y", "--given", "X1,X2"],
+         "3c7ea5ebd1c4ddcf9f20fd804e4ba3d15d37bf1caf266fe4c8527b9df981cb8c"),
+        (["tau", "--response", "Y", "--given", "X1,X2"],
+         "6e1d6c960b797346791ed5f4e79fa19e2ec60fd584dc1727516d7835fb2d0d2a"),
+        (["select", "supervised", "--response", "Y"],
+         "a802776beae5d0c15229b438c3534d79718cf783a0b0ccb41d7eed0b9a2e4820"),
+        (["select", "structural"],
+         "d67c4888d6a92b1637db8bc7892dcc188446290b7f3c15064a5da962c9d27382"),
+        (["equiv", "--x1", "X1,X2", "--x2", "R3,R4", "--response", "Y"],
+         "09fe830d6cf81c064c8012ff1883b4230284cc10e2b052fddf13754d20c155a1"),
+    ])
+    def test_table_commands_output_is_unchanged(self, capsys, flu_file, argv, digest):
+        code, out = run(capsys, *argv, flu_file, "--format", "structured",
+                        "--precision", "17")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_threads_flag_same_output(self, capsys, screening_file):
         base = [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nomassoc import (
+    ContingencyTable,
     DataError,
     ParseError,
     compose,
@@ -47,6 +48,38 @@ class TestLoadDelimited:
         path = write(tmp_path, "u,v\na,x\nb\n")
         with pytest.raises(ParseError, match="line 3"):
             load_delimited(path)
+
+    def test_values_are_stripped(self, tmp_path):
+        path = write(tmp_path, "u,v\na ,x\n a,x\n")
+        ds = load_delimited(path)
+        assert ds.variable("u").levels == ("a",)
+        assert ds.codes[0].tolist() == [0, 0]
+
+    def test_stripped_missing_token_is_dropped(self, tmp_path):
+        path = write(tmp_path, "u,v\na,x\n __NA__ ,x\n")
+        ds = load_delimited(path, missing_policy="drop-row")
+        assert ds.n_rows == 1
+
+    def test_repeated_ragged_record_reports_first_line(self, tmp_path):
+        # "b" first occurs on line 3; "c" is ragged too but occurs later
+        path = write(tmp_path, "u,v\na,x\nb\na,x\nc\nb\n")
+        with pytest.raises(ParseError, match="line 3") as err:
+            load_delimited(path)
+        assert err.value.line == 3
+
+    def test_repeated_bad_mass_reports_first_line(self, tmp_path):
+        # "b,zz" occurs on lines 4 and 7, another bad record between them
+        path = write(tmp_path, "u,w\na,1\na,1\nb,zz\na,1\nc,-1\nb,zz\n")
+        with pytest.raises(ParseError, match="line 4") as err:
+            load_delimited(path, mass_column="w")
+        assert err.value.line == 4
+
+    def test_repeated_records_keep_row_order(self, tmp_path):
+        path = write(tmp_path, "u,v,w\na,x,2\n\nb,y,1\na,x,2\nb,x,1\n")
+        ds = load_delimited(path, mass_column="w")
+        assert ds.codes[0].tolist() == [0, 1, 0, 1]
+        assert ds.codes[1].tolist() == [0, 1, 0, 0]
+        assert ds.mass.tolist() == [2.0, 1.0, 2.0, 1.0]
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(ParseError):
@@ -224,6 +257,21 @@ class TestContingency:
         t2 = contingency(shuffled, ["X1"], "Y")
         assert np.array_equal(t1.mass, t2.mass)
         assert np.array_equal(t1.y_marginal, t2.y_marginal)
+
+
+class TestContingencyLabels:
+    def test_default_labels_and_transpose(self):
+        table = ContingencyTable(np.ones((3, 2)))
+        assert table.x_labels == ("0", "1", "2")
+        assert table.y_labels == ("0", "1")
+        flipped = table.transpose()
+        assert flipped.x_labels == ("0", "1")
+        assert flipped.y_labels == ("0", "1", "2")
+
+    def test_given_labels_are_kept(self):
+        table = ContingencyTable(np.ones((2, 2)), x_labels=["p", "q"])
+        assert table.x_labels == ("p", "q")
+        assert table.transpose().y_labels == ("p", "q")
 
 
 class TestSplit:

@@ -1,8 +1,11 @@
 """Property-based checks of the core identities on generated tables."""
 
+import os
+import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,15 +13,23 @@ from nomassoc import (
     CategoricalDataset,
     ContingencyTable,
     DataError,
+    ParseError,
+    SelectionConfig,
     VariableMeta,
     association_matrix,
     association_vector,
     compose,
+    compress,
     contingency,
     expected_concentration,
     goodman_kruskal_tau,
     goodman_kruskal_weights,
+    hierarchy_scan,
+    load_delimited,
     resolve_weights,
+    select_structural,
+    select_supervised,
+    tau_for,
     weighted_tau,
 )
 from nomassoc import dataset
@@ -250,3 +261,140 @@ def test_wide_key_ranges_match_dict_oracle():
     assert 600 * 600 > dataset._SLOTS_PER_ROW * 300 + dataset._SMALL_SLOTS
     check_against_oracle(ds, [0, 1, 2], [2, 0, 1])
     check_against_oracle(ds, [0, 2], [2, 0])
+
+
+# -- loading -------------------------------------------------------------------
+
+VALUES = ("a", "b", " a", "a ", "__NA__", " __NA__", "c d", "")
+GOOD_MASSES = ("1", "2", " 3", "0", "0.5")
+BAD_MASSES = ("-1", "nan", "zz")
+
+
+@st.composite
+def delimited_files(draw):
+    """``(text, mass_column, missing_policy)``: a few distinct records
+    repeated in random order, with blank lines, the missing token, padded
+    values and, in about half the cases, bad masses or ragged records."""
+    n_cols = draw(st.integers(1, 4))
+    mass_pos = draw(st.none() | st.integers(0, n_cols - 1))
+    bad = draw(st.booleans())
+    masses = GOOD_MASSES + BAD_MASSES if bad else GOOD_MASSES
+    record = st.tuples(*[
+        st.sampled_from(masses if j == mass_pos else VALUES)
+        for j in range(n_cols)
+    ]).map(",".join)
+    pool = draw(st.lists(record, min_size=1, max_size=5))
+    pool += ["", "a,b,c,d,e"] if bad else [""]  # blank, ragged
+    lines = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    header = ",".join(f"c{j}" for j in range(n_cols))
+    mass_column = None if mass_pos is None else f"c{mass_pos}"
+    policy = draw(st.sampled_from(("own-category", "drop-row")))
+    return "\n".join([header] + lines) + "\n", mass_column, policy
+
+
+@given(delimited_files())
+@example(("u,v\na ,x\n a,x\n", None, "own-category"))
+@example(("u,w\na,1\nb,zz\na,1\nb,zz\n", "w", "own-category"))
+@settings(max_examples=300, deadline=None)
+def test_loader_matches_cell_oracle(case):
+    text, mass_column, policy = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        kwargs = dict(mass_column=mass_column, missing_policy=policy)
+        try:
+            names, levels, codes, masses = oracles.load_delimited(path, **kwargs)
+        except oracles.BadLine as bad:
+            with pytest.raises(ParseError) as err:
+                load_delimited(path, **kwargs)
+            assert err.value.line == bad.line
+            return
+        if masses is not None and sum(masses) == 0:
+            with pytest.raises(DataError, match="total mass"):
+                load_delimited(path, **kwargs)
+            return
+        ds = load_delimited(path, **kwargs)
+    assert list(ds.names) == names
+    assert [v.levels for v in ds.variables] == levels
+    assert [c.tolist() for c in ds.codes] == codes
+    assert ds.mass.tolist() == (masses or [1.0] * len(codes[0]))
+
+
+# -- compression ---------------------------------------------------------------
+
+
+@st.composite
+def integer_mass_datasets(draw, max_rows=40):
+    """Datasets of three or four variables with integer masses, repeated
+    tuples, zero-mass rows and unobserved levels."""
+    n_vars = draw(st.integers(3, 4))
+    n_rows = draw(st.integers(1, max_rows))
+    cards = draw(st.lists(st.integers(1, 4), min_size=n_vars, max_size=n_vars))
+    columns = [
+        draw(st.lists(st.integers(0, card - 1), min_size=n_rows,
+                      max_size=n_rows))
+        for card in cards
+    ]
+    masses = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0]),
+                           min_size=n_rows, max_size=n_rows))
+    masses[0] = masses[0] or 3.0  # total mass must be positive
+    metas = [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
+             for v, card in enumerate(cards)]
+    return CategoricalDataset(metas, [np.asarray(c) for c in columns],
+                              np.asarray(masses))
+
+
+def outcome(compute):
+    """``compute()``, or the type and text of the error it raised.
+
+    ``ValueError`` covers ``DataError`` and also the bare ``ValueError``
+    that ``tau_for`` raises for a response with one observed level.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # zero-mass levels may drop
+            return compute()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(integer_mass_datasets())
+@settings(max_examples=200, deadline=None)
+def test_compress_is_bit_identical(ds):
+    small = compress(ds)
+    assert small.variables == ds.variables
+    assert small.total_mass == ds.total_mass
+    rows = {tuple(int(c[r]) for c in ds.codes)
+            for r in range(ds.n_rows) if ds.mass[r] > 0}
+    assert small.n_rows == len(rows)
+
+    given, response = ["V1", "V2"], "V0"
+    checks = [
+        lambda d: contingency(d, given, response).mass.tolist(),
+        lambda d: contingency(d, given, response).x_labels,
+        lambda d: expected_concentration(d, given),
+        lambda d: expected_concentration(d, d.names),
+        lambda d: select_supervised(d, response),
+        lambda d: select_structural(d),
+        lambda d: select_structural(d, config=SelectionConfig(max_cells=3)),
+        lambda d: hierarchy_scan(d, ["V1"], ["V2"], response),
+    ] + [
+        lambda d, w=w: tau_for(d, response, given, w)
+        for w in ("gk", "equal", "invprob")
+    ]
+    for check in checks:
+        assert outcome(lambda: check(small)) == outcome(lambda: check(ds))
+
+
+def test_compress_returns_non_integer_or_huge_masses_unchanged():
+    metas = [VariableMeta("V0", ("a", "b"))]
+    half = CategoricalDataset(metas, [np.array([0, 1, 0])],
+                              np.array([1.0, 0.5, 1.0]))
+    assert compress(half) is half
+    huge = CategoricalDataset(metas, [np.array([0, 1, 0])],
+                              np.array([2.0**52, 2.0**52, 1.0]))
+    assert compress(huge) is huge
+    exact = CategoricalDataset(metas, [np.array([0, 1, 0])],
+                               np.array([2.0**51, 2.0**51, 1.0]))
+    assert compress(exact).mass.tolist() == [2.0**51 + 1.0, 2.0**51]
