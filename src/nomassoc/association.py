@@ -20,6 +20,14 @@ composite) and a response ``Y``, this module computes
 All functions are pure and deterministic: sums run in ascending level-code
 order via numpy pairwise reduction, so results do not depend on worker
 counts.
+
+The lift and weighted-sum formulas exist once, in private helpers that
+:func:`association_vector`, :func:`weighted_tau` and :func:`tau_for` wrap.
+``_tau`` chains them on a bare ``(cells, n_y)`` mass array, with every
+check and warning of the public route and with no table or vector object,
+for callers that evaluate many small tables: greedy selection and the
+bootstrap's cell counts.  :func:`goodman_kruskal_tau` keeps its own
+classical form as an independent reference.
 """
 
 from __future__ import annotations
@@ -40,12 +48,23 @@ ROW_SUM_TOL = 1e-9
 
 
 def _clamp_unit(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` clipped to [0, 1]; drift beyond ``CLAMP_TOL`` raises.
+    Values already inside come back as the same array."""
     low, high = values.min(initial=0.0), values.max(initial=1.0)
     if low < -CLAMP_TOL or high > 1 + CLAMP_TOL:
         raise DataError(
             f"{what} outside [0, 1] beyond tolerance: min={low!r}, max={high!r}"
         )
-    return np.clip(values, 0.0, 1.0)
+    if low < 0 or high > 1:
+        return np.clip(values, 0.0, 1.0)
+    return values
+
+
+def _clamp_scalar(value: float, what: str) -> float:
+    """:func:`_clamp_unit` for one value."""
+    if value < -CLAMP_TOL or value > 1 + CLAMP_TOL:
+        raise DataError(f"{what} outside [0, 1] beyond tolerance: {value!r}")
+    return min(max(value, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -91,7 +110,7 @@ class AssociationMatrix:
 
     def __init__(self, entries, y_marginal, *, level_indices=None,
                  dropped_levels=(), y_labels=None, x_descriptor="X"):
-        entries = np.asarray(entries, dtype=np.float64)
+        entries = np.array(entries, dtype=np.float64)  # owned: made read-only
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DataError("association matrix must be square")
         entries = _clamp_unit(entries, "association matrix entries")
@@ -188,11 +207,7 @@ class WeightVector:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise DataError("weights must form a non-empty vector")
-        if w.min() < -CLAMP_TOL:
-            raise DataError("weights must be non-negative")
-        if abs(w.sum() - 1.0) > CLAMP_TOL:
-            raise DataError("weights must sum to 1 within 1e-12")
-        object.__setattr__(self, "weights", np.clip(w, 0.0, None))
+        object.__setattr__(self, "weights", np.clip(_simplex(w), 0.0, None))
 
     @classmethod
     def from_raw(cls, raw) -> "WeightVector":
@@ -213,28 +228,104 @@ class WeightVector:
         return len(self.weights)
 
 
+def _simplex(w: np.ndarray) -> np.ndarray:
+    """``w`` with values in [-1e-12, 0) set to 0; raises unless ``w`` is
+    non-negative and sums to 1, both within 1e-12."""
+    low = w.min()
+    if low < -CLAMP_TOL:
+        raise DataError("weights must be non-negative")
+    if abs(w.sum() - 1.0) > CLAMP_TOL:
+        raise DataError("weights must sum to 1 within 1e-12")
+    return np.clip(w, 0.0, None) if low < 0 else w
+
+
 # -- core computations -------------------------------------------------------
 
 
-def _prepared(table: ContingencyTable):
-    """Mass matrix with zero-mass response levels dropped (warned, recorded)."""
-    keep = table.y_marginal > 0
-    dropped = tuple(int(s) for s in np.flatnonzero(~keep))
-    if dropped:
-        labels = [table.y_labels[s] for s in dropped]
+def _prepared(mass: np.ndarray, y_name: str, y_labels: Sequence[str]):
+    """``(kept, x_mass, total, keep)`` of a non-negative mass table with
+    positive total.
+
+    ``keep`` marks the response levels with positive mass; the others are
+    dropped with a warning.  ``kept`` is the table without them and then
+    without its zero-mass rows, ``x_mass`` its row sums (taken before the
+    levels are dropped) and ``total`` the table's total.
+
+    The order fixes the last bit of every result: ``mass[:, keep]`` is a
+    Fortran-ordered copy, so each column sum over ``kept`` runs along one
+    contiguous column, while a boolean row index gives C order.  A caller
+    that drops zero-mass rows itself, as the bootstrap does, drops them
+    before calling, so that its table sums like one built over observed
+    cells only.
+    """
+    total = float(mass.sum())
+    x_mass = mass.sum(axis=1)
+    keep = mass.any(axis=0)  # positive mass, as no entry is negative
+    if not keep.all():
+        labels = [y_labels[s] for s in np.flatnonzero(~keep)]
         warnings.warn(
-            f"response {table.y_name!r}: dropping zero-mass levels {labels}",
+            f"response {y_name!r}: dropping zero-mass levels {labels}",
             DroppedLevelsWarning,
             stacklevel=3,
         )
-    mass = table.mass[:, keep]
-    x_mass = table.x_marginal
-    rows = x_mass > 0
-    if not rows.all():
-        mass = mass[rows]
-        x_mass = x_mass[rows]
-    retained = tuple(int(s) for s in np.flatnonzero(keep))
-    return mass, x_mass, retained, dropped
+    kept = mass[:, keep]
+    if not x_mass.min() > 0:
+        rows = x_mass > 0
+        kept, x_mass = kept[rows], x_mass[rows]
+    return kept, x_mass, total, keep
+
+
+def _lifts(kept: np.ndarray, x_mass: np.ndarray, total: float):
+    """``(definable, p, lift)`` of a table from :func:`_prepared`.
+
+    ``definable`` holds the positions, among the kept levels, of those with
+    marginal below 1, ``p`` their marginals and ``lift`` their accuracy
+    lifts, checked against the second-moment form to 1e-12 and clamped to
+    [0, 1].
+    """
+    y_mass = kept.sum(axis=0)
+    p = y_mass / total
+    # col[s] = sum_i M[i,s]^2 / Mx[i]; the matrix diagonal is col[s] / My[s]
+    col = ((kept * kept) / x_mass[:, None]).sum(axis=0)
+    definable = (p < 1.0).nonzero()[0]
+    if len(definable) < len(p):
+        p, col, y_mass = p[definable], col[definable], y_mass[definable]
+    q = 1.0 - p
+    lift = (col / y_mass - p) / q
+    # independent second-moment route, must agree to 1e-12
+    alt = (col / total - p * p) / (p * q)
+    if lift.size and np.abs(lift - alt).max() > 1e-12:
+        raise DataError(
+            "association-vector formulas disagree beyond 1e-12; "
+            "the table is numerically ill-conditioned"
+        )
+    return definable, p, _clamp_unit(lift, "association vector components")
+
+
+def _weighted(w: np.ndarray, lift: np.ndarray) -> float:
+    return _clamp_scalar(float(np.dot(w, lift)), "weighted association")
+
+
+def _tau(
+    mass: np.ndarray,
+    weights: Union[str, WeightVector],
+    y_name: str,
+    y_labels: Sequence[str],
+) -> float:
+    """Weighted association of a ``(cells, n_y)`` float64 mass table.
+
+    The one formula behind :func:`association_vector`,
+    :func:`weighted_tau` and :func:`tau_for`, with their checks and
+    warnings, for callers that hold a bare mass array: a scheme name is
+    resolved on the table's own marginal, a :class:`WeightVector` must
+    cover its levels with marginal strictly inside (0, 1).  ``mass`` must
+    be non-negative with positive total; ``y_name`` and ``y_labels`` name
+    the response in the dropped-levels warning.
+    """
+    kept, x_mass, total, _ = _prepared(mass, y_name, y_labels)
+    _, p, lift = _lifts(kept, x_mass, total)
+    gini = float(1.0 - (p * p).sum())
+    return _weighted(_weight_array(weights, p, gini), lift)
 
 
 def association_matrix(table: ContingencyTable) -> AssociationMatrix:
@@ -244,7 +335,10 @@ def association_matrix(table: ContingencyTable) -> AssociationMatrix:
     Zero-mass explanatory scenarios contribute nothing; zero-mass response
     levels are dropped with a warning.
     """
-    mass, x_mass, retained, dropped = _prepared(table)
+    mass, x_mass, total, keep = _prepared(
+        table.mass, table.y_name, table.y_labels
+    )
+    retained = tuple(int(s) for s in np.flatnonzero(keep))
     y_mass = mass.sum(axis=0)
     cond = mass / x_mass[:, None]
     n = mass.shape[1]
@@ -253,9 +347,9 @@ def association_matrix(table: ContingencyTable) -> AssociationMatrix:
         entries[s] = (mass[:, s][:, None] * cond).sum(axis=0) / y_mass[s]
     return AssociationMatrix(
         entries,
-        y_mass / table.total,
+        y_mass / total,
         level_indices=retained,
-        dropped_levels=dropped,
+        dropped_levels=tuple(int(s) for s in np.flatnonzero(~keep)),
         y_labels=[table.y_labels[s] for s in retained],
         x_descriptor=table.x_name,
     )
@@ -271,35 +365,18 @@ def association_vector(table: ContingencyTable) -> AssociationVector:
     both must agree to 1e-12.  Levels with marginal 0 or 1 are excluded and
     recorded; weights used downstream must be renormalised accordingly.
     """
-    mass, x_mass, retained, dropped = _prepared(table)
-    y_mass = mass.sum(axis=0)
-    p = y_mass / table.total
-    # diag_term[s] = sum_i M[i,s]^2 / (Mx[i] My[s])  (matrix diagonal)
-    sq = (mass * mass) / x_mass[:, None]
-    col = sq.sum(axis=0)
-    definable = p < 1.0
-    excluded = list(dropped) + [
-        retained[s] for s in np.flatnonzero(~definable)
-    ]
-    keep_pos = np.flatnonzero(definable)
-    p_kept = p[keep_pos]
-    diag = col[keep_pos] / y_mass[keep_pos]
-    lift = (diag - p_kept) / (1.0 - p_kept)
-    # independent second-moment route, must agree to 1e-12
-    second = col[keep_pos] / table.total
-    alt = (second - p_kept * p_kept) / (p_kept * (1.0 - p_kept))
-    if lift.size and np.max(np.abs(lift - alt)) > 1e-12:
-        raise DataError(
-            "association-vector formulas disagree beyond 1e-12; "
-            "the table is numerically ill-conditioned"
-        )
-    lift = _clamp_unit(lift, "association vector components")
+    kept, x_mass, total, keep = _prepared(
+        table.mass, table.y_name, table.y_labels
+    )
+    definable, p, lift = _lifts(kept, x_mass, total)
+    levels = tuple(int(s) for s in np.flatnonzero(keep)[definable])
+    excluded = set(range(table.y_levels)).difference(levels)
     return AssociationVector(
         components=lift,
-        y_marginal=p_kept,
-        level_indices=tuple(retained[s] for s in keep_pos),
+        y_marginal=p,
+        level_indices=levels,
         excluded_levels=tuple(sorted(excluded)),
-        y_labels=tuple(table.y_labels[retained[s]] for s in keep_pos),
+        y_labels=tuple(table.y_labels[s] for s in levels),
         x_descriptor=table.x_name,
     )
 
@@ -316,8 +393,7 @@ def weighted_tau(vector: AssociationVector, alpha: WeightVector) -> float:
             f"weight vector has {alpha.size} components, association vector "
             f"has {vector.size}"
         )
-    value = float(np.dot(alpha.weights, vector.components))
-    return float(_clamp_unit(np.asarray([value]), "weighted association")[0])
+    return _weighted(alpha.weights, vector.components)
 
 
 def goodman_kruskal_tau(table: ContingencyTable) -> float:
@@ -327,8 +403,10 @@ def goodman_kruskal_tau(table: ContingencyTable) -> float:
     Computed directly from the classical form; agrees with
     ``weighted_tau(..., goodman_kruskal_weights(...))`` to 1e-12.
     """
-    mass, x_mass, retained, _ = _prepared(table)
-    p = mass.sum(axis=0) / table.total
+    mass, x_mass, total, _ = _prepared(
+        table.mass, table.y_name, table.y_labels
+    )
+    p = mass.sum(axis=0) / total
     v_g = 1.0 - float(np.sum(p * p))
     if v_g <= 0:
         raise DataError(
@@ -336,68 +414,102 @@ def goodman_kruskal_tau(table: ContingencyTable) -> float:
         )
     cond_conc = float(
         ((mass * mass) / x_mass[:, None]).sum(axis=0).sum()
-    ) / table.total
+    ) / total
     value = (cond_conc - float(np.sum(p * p))) / v_g
-    return float(_clamp_unit(np.asarray([value]), "Goodman-Kruskal tau")[0])
+    return _clamp_scalar(value, "Goodman-Kruskal tau")
 
 
 # -- weight schemes -----------------------------------------------------------
 
+_NO_LEVELS = "no response level has marginal strictly inside (0, 1)"
+
+
+def _gk_weights(p: np.ndarray, gini: float) -> np.ndarray:
+    if not p.size:
+        raise DataError(
+            f"variation-proportional weights undefined: {_NO_LEVELS}"
+        )
+    if gini <= 0:
+        raise DataError("variation-proportional weights undefined: point mass")
+    return p * (1.0 - p) / gini
+
+
+def _equal_weights(n_levels: int) -> np.ndarray:
+    if n_levels < 1:
+        raise DataError("need at least one response level")
+    return np.full(n_levels, 1.0 / n_levels)
+
+
+def _invprob_weights(p: np.ndarray) -> np.ndarray:
+    if not p.size:
+        raise DataError(f"inverse-probability weights undefined: {_NO_LEVELS}")
+    if p.min() <= 0:
+        raise DataError(
+            "inverse-probability weights undefined for zero-probability "
+            "levels; re-code the response to eliminate them"
+        )
+    raw = 1.0 / p
+    return raw / raw.sum()
+
 
 def goodman_kruskal_weights(stats: MarginalStats) -> WeightVector:
     """Weights ``p_s (1 - p_s) / V_G`` reproducing the Goodman-Kruskal tau."""
-    if stats.gini_variation <= 0:
-        raise DataError("variation-proportional weights undefined: point mass")
-    w = stats.p * (1.0 - stats.p) / stats.gini_variation
+    w = _gk_weights(stats.p, stats.gini_variation)
     return WeightVector(weights=w, regular=bool(w.min() > 0))
 
 
 def equal_weights(n_levels: int) -> WeightVector:
     """Uniform weights ``1 / n`` over the response categories."""
-    if n_levels < 1:
-        raise DataError("need at least one response level")
-    return WeightVector(
-        weights=np.full(n_levels, 1.0 / n_levels), regular=True
-    )
+    return WeightVector(weights=_equal_weights(n_levels), regular=True)
 
 
 def inverse_probability_weights(stats: MarginalStats) -> WeightVector:
     """Weights proportional to ``1 / p_s``, emphasising rare categories."""
-    if stats.p.min() <= 0:
-        raise DataError(
-            "inverse-probability weights undefined for zero-probability "
-            "levels; re-code the response to eliminate them"
-        )
-    raw = 1.0 / stats.p
-    w = raw / raw.sum()
-    return WeightVector(weights=w, regular=True)
+    return WeightVector(weights=_invprob_weights(stats.p), regular=True)
 
 
 #: Named weight schemes accepted wherever a WeightVector is expected.
 WEIGHT_SCHEMES = ("gk", "equal", "invprob")
 
 
+def _weight_array(
+    spec: Union[str, WeightVector], p: np.ndarray, gini: float
+) -> np.ndarray:
+    """The weights ``spec`` gives a response with marginal ``p`` and Gini
+    variation ``gini``, checked as :class:`WeightVector` checks them."""
+    if isinstance(spec, WeightVector):
+        if spec.size != len(p):
+            raise DataError(
+                f"weight vector has {spec.size} components, response has "
+                f"{len(p)} levels"
+            )
+        return spec.weights
+    if spec == "gk":
+        w = _gk_weights(p, gini)
+    elif spec == "equal":
+        w = _equal_weights(len(p))
+    elif spec == "invprob":
+        w = _invprob_weights(p)
+    else:
+        raise _unknown_scheme(spec)
+    return _simplex(w)
+
+
+def _unknown_scheme(spec) -> DataError:
+    return DataError(
+        f"unknown weight scheme {spec!r}; expected one of {WEIGHT_SCHEMES} "
+        "or a WeightVector"
+    )
+
+
 def resolve_weights(
     spec: Union[str, WeightVector], stats: MarginalStats
 ) -> WeightVector:
     """Resolve a scheme name or pass through an explicit weight vector."""
+    w = _weight_array(spec, stats.p, stats.gini_variation)
     if isinstance(spec, WeightVector):
-        if spec.size != stats.n_levels:
-            raise DataError(
-                f"weight vector has {spec.size} components, response has "
-                f"{stats.n_levels} levels"
-            )
         return spec
-    if spec == "gk":
-        return goodman_kruskal_weights(stats)
-    if spec == "equal":
-        return equal_weights(stats.n_levels)
-    if spec == "invprob":
-        return inverse_probability_weights(stats)
-    raise DataError(
-        f"unknown weight scheme {spec!r}; expected one of {WEIGHT_SCHEMES} "
-        "or a WeightVector"
-    )
+    return WeightVector(weights=w, regular=bool(w.min() > 0))
 
 
 # -- dataset-level helpers ----------------------------------------------------
@@ -411,9 +523,7 @@ def tau_for(
 ) -> float:
     """Weighted association of ``response`` on the composite ``given``."""
     table = contingency(dataset, given, response)
-    vector = association_vector(table)
-    alpha = resolve_weights(weights, vector.stats())
-    return weighted_tau(vector, alpha)
+    return _tau(table.mass, weights, table.y_name, table.y_labels)
 
 
 def expected_concentration(

@@ -183,13 +183,15 @@ class _RecordIndex(dict):
     Indexing with a record tuple returns its id; :meth:`__missing__` runs
     once per distinct record, so the per-record work below is paid once
     however often the record repeats.  For each id it keeps the record's
-    stripped values (``None`` for a blank, dropped or malformed record) and
-    its mass, and for a malformed record a problem description, which
-    :func:`load_delimited` raises at the line where the record first occurs.
+    stripped values (``None`` for a blank or dropped record) and its mass.
+    A malformed record raises :class:`ParseError` at its first occurrence,
+    which is the bad record that occurs first.
     """
 
-    def __init__(self, width, var_positions, mass_idx, missing_token, drop):
+    def __init__(self, reader, width, var_positions, mass_idx, missing_token,
+                 drop):
         super().__init__()
+        self.reader = reader
         self.width = width
         self.var_positions = var_positions
         self.mass_idx = mass_idx
@@ -197,23 +199,30 @@ class _RecordIndex(dict):
         self.drop = drop
         self.values: list[tuple[str, ...] | None] = []
         self.masses: list[float] = []
-        self.problems: dict[int, str] = {}
 
     def __missing__(self, record: tuple[str, ...]) -> int:
         rid = self[record] = len(self)
-        values, mass = self._check(rid, record)
+        values, mass = self._check(record)
         self.values.append(values)
         self.masses.append(mass)
         return rid
 
-    def _check(self, rid: int, record: tuple[str, ...]):
+    def _bad(self, record: tuple[str, ...], problem: str) -> ParseError:
+        """``problem`` at the physical line where ``record``, just read,
+        starts: the reader's line count less the line breaks that quoted
+        fields of the record hold."""
+        breaks = sum(
+            v.count("\n") + v.count("\r") - v.count("\r\n") for v in record
+        )
+        return ParseError(problem, line=self.reader.line_num - breaks)
+
+    def _check(self, record: tuple[str, ...]):
         if not record:  # blank line
             return None, 0.0
         if len(record) != self.width:
-            self.problems[rid] = (
-                f"expected {self.width} fields, got {len(record)}"
+            raise self._bad(
+                record, f"expected {self.width} fields, got {len(record)}"
             )
-            return None, 0.0
         values = tuple(v.strip() for v in record)
         if values == record:
             values = record  # share the key's tuple
@@ -227,11 +236,11 @@ class _RecordIndex(dict):
         try:
             mass = float(text)
         except ValueError:
-            self.problems[rid] = f"mass value {text!r} is not a number"
-            return None, 0.0
+            raise self._bad(
+                record, f"mass value {text!r} is not a number"
+            ) from None
         if not np.isfinite(mass) or mass < 0:
-            self.problems[rid] = f"mass value {mass!r} is invalid"
-            return None, 0.0
+            raise self._bad(record, f"mass value {mass!r} is invalid")
         return values, mass
 
 
@@ -277,16 +286,10 @@ def load_delimited(
                 )
             mass_idx = header.index(mass_column)
         var_positions = [i for i in range(len(header)) if i != mass_idx]
-        index = _RecordIndex(len(header), var_positions, mass_idx,
+        index = _RecordIndex(reader, len(header), var_positions, mass_idx,
                              missing_token, missing_policy == "drop-row")
         ids = np.fromiter(map(index.__getitem__, map(tuple, reader)),
                           dtype=np.int64)
-    if index.problems:
-        # ids follow first appearance, so the smallest bad id is the bad
-        # record that occurs first; line 1 is the header
-        first = min(index.problems)
-        line = int(np.argmax(ids == first)) + 2
-        raise ParseError(index.problems[first], line=line)
     kept = np.array([v is not None for v in index.values], dtype=bool)
     if not var_positions or not kept.any():
         raise ParseError("file contains a header but no data rows")

@@ -6,10 +6,27 @@ evaluates the statistic on the resample.  Iteration seeds are spawned from
 one root seed, so results are deterministic and iterations could run in any
 order or concurrently without changing the summary.
 
-A statistic is any callable mapping a dataset to a float.  The association
-reduction percentage of a variable subset against a full set --
+A statistic is any callable mapping a dataset to a float; a plain callable
+receives each resample as a row dataset.  The association reduction
+percentage of a variable subset against a full set --
 ``100 * tau(subset) / tau(full)`` -- is provided both as a direct function
 and as a statistic factory for bootstrapping.
+
+The factory's statistic is evaluated on cell counts instead of rows.  It
+reads a resample only through two joint tables with the response: of the
+full set, and of the subset.  A resample of n rows is a multinomial draw
+over the observed cells of the full set and the response, so its cell
+counts are a sufficient statistic (Efron & Tibshirani, *An Introduction to
+the Bootstrap*, 1993).  Each row's cell of the full set and of the subset
+is numbered once per bootstrap run.  A resample then costs, per table, a
+ranking of its drawn rows' cells among the distinct ones drawn and one
+weighted ``bincount``, with no resampled dataset and no composite, in work
+that grows with the drawn rows and not with the observed cells.  The table
+entries are integer sums below 2**53, so exact in float64, and the ranks
+follow the lexicographic order of the cells, the order a composite of the
+resample gives its rows, so each table equals that composite's, entry for
+entry.  The summary is therefore bit-identical to bootstrapping the same
+statistic on rows (``lambda d: statistic(d)``).
 """
 
 from __future__ import annotations
@@ -19,8 +36,14 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .association import WeightVector, tau_for
-from .dataset import CategoricalDataset, VarRef
+from .association import (
+    WEIGHT_SCHEMES,
+    WeightVector,
+    _tau,
+    _unknown_scheme,
+    tau_for,
+)
+from .dataset import CategoricalDataset, VarRef, _joint_codes, joint_table
 from .errors import DataError, NomassocError
 
 
@@ -70,7 +93,10 @@ def bootstrap(
 
     An iteration whose statistic raises a data error (for example a response
     level vanishing from the resample) is redrawn once with a fresh derived
-    seed, then counted as failed; more than 5% failures abort.
+    seed, then counted as failed; more than 5% failures abort.  A statistic
+    from :func:`make_reduction_statistic` has its arguments checked against
+    ``dataset`` before the first draw, and is evaluated on the resample's
+    cell counts (see the module docstring).
     """
     if iterations < 1:
         raise DataError("iterations must be positive")
@@ -97,27 +123,33 @@ def bootstrap(
     counts = np.asarray([len(rows) for rows in strata_rows])
     sizes = _stratum_sizes(counts, sample_size)
 
+    if isinstance(statistic, _ReductionStatistic):
+        evaluate = statistic.on_cells(dataset)
+    else:
+        def evaluate(picks: np.ndarray) -> float:
+            return statistic(dataset.take(picks))
+
     children = np.random.SeedSequence(seed).spawn(iterations)
 
-    def draw(rng: np.random.Generator) -> CategoricalDataset:
+    def draw(rng: np.random.Generator) -> np.ndarray:
         picks = [
             rows[rng.integers(0, len(rows), size)]
             for rows, size in zip(strata_rows, sizes)
             if size
         ]
-        return dataset.take(np.concatenate(picks))
+        return np.concatenate(picks)
 
     values = []
     failures = 0
     for child in children:
         try:
-            values.append(float(statistic(draw(np.random.default_rng(child)))))
+            values.append(float(evaluate(draw(np.random.default_rng(child)))))
             continue
         except NomassocError:
             pass
         retry = child.spawn(1)[0]
         try:
-            values.append(float(statistic(draw(np.random.default_rng(retry)))))
+            values.append(float(evaluate(draw(np.random.default_rng(retry)))))
         except NomassocError:
             failures += 1
     if failures > 0.05 * iterations:
@@ -143,6 +175,39 @@ def bootstrap(
     )
 
 
+def _reduction_members(
+    dataset: CategoricalDataset,
+    response: VarRef,
+    subset: Sequence[VarRef],
+    full_set: Sequence[VarRef],
+) -> tuple[int, list[int], list[int]]:
+    """``(response, subset, full set)`` as variable indices, the sets
+    sorted; raises if they define no reduction on any data."""
+    sub = {dataset.index_of(v) for v in subset}
+    full = {dataset.index_of(v) for v in full_set}
+    if not sub <= full:
+        raise DataError("subset must be contained in the full variable set")
+    if not sub:
+        raise DataError("subset must name at least one variable")
+    y_idx = dataset.index_of(response)
+    if y_idx in full:
+        raise DataError(
+            f"response {dataset.variables[y_idx].name!r} is in the full "
+            "variable set"
+        )
+    return y_idx, sorted(sub), sorted(full)
+
+
+def _reduction(tau: Callable[[object], float], subset, full_set) -> float:
+    """``100 * tau(subset) / tau(full_set)``; the full set's first."""
+    denom = tau(full_set)
+    if denom == 0:
+        raise DataError(
+            "association of the full set is zero; reduction undefined"
+        )
+    return 100.0 * tau(subset) / denom
+
+
 def reduction_statistic(
     dataset: CategoricalDataset,
     response: VarRef,
@@ -156,16 +221,73 @@ def reduction_statistic(
     (up to rounding) because the association is non-decreasing under
     variable addition.
     """
-    sub = {dataset.index_of(v) for v in subset}
-    full = {dataset.index_of(v) for v in full_set}
-    if not sub <= full:
-        raise DataError("subset must be contained in the full variable set")
-    denom = tau_for(dataset, response, sorted(full), weights)
-    if denom == 0:
-        raise DataError(
-            "association of the full set is zero; reduction undefined"
+    y_idx, sub, full = _reduction_members(dataset, response, subset, full_set)
+    return _reduction(
+        lambda given: tau_for(dataset, y_idx, given, weights), sub, full
+    )
+
+
+def _ranks(codes: np.ndarray, n_codes: int) -> tuple[int, np.ndarray]:
+    """The number of distinct ``codes`` (each in ``[0, n_codes)``), and
+    each entry's rank among them, in work proportional to ``len(codes)``
+    plus a sort of the distinct values."""
+    slots = np.empty(n_codes, dtype=np.intp)  # read only where written
+    at = np.arange(len(codes))
+    slots[codes] = at
+    distinct = np.sort(codes[slots[codes] == at])  # one entry per value
+    slots[distinct] = np.arange(len(distinct))
+    return len(distinct), slots[codes]
+
+
+class _ReductionStatistic:
+    """:func:`reduction_statistic` with its arguments bound."""
+
+    def __init__(self, response, subset, full_set, weights):
+        self.response = response
+        self.subset = tuple(subset)
+        self.full_set = tuple(full_set)
+        self.weights = weights
+
+    def __call__(self, dataset: CategoricalDataset) -> float:
+        return reduction_statistic(
+            dataset, self.response, self.subset, self.full_set, self.weights
         )
-    return 100.0 * tau_for(dataset, response, sorted(sub), weights) / denom
+
+    def on_cells(
+        self, dataset: CategoricalDataset
+    ) -> Callable[[np.ndarray], float]:
+        """The statistic on the resample of unit-mass ``dataset`` made of
+        rows ``picks``, as a function of ``picks``, from cell counts.
+
+        Raises at once if the arguments define no reduction on ``dataset``.
+        Numbers each row's cell of the full set and of the subset, once;
+        a call then counts the drawn rows' cells against the response.
+        """
+        y_idx, sub, full = _reduction_members(
+            dataset, self.response, self.subset, self.full_set
+        )
+        weights = self.weights
+        if not (isinstance(weights, WeightVector) or weights in WEIGHT_SCHEMES):
+            raise _unknown_scheme(weights)
+        y = dataset.variables[y_idx]
+        y_codes, mass = dataset.codes[y_idx], dataset.mass
+        sub_cells = _joint_codes(dataset, sub)
+        full_cells = _joint_codes(dataset, full)
+
+        def tau(cells: tuple[np.ndarray, np.ndarray], picks: np.ndarray):
+            cell_of_row, cell_mass = cells
+            n_drawn, drawn = _ranks(cell_of_row[picks], len(cell_mass))
+            table = joint_table(
+                drawn, n_drawn, y_codes[picks], y.cardinality, mass[picks]
+            )
+            return _tau(table, weights, y.name, y.levels)
+
+        def statistic(picks: np.ndarray) -> float:
+            return _reduction(
+                lambda cells: tau(cells, picks), sub_cells, full_cells
+            )
+
+        return statistic
 
 
 def make_reduction_statistic(
@@ -177,9 +299,7 @@ def make_reduction_statistic(
     """Bind :func:`reduction_statistic` arguments into a bootstrap statistic.
 
     Scheme weights are re-resolved on every resample's own marginal.
+    :func:`bootstrap` evaluates this statistic on cell counts; called on a
+    dataset, it runs :func:`reduction_statistic`.
     """
-
-    def statistic(dataset: CategoricalDataset) -> float:
-        return reduction_statistic(dataset, response, subset, full_set, weights)
-
-    return statistic
+    return _ReductionStatistic(response, subset, full_set, weights)

@@ -27,16 +27,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .association import (
-    MarginalStats,
-    WeightVector,
-    association_vector,
-    resolve_weights,
-    weighted_tau,
-)
+from .association import MarginalStats, WeightVector, _tau, resolve_weights
 from .dataset import (
     CategoricalDataset,
-    ContingencyTable,
     VarRef,
     _extend,
     _joint_codes,
@@ -270,10 +263,7 @@ def _tau_score(
         mass = joint_table(
             row_codes, len(cell_mass), y_codes, y_meta.cardinality, dataset.mass
         )
-        table = ContingencyTable(
-            mass, y_labels=y_meta.levels, y_name=y_meta.name
-        )
-        return weighted_tau(association_vector(table), alpha)
+        return _tau(mass, alpha, y_meta.name, y_meta.levels)
 
     return score
 

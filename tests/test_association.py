@@ -230,6 +230,20 @@ class TestWeightSchemes:
         with pytest.raises(DataError):
             resolve_weights("zipf", stats)
 
+    def test_one_level_response_is_a_data_error(self):
+        # the only observed level has marginal 1, so no level is left to
+        # weight: a DataError, not numpy's error on an empty reduction
+        table = ContingencyTable([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.warns(DroppedLevelsWarning):
+            vector = association_vector(table)
+        assert vector.size == 0
+        ds = from_scenarios([(("a", "p"), 1.0), (("a", "q"), 1.0)], ["Y", "X"])
+        for scheme in ("gk", "equal", "invprob"):
+            with pytest.raises(DataError):
+                resolve_weights(scheme, vector.stats())
+            with pytest.raises(DataError):
+                tau_for(ds, "Y", ["X"], scheme)
+
 
 class TestExpectedConcentration:
     def test_uniform_and_point_mass(self):

@@ -61,6 +61,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "available" in err and "X1" in err
 
+    @pytest.mark.parametrize("weights", ["gk", "equal", "invprob"])
+    def test_one_level_response_is_a_data_error(self, capsys, tmp_path, weights):
+        path = tmp_path / "one.csv"
+        path.write_text("Y,X\na,p\na,q\n", encoding="utf-8")
+        code = dispatch(["tau", "--response", "Y", "--given", "X",
+                         "--weights", weights, str(path)])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+
+    def test_misconfigured_bootstrap_reports_the_cause(
+        self, capsys, screening_file
+    ):
+        code = dispatch(["bootstrap", "--stat", "reduction", "--response", "Y",
+                         "--subset", "X1", "--full", "X2,R3", "--seed", "7",
+                         "-B", "40", "-n", "200", screening_file])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "subset must be contained" in err and "iterations failed" not in err
+
     def test_help_is_zero(self, capsys):
         assert dispatch(["--help"]) == 0
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,41 @@ class TestLoadDelimited:
         path = write(tmp_path, "u,v\na,x\nb\n")
         with pytest.raises(ParseError, match="line 3"):
             load_delimited(path)
+
+    def test_ragged_row_after_multiline_field_reports_physical_line(self, tmp_path):
+        # the quoted field spans lines 2 and 3, so "c" sits on line 4
+        path = write(tmp_path, 'u,v\n"a\nb",x\nc\n')
+        with pytest.raises(ParseError, match="line 4") as err:
+            load_delimited(path)
+        assert err.value.line == 4
+
+    def test_bad_mass_after_multiline_fields_reports_physical_line(self, tmp_path):
+        # records start on lines 2, 4, 5 and 8; the value "d\n\ne" spans 5-7
+        path = write(tmp_path, 'u,w\n"a\nb",1\nc,1\n"d\n\ne",1\nc,zz\n')
+        with pytest.raises(ParseError, match="line 8") as err:
+            load_delimited(path, mass_column="w")
+        assert err.value.line == 8
+
+    def test_multiline_bad_record_reported_where_it_starts(self, tmp_path):
+        # the one-field record "a<newline>b" spans lines 2 and 3
+        path = write(tmp_path, 'u,v\n"a\nb"\n')
+        with pytest.raises(ParseError) as err:
+            load_delimited(path)
+        assert err.value.line == 2
+        # CRLF line ends, a CRLF and a lone CR inside quoted fields
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b'u,v\r\n"a\r\nb",x\r\n"c\rd"\r\nc,y\r\n')
+        with pytest.raises(ParseError) as err:
+            load_delimited(path)
+        assert err.value.line == 4
+
+    def test_bad_record_line_from_input_read_once(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.write(write_end, b'u,v\na,x\n"b\nc"\n')
+        os.close(write_end)
+        with pytest.raises(ParseError) as err:
+            load_delimited(read_end)  # a pipe cannot be read again
+        assert err.value.line == 3
 
     def test_values_are_stripped(self, tmp_path):
         path = write(tmp_path, "u,v\na ,x\n a,x\n")

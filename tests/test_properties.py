@@ -1,5 +1,6 @@
 """Property-based checks of the core identities on generated tables."""
 
+import hashlib
 import os
 import tempfile
 import warnings
@@ -16,6 +17,7 @@ from nomassoc import (
     ParseError,
     SelectionConfig,
     VariableMeta,
+    WeightVector,
     association_matrix,
     association_vector,
     compose,
@@ -33,6 +35,7 @@ from nomassoc import (
     weighted_tau,
 )
 from nomassoc import dataset
+from nomassoc.association import _tau
 from nomassoc.dataset import _extend, _joint_codes, _Occupied
 
 import oracles
@@ -176,6 +179,113 @@ def test_zero_lift_iff_columnwise_independence(table):
             mass[:, level] / table.total, p_x * p_s, atol=1e-12
         )
         assert (v.components[pos] <= 1e-12) == indep
+
+
+# -- the tau core --------------------------------------------------------------
+
+
+@st.composite
+def count_tables(draw):
+    """``(mass, weights)``: a count table with zero rows, zero response
+    columns or a single level with mass, and a scheme name or an explicit
+    weight vector (whose size need not fit the table)."""
+    n_x = draw(st.integers(1, 8))
+    n_y = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([3, 40, 10**6]))
+    cells = draw(st.lists(st.integers(0, scale), min_size=n_x * n_y,
+                          max_size=n_x * n_y))
+    mass = np.asarray(cells, dtype=np.float64).reshape(n_x, n_y)
+    for i in draw(st.sets(st.integers(0, n_x - 1))):
+        mass[i] = 0.0
+    for s in draw(st.sets(st.integers(0, n_y - 1))):
+        mass[:, s] = 0.0
+    mass[0, draw(st.integers(0, n_y - 1))] += 1.0  # positive total
+    weights = draw(st.sampled_from(["gk", "equal", "invprob"])
+                   | st.integers(1, 5).map(
+                       lambda k: WeightVector.from_raw(np.arange(1.0, k + 1.0))))
+    return mass, weights
+
+
+def outcome_warned(compute):
+    """Bits of ``compute()``, or its error's type and text, with the
+    category and text of each warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = compute().hex()
+        except DataError as exc:
+            result = type(exc), str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@given(count_tables())
+@example((np.array([[1.0, 0.0], [1.0, 0.0]]), "gk"))  # one level, p = 1
+@example((np.array([[2.0, 1.0], [0.0, 0.0], [1.0, 3.0]]), "invprob"))
+@settings(max_examples=400, deadline=None)
+def test_tau_core_equals_public_route(case):
+    mass, weights = case
+    table = ContingencyTable(mass)
+
+    def public():
+        vector = association_vector(table)
+        return weighted_tau(vector, resolve_weights(weights, vector.stats()))
+
+    assert outcome_warned(lambda: _tau(mass, weights, "Y", table.y_labels)) == (
+        outcome_warned(public))
+
+
+#: SHA-256 of ``measure_lines()``, computed with the measure code as it was
+#: before ``association._tau`` took over its formulas.
+MEASURES_DIGEST = (
+    "07cbd32dfcd11fa87bce640bdacc0f4eb01ce3b513ff95812fcda29e3ca169a5"
+)
+
+
+def measure_lines():
+    """Float bits of the matrix, Goodman-Kruskal tau, the vector and the
+    weighted tau under every scheme, on 400 random count tables."""
+
+    def bits(compute):
+        try:
+            return compute().hex()
+        except (DataError, ValueError):  # one-level tables raised ValueError
+            return "error"
+
+    rng = np.random.default_rng(2024)
+    lines = []
+    for i in range(400):
+        n_x, n_y = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+        mass = rng.integers(0, (4, 50, 10**6)[i % 3], (n_x, n_y)).astype(float)
+        mass[rng.random(n_x) < 0.2] = 0.0  # zero rows
+        if i % 5 == 1:
+            mass[:, rng.integers(0, n_y)] = 0.0  # a zero response column
+        if i % 7 == 2:
+            mass[:, 1:] = 0.0  # at most one level with mass
+        mass[0, 0] += 1.0  # positive total
+        table = ContingencyTable(mass)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            lines.append(" ".join(
+                x.hex() for x in association_matrix(table).entries.ravel()))
+            lines.append(bits(lambda: goodman_kruskal_tau(table)))
+            try:
+                vector = association_vector(table)
+            except DataError:  # the lift cross-check
+                lines.append("error")
+                continue
+            lines.append(" ".join(x.hex() for x in vector.components)
+                         + " | " + " ".join(x.hex() for x in vector.y_marginal))
+            raw = (WeightVector.from_raw(np.arange(1.0, vector.size + 1.0))
+                   if vector.size else "gk")
+            for spec in ("gk", "equal", "invprob", raw):
+                lines.append(bits(lambda: weighted_tau(
+                    vector, resolve_weights(spec, vector.stats()))))
+    return lines
+
+
+def test_measures_are_bit_identical_to_pinned_values():
+    digest = hashlib.sha256("\n".join(measure_lines()).encode()).hexdigest()
+    assert digest == MEASURES_DIGEST
 
 
 @st.composite
@@ -346,16 +456,12 @@ def integer_mass_datasets(draw, max_rows=40):
 
 
 def outcome(compute):
-    """``compute()``, or the type and text of the error it raised.
-
-    ``ValueError`` covers ``DataError`` and also the bare ``ValueError``
-    that ``tau_for`` raises for a response with one observed level.
-    """
+    """``compute()``, or the type and text of the DataError it raised."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # zero-mass levels may drop
             return compute()
-    except ValueError as exc:
+    except DataError as exc:
         return type(exc), str(exc)
 
 

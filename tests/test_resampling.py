@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from nomassoc import (
+    BootstrapSummary,
     CategoricalDataset,
     DataError,
+    DroppedLevelsWarning,
     FluScenarioConfig,
     VariableMeta,
+    WeightVector,
     bootstrap,
     flu_population_distribution,
     from_scenarios,
@@ -73,6 +78,41 @@ class TestBootstrap:
         # each failing iteration is retried exactly once
         assert calls["n"] == 40
 
+    def test_resample_with_one_response_level_is_a_data_error(self):
+        # unstratified draws of 3 rows often hold one level of a balanced
+        # binary Y; each such resample fails as a data error and is
+        # redrawn, so the run ends on the failure budget
+        rng = np.random.default_rng(3)
+        ds = CategoricalDataset(
+            [VariableMeta("Y", ("a", "b")), VariableMeta("X1", ("p", "q")),
+             VariableMeta("X2", ("r", "s", "t"))],
+            [np.repeat([0, 1], 250), rng.integers(0, 2, 500),
+             rng.integers(0, 3, 500)],
+        )
+        stat = make_reduction_statistic("Y", ["X1"], ["X1", "X2"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DroppedLevelsWarning)
+            with pytest.raises(DataError, match="iterations failed"):
+                bootstrap(ds, stat, iterations=200, sample_size=3, seed=0)
+
+    @pytest.mark.parametrize("subset, full, message", [
+        (["X1"], ["X2", "R3"], "subset must be contained"),
+        (["X1"], ["X1", "Nope"], "unknown variable 'Nope'"),
+        (["X1"], ["X1", "Y"], "response 'Y'"),
+        (["Y"], FULL + ("Y",), "response 'Y'"),
+        ([], FULL, "at least one variable"),
+    ])
+    def test_misconfigured_statistic_fails_before_drawing(
+        self, screening_500, subset, full, message
+    ):
+        stat = make_reduction_statistic("Y", subset, full)
+        with pytest.raises(DataError, match=message) as err:
+            bootstrap(screening_500, stat, iterations=50, sample_size=100,
+                      seed=0, stratify_by="Y")
+        assert "iterations failed" not in str(err.value)
+        with pytest.raises(DataError, match=message):
+            stat(screening_500)
+
     def test_weighted_dataset_rejected(self):
         ds = from_scenarios([(("a", "x"), 2.5), (("b", "y"), 1.0)])
         with pytest.raises(DataError, match="unit-mass"):
@@ -139,3 +179,98 @@ class TestReductionStatistic:
     def test_subset_containment_enforced(self, screening_500):
         with pytest.raises(DataError):
             reduction_statistic(screening_500, "Y", ["X1"], ["X2", "R3"])
+
+
+def outcome_and_warnings(run):
+    """``run()`` or its DataError as ``(type, message)``, with the
+    ``(category, message)`` of every warning it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = run()
+        except DataError as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestCellCounts:
+    """A reduction statistic runs on cell counts; bootstrapping it must
+    give exactly what bootstrapping it on row resamples gives."""
+
+    @pytest.mark.parametrize("subset, full, weights, sample_size, strata, expect", [
+        (["X1", "X2"], FULL, "gk", 100, "Y", "clean"),
+        (FULL, FULL, "gk", 100, "Y", "clean"),
+        (["X1", "X2"], FULL, "invprob", 60, "X1", "clean"),
+        # unstratified draws of a few rows lose response levels, so they
+        # warn, redraw and sometimes fail
+        (["X1"], FULL, "gk", 8, None, "failures"),
+        (["X1"], FULL, "equal", 10, None, "failures"),
+        (["R3", "S5"], ["R3", "R4", "S5"], "invprob", 10, None, "failures"),
+        (["X1"], FULL, WeightVector.from_raw([1.0, 2.0, 3.0]), 30, None,
+         "failures"),
+        (["X1"], FULL, WeightVector.from_raw([1.0, 2.0, 3.0]), 8, None,
+         "aborts"),
+    ])
+    def test_summary_equals_row_resamples(
+        self, screening_500, subset, full, weights, sample_size, strata, expect
+    ):
+        stat = make_reduction_statistic("Y", subset, full, weights)
+        kwargs = dict(iterations=100, sample_size=sample_size, seed=3,
+                      stratify_by=strata)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CategoricalDataset, "take", None)  # no row resamples
+            cells = outcome_and_warnings(
+                lambda: bootstrap(screening_500, stat, **kwargs))
+        rows = outcome_and_warnings(
+            lambda: bootstrap(screening_500, lambda d: stat(d), **kwargs))
+        assert cells == rows
+        summary = cells[0]
+        if expect == "aborts":
+            assert summary[0] is DataError and "iterations failed" in summary[1]
+        else:
+            assert isinstance(summary, BootstrapSummary)
+            assert (summary.failures > 0) == (expect == "failures")
+        if strata is None:
+            assert cells[1]  # dropped response levels were warned about
+
+    def test_more_cells_than_drawn_rows(self):
+        # about 1500 observed cells against 20 drawn rows: nearly every
+        # drawn row is a cell of its own, and most cells go undrawn
+        rng = np.random.default_rng(5)
+        digits = tuple("0123456789")
+        ds = CategoricalDataset(
+            [VariableMeta("Y", ("a", "b"))]
+            + [VariableMeta(f"V{j}", digits) for j in range(3)],
+            [rng.integers(0, 2, 3000)]
+            + [rng.integers(0, 10, 3000) for _ in range(3)],
+        )
+        stat = make_reduction_statistic("Y", ["V0"], ["V0", "V1", "V2"])
+        kwargs = dict(iterations=30, sample_size=20, seed=2, stratify_by="Y")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CategoricalDataset, "take", None)  # no row resamples
+            cells = outcome_and_warnings(lambda: bootstrap(ds, stat, **kwargs))
+        rows = outcome_and_warnings(
+            lambda: bootstrap(ds, lambda d: stat(d), **kwargs))
+        assert cells == rows
+        assert isinstance(cells[0], BootstrapSummary)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_tables_of_many_drawn_cells(self, seed):
+        # resamples of 200 rows from 5000 draw the cells in no particular
+        # order; their tables must still list them as a composite does
+        ds = generate_flu(FluScenarioConfig(n=5000, seed=seed))
+        stat = make_reduction_statistic("Y", ["X1", "X2"], FULL)
+        kwargs = dict(iterations=100, sample_size=200, seed=seed,
+                      stratify_by="Y")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CategoricalDataset, "take", None)  # no row resamples
+            cells = outcome_and_warnings(lambda: bootstrap(ds, stat, **kwargs))
+        rows = outcome_and_warnings(
+            lambda: bootstrap(ds, lambda d: stat(d), **kwargs))
+        assert cells == rows
+
+    def test_unknown_weight_scheme_fails_before_drawing(self, screening_500):
+        stat = make_reduction_statistic("Y", ["X1"], FULL, "zipf")
+        with pytest.raises(DataError, match="unknown weight scheme"):
+            bootstrap(screening_500, stat, iterations=50, sample_size=100,
+                      seed=0, stratify_by="Y")
