@@ -18,8 +18,7 @@ composite) and a response ``Y``, this module computes
   ``sum(p(cell)^2)``, used by unsupervised structural selection.
 
 All functions are pure and deterministic: sums run in ascending level-code
-order via numpy pairwise reduction, so results do not depend on worker
-counts.
+order via numpy pairwise reduction, so results repeat to the bit.
 
 The lift and weighted-sum formulas exist once, in private helpers that
 :func:`association_vector`, :func:`weighted_tau` and :func:`tau_for` wrap.
@@ -47,14 +46,18 @@ CLAMP_TOL = 1e-12
 ROW_SUM_TOL = 1e-9
 
 
-def _clamp_unit(values: np.ndarray, what: str) -> np.ndarray:
-    """``values`` clipped to [0, 1]; drift beyond ``CLAMP_TOL`` raises.
+def _clamp_unit(values: np.ndarray, what: str, rounding=None) -> np.ndarray:
+    """``values`` clipped to [0, 1]; drift beyond ``CLAMP_TOL`` raises,
+    unless ``rounding()``, the values' own rounding bound, covers it.
     Values already inside come back as the same array."""
     low, high = values.min(initial=0.0), values.max(initial=1.0)
     if low < -CLAMP_TOL or high > 1 + CLAMP_TOL:
-        raise DataError(
-            f"{what} outside [0, 1] beyond tolerance: min={low!r}, max={high!r}"
-        )
+        drift = np.maximum(-values, values - 1.0)
+        if rounding is None or np.any(drift > rounding()):
+            raise DataError(
+                f"{what} outside [0, 1] beyond tolerance: "
+                f"min={low!r}, max={high!r}"
+            )
     if low < 0 or high > 1:
         return np.clip(values, 0.0, 1.0)
     return values
@@ -280,8 +283,14 @@ def _lifts(kept: np.ndarray, x_mass: np.ndarray, total: float):
 
     ``definable`` holds the positions, among the kept levels, of those with
     marginal below 1, ``p`` their marginals and ``lift`` their accuracy
-    lifts, checked against the second-moment form to 1e-12 and clamped to
-    [0, 1].
+    lifts, checked against the second-moment form and clamped to [0, 1].
+
+    The forms must agree to 1e-12, and the lifts lie within ``CLAMP_TOL``
+    of [0, 1], or else within their rounding: each form sums ``kept.size``
+    terms at most, good to that many units of float64 eps relative
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002), and
+    divides by ``p * (1 - p)``, which amplifies the error for a rare or a
+    dominant level.  That bound is worked out only when a fixed one fails.
     """
     y_mass = kept.sum(axis=0)
     p = y_mass / total
@@ -292,14 +301,21 @@ def _lifts(kept: np.ndarray, x_mass: np.ndarray, total: float):
         p, col, y_mass = p[definable], col[definable], y_mass[definable]
     q = 1.0 - p
     lift = (col / y_mass - p) / q
-    # independent second-moment route, must agree to 1e-12
+    # independent second-moment route
     alt = (col / total - p * p) / (p * q)
+
+    def rounding():
+        return np.finfo(np.float64).eps * kept.size / (p * q)
+
     if lift.size and np.abs(lift - alt).max() > 1e-12:
-        raise DataError(
-            "association-vector formulas disagree beyond 1e-12; "
-            "the table is numerically ill-conditioned"
-        )
-    return definable, p, _clamp_unit(lift, "association vector components")
+        if np.any(np.abs(lift - alt) > rounding()):
+            raise DataError(
+                "association-vector formulas disagree beyond 1e-12 and "
+                "beyond rounding; the table is numerically ill-conditioned"
+            )
+    return definable, p, _clamp_unit(
+        lift, "association vector components", rounding
+    )
 
 
 def _weighted(w: np.ndarray, lift: np.ndarray) -> float:
@@ -362,7 +378,8 @@ def association_vector(table: ContingencyTable) -> AssociationVector:
     ``lift_s = (m[s, s] - p_s) / (1 - p_s)`` where ``m`` is the association
     matrix; the equivalent second-moment form
     ``(E[p(Y=s|X)^2] - p_s^2) / (p_s (1 - p_s))`` is evaluated as well and
-    both must agree to 1e-12.  Levels with marginal 0 or 1 are excluded and
+    both must agree to 1e-12, or within their rounding for a rare or a
+    dominant level.  Levels with marginal 0 or 1 are excluded and
     recorded; weights used downstream must be renormalised accordingly.
     """
     kept, x_mass, total, keep = _prepared(

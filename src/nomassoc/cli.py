@@ -246,10 +246,9 @@ def _cmd_select(args) -> int:
         if not args.response:
             raise UsageError("select supervised requires --response")
         _resolve(ds, args.response, "--response")
-        result = select_supervised(ds, args.response, candidates, config,
-                                   workers=args.threads)
+        result = select_supervised(ds, args.response, candidates, config)
     else:
-        result = select_structural(ds, candidates, config, workers=args.threads)
+        result = select_structural(ds, candidates, config)
     pr.kv("basis", ",".join(result.basis_names) or "(empty)")
     pr.kv("final_value", result.final_value)
     pr.kv("terminated_by", result.terminated_by)
@@ -400,8 +399,6 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, default=1e-9)
     p.add_argument("--max-vars", type=int, default=None)
     p.add_argument("--max-cells", type=int, default=10_000)
-    p.add_argument("--threads", type=int, default=None,
-                   help="evaluation workers (or set NOMASSOC_THREADS)")
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("equiv", help="pairwise equivalence of two variables")

@@ -12,11 +12,12 @@ Composite codes come from a counting kernel, not a sort: each member is
 paired onto the codes so far in O(n) time, with the n-row int64 key, one
 byte of occupancy and one int64 remap entry per key slot (see
 :func:`_joint_codes`); only key ranges too wide to count are sorted.
-Greedy selection carries the chosen set's codes across steps, so a
-candidate costs one pairing.
+Greedy selection carries the chosen set's codes across steps and counts a
+candidate's table with the response in one ``bincount`` over a dense key,
+with no pairing step (:func:`_candidate_table`).
 
 All structures are immutable after construction; the underlying numpy
-arrays are marked read-only so datasets can be shared across workers.
+arrays are marked read-only so datasets can be shared without copies.
 """
 
 from __future__ import annotations
@@ -458,7 +459,8 @@ class _Occupied:
     ``key`` numbers each row's tuple, lexicographically over member codes
     in ascending member index; ``scenarios[k]`` holds the member codes of
     tuple ``k``.  Greedy selection carries one of these for its chosen set
-    so that trying a candidate costs one pairing step.
+    so that a candidate's table costs one ``bincount``
+    (:func:`_candidate_table`).
     """
 
     members: tuple[int, ...]
@@ -525,6 +527,68 @@ def _joint_codes(
         )
         cells = len(occupied)
     return _positive_cells(key, cells, dataset.mass)
+
+
+def _cell_table(
+    dataset: CategoricalDataset,
+    row_codes: np.ndarray,
+    cell_mass: np.ndarray,
+    target: np.ndarray | None,
+    n_target: int,
+) -> np.ndarray:
+    """Mass table of the cells of ``(row_codes, cell_mass)``, as
+    :func:`_joint_codes` gives them, against ``target`` (``n_target``
+    levels); with ``target`` ``None``, the one-column table of the cell
+    masses."""
+    if target is None:
+        return cell_mass[:, None]
+    return joint_table(row_codes, len(cell_mass), target, n_target, dataset.mass)
+
+
+def _candidate_table(
+    dataset: CategoricalDataset,
+    base: _Occupied,
+    idx: int,
+    target: np.ndarray | None,
+    n_target: int,
+    weights: np.ndarray | None,
+) -> np.ndarray:
+    """:func:`_cell_table` of ``base`` with variable ``idx`` added, from one
+    ``bincount`` over the rows.
+
+    The dense key ``(cell * card + code) * n_target + target`` counts the
+    mass table directly, with no pairing step, and the table keeps its rows
+    of positive mass.  Those come in lexicographic ``(base cell, code)``
+    order, the composite's own order unless ``idx`` sorts before a member
+    of ``base``; then the table's rows, one per cell, are re-sorted by a
+    lexsort of their scenario codes.  ``weights`` is the row mass, or
+    ``None`` for unit masses, whose integer counts are exact in float64.
+    The table has ``cells * card * n_target`` slots; above the pairing
+    bound of :func:`_pair`, the codes are paired by :func:`_joint_codes`
+    instead.  The result equals :func:`_cell_table` of the composite built
+    from scratch, to the bit.
+    """
+    card = dataset.variables[idx].cardinality
+    cells = len(base.scenarios)
+    slots = cells * card * n_target
+    if slots > _SLOTS_PER_ROW * dataset.n_rows + _SMALL_SLOTS:
+        row_codes, cell_mass = _joint_codes(dataset, (idx,), base)
+        return _cell_table(dataset, row_codes, cell_mass, target, n_target)
+    key = base.key * card
+    key += dataset.codes[idx]
+    if target is not None:
+        key *= n_target
+        key += target
+    counts = np.bincount(key, weights=weights, minlength=slots)
+    counts = counts.reshape(cells * card, n_target)
+    rows = counts.any(axis=1)
+    table = counts[rows].astype(np.float64, copy=False)
+    pos = bisect(base.members, idx)
+    if pos < len(base.members):
+        parent, code = np.divmod(np.flatnonzero(rows), card)
+        scenarios = np.insert(base.scenarios[parent], pos, code, axis=1)
+        table = table[np.lexsort(scenarios.T[::-1])]
+    return table
 
 
 def _representatives(row_codes: np.ndarray, n_cells: int) -> np.ndarray:

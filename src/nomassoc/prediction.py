@@ -8,8 +8,8 @@ which :func:`expected_confusion` exposes directly; :func:`predict_and_score`
 estimates the same matrix empirically on held-out rows.
 
 Sampling is reproducible and order-independent: row ``r`` consumes the
-``r``-th value of a single seeded uniform stream, so processing order,
-chunking, and worker counts cannot change the outcome.
+``r``-th value of a single seeded uniform stream, so processing order and
+chunking cannot change the outcome.
 """
 
 from __future__ import annotations

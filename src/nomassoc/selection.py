@@ -12,16 +12,13 @@ Two selectors are provided:
   addition, followed by backward removal).
 
 Ties are broken by smallest observed composite cardinality, then smallest
-variable index, so results are deterministic and independent of the number
-of evaluation workers.  Candidates whose composite would exceed
-``max_cells`` observed scenarios are skipped and recorded: association
-estimates over very fine composites are unreliable.
+variable index, so results are deterministic.  Candidates whose composite
+would exceed ``max_cells`` observed scenarios are skipped and recorded:
+association estimates over very fine composites are unreliable.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -31,15 +28,14 @@ from .association import MarginalStats, WeightVector, _tau, resolve_weights
 from .dataset import (
     CategoricalDataset,
     VarRef,
+    _candidate_table,
+    _cell_table,
     _extend,
     _joint_codes,
     _Occupied,
     joint_table,
 )
 from .errors import DataError
-
-#: Environment variable bounding evaluation parallelism (default 1).
-WORKERS_ENV = "NOMASSOC_THREADS"
 
 
 @dataclass(frozen=True)
@@ -98,41 +94,34 @@ class SelectionResult:
     objective: str  # association | concentration
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _evaluate_all(
     candidates: Sequence[int],
     evaluate: Callable[[int], tuple[int, float]],
-    workers: int,
 ) -> list[tuple[int, int, float]]:
-    """Evaluate candidates, preserving candidate order in the result."""
-    if workers > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, candidates))
-    else:
-        results = [evaluate(c) for c in candidates]
-    return [(c, cells, value) for c, (cells, value) in zip(candidates, results)]
+    """``(candidate, cells, value)`` of each candidate, in candidate order."""
+    return [(c, *evaluate(c)) for c in candidates]
 
 
-#: Objective of a composite, from its ``(row_codes, cell_mass)``.
-Score = Callable[[np.ndarray, np.ndarray], float]
+@dataclass(frozen=True)
+class _Score:
+    """Objective of a composite, read from its mass table against
+    ``target`` (``levels`` codes per row; ``None`` and 1 for the cell
+    masses alone): ``value`` maps the table's positive-mass rows, in
+    lexicographic cell order, to the objective."""
+
+    target: np.ndarray | None
+    levels: int
+    value: Callable[[np.ndarray], float]
 
 
 def _measure(
-    dataset: CategoricalDataset, score: Score, indices: Sequence[int]
+    dataset: CategoricalDataset, score: _Score, indices: Sequence[int]
 ) -> tuple[int, float]:
     """``(observed cells, objective value)`` of the composite over
     ``indices``, built from scratch."""
     row_codes, cell_mass = _joint_codes(dataset, sorted(indices))
-    return len(cell_mass), score(row_codes, cell_mass)
+    table = _cell_table(dataset, row_codes, cell_mass, score.target, score.levels)
+    return len(table), score.value(table)
 
 
 def _greedy(
@@ -140,17 +129,16 @@ def _greedy(
     candidates: list[int],
     config: SelectionConfig,
     objective: str,
-    score: Score,
+    score: _Score,
     empty_value: float,
     maximise: bool,
-    workers: int,
 ) -> SelectionResult:
     """Shared forward/backward loop.
 
     The forward phase carries the chosen set's occupied tuples, so each
-    candidate costs one pairing step; the backward phase builds each
-    reduced set from scratch.  Both give the codes, and so the values, of
-    :func:`_measure`.
+    candidate's table is one ``bincount`` (:func:`_candidate_table`); the
+    backward phase builds each reduced set from scratch.  Both give the
+    tables, and so the values, of :func:`_measure`.
     """
     sign = 1.0 if maximise else -1.0
     cap = config.max_cells
@@ -160,6 +148,7 @@ def _greedy(
     trace: list[SelectionStep] = []
     skipped_ever: set[int] = set()
     terminated = None
+    weights = None if dataset.unit_mass else dataset.mass
 
     while True:
         if config.max_vars is not None and len(chosen) >= config.max_vars:
@@ -171,10 +160,12 @@ def _greedy(
             break
 
         def evaluate(cand: int) -> tuple[int, float]:
-            row_codes, cell_mass = _joint_codes(dataset, (cand,), occupied)
-            return len(cell_mass), score(row_codes, cell_mass)
+            table = _candidate_table(
+                dataset, occupied, cand, score.target, score.levels, weights
+            )
+            return len(table), score.value(table)
 
-        evals = _evaluate_all(remaining, evaluate, workers)
+        evals = _evaluate_all(remaining, evaluate)
         usable = [(c, cells, v) for c, cells, v in evals
                   if cap is None or cells <= cap]
         step_skipped = tuple(c for c, cells, _ in evals
@@ -255,25 +246,21 @@ def _response_weights(
 
 def _tau_score(
     dataset: CategoricalDataset, y_idx: int, alpha: WeightVector
-) -> Score:
+) -> _Score:
     y_meta = dataset.variables[y_idx]
-    y_codes = dataset.codes[y_idx]
 
-    def score(row_codes: np.ndarray, cell_mass: np.ndarray) -> float:
-        mass = joint_table(
-            row_codes, len(cell_mass), y_codes, y_meta.cardinality, dataset.mass
-        )
-        return _tau(mass, alpha, y_meta.name, y_meta.levels)
+    def value(table: np.ndarray) -> float:
+        return _tau(table, alpha, y_meta.name, y_meta.levels)
 
-    return score
+    return _Score(dataset.codes[y_idx], y_meta.cardinality, value)
 
 
-def _concentration_score(dataset: CategoricalDataset) -> Score:
-    def score(row_codes: np.ndarray, cell_mass: np.ndarray) -> float:
-        p = cell_mass / dataset.total_mass
+def _concentration_score(dataset: CategoricalDataset) -> _Score:
+    def value(table: np.ndarray) -> float:
+        p = table[:, 0] / dataset.total_mass
         return float(np.sum(p * p))
 
-    return score
+    return _Score(None, 1, value)
 
 
 def _resolve_candidates(
@@ -297,7 +284,6 @@ def select_supervised(
     response: VarRef,
     candidates: Sequence[VarRef] | None = None,
     config: SelectionConfig = SelectionConfig(),
-    workers: int | None = None,
 ) -> SelectionResult:
     """Greedy association basis for ``response`` over the candidates.
 
@@ -320,7 +306,6 @@ def select_supervised(
         score=_tau_score(dataset, y_idx, alpha),
         empty_value=0.0,
         maximise=True,
-        workers=_worker_count(workers),
     )
 
 
@@ -328,7 +313,6 @@ def select_structural(
     dataset: CategoricalDataset,
     candidates: Sequence[VarRef] | None = None,
     config: SelectionConfig = SelectionConfig(),
-    workers: int | None = None,
 ) -> SelectionResult:
     """Greedy structural basis: a subset that determines every candidate.
 
@@ -348,7 +332,6 @@ def select_structural(
         score=_concentration_score(dataset),
         empty_value=1.0,
         maximise=False,
-        workers=_worker_count(workers),
     )
 
 

@@ -1,3 +1,6 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -130,6 +133,35 @@ class TestAssociationVector:
             assert table.y_probabilities() == pytest.approx(
                 marginal, abs=5e-5
             )
+
+    @pytest.mark.parametrize("counts", [
+        [[453498, 2]],
+        [[27559, 2]],
+        [[511822, 0], [755168, 0], [950464, 2]],
+        [[249228, 2], [311831, 0], [869026, 1], [423326, 1], [273169, 1]],
+    ])
+    def test_dominant_level_lift_is_accepted_and_accurate(self, counts):
+        # 1 - p of the dominant level is near 1e-5; dividing by it scales
+        # the rounding of both lift formulas past an absolute 1e-12
+        v = association_vector(ContingencyTable(np.asarray(counts, float)))
+        total = sum(map(sum, counts))
+        y = [sum(row[s] for row in counts) for s in range(2)]
+        for s in range(2):
+            col = sum(Fraction(row[s] ** 2, sum(row)) for row in counts)
+            p = Fraction(y[s], total)
+            exact = (col / y[s] - p) / (1 - p)
+            assert abs(v.components[s] - float(exact)) <= 1e-9
+
+    def test_large_counts_with_a_rare_level_are_accepted(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            k, s = rng.integers(1, 201), rng.integers(2, 13)
+            mass = rng.integers(0, 10**6 + 1, (k, s)).astype(float)
+            mass[:, rng.integers(s)] = rng.integers(0, 3, k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DroppedLevelsWarning)
+                v = association_vector(ContingencyTable(mass))
+            assert np.all((v.components >= 0) & (v.components <= 1))
 
     def test_diagonal_identity(self):
         rng = np.random.default_rng(11)

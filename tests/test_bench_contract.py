@@ -1,0 +1,91 @@
+"""The benchmark's traced run binds to library names; these tests keep the
+names it uses, and the counts it reads from them, in step with the code.
+
+``bench/tracing.py`` is loaded from its file and not modified: its
+:class:`Tracer` is installed on a small dataset and removed again.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nomassoc as nm
+import nomassoc.cli  # noqa: F401  (a traced module the package does not import)
+from nomassoc import selection
+
+TRACING_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def small_dataset():
+    rng = np.random.default_rng(8)
+    n = 500
+    columns = [rng.integers(0, 2 + j % 3, n) for j in range(6)]
+    y = (columns[1] + columns[4]) % 3
+    y = np.where(rng.random(n) < 0.2, rng.integers(0, 3, n), y)
+    metas = [nm.VariableMeta("Y", ("0", "1", "2"))] + [
+        nm.VariableMeta(f"V{j}", tuple(str(k) for k in range(2 + j % 3)))
+        for j in range(6)
+    ]
+    return nm.CategoricalDataset(metas, [y] + columns)
+
+
+def test_every_traced_target_resolves(tracing):
+    targets = list(tracing.SPANS.values()) + list(tracing.COUNTERS)
+    assert ("selection", "_evaluate_all") in targets
+    for module, attr in targets:
+        owner = importlib.import_module(f"nomassoc.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module}.{attr}"
+
+
+def forward_evaluations(result, n_candidates):
+    """Candidates scored across the forward steps, the last (uncommitted)
+    step included when the run stopped there."""
+    steps = len(result.trace)
+    if result.terminated_by in ("no-gain", "max_cells"):
+        steps += 1
+    return sum(n_candidates - k for k in range(steps))
+
+
+@pytest.mark.parametrize("config, stops", [
+    (nm.SelectionConfig(), "exhausted"),
+    (nm.SelectionConfig(max_vars=2), "max_vars"),
+    (nm.SelectionConfig(epsilon=0.05), "no-gain"),
+    (nm.SelectionConfig(max_cells=3), "max_cells"),
+])
+def test_traced_run_counts_every_forward_evaluation(tracing, config, stops):
+    ds = small_dataset()
+    original = selection._evaluate_all
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        supervised = nm.select_supervised(ds, "Y", config=config)
+        structural = nm.select_structural(ds, config=config)
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    assert selection._evaluate_all is original
+    assert supervised.terminated_by == stops
+
+    for result, n_candidates in ((supervised, 6), (structural, 7)):
+        for k, step in enumerate(result.trace):
+            assert len(step.scores) + len(step.skipped) == n_candidates - k
+    assert tracer.counts["selection.evaluations"] == (
+        forward_evaluations(supervised, 6) + forward_evaluations(structural, 7)
+    )
+    spans = tracer.aggregate()["spans"]
+    assert spans["selection.select_supervised"]["calls"] == 1
+    assert spans["selection.select_structural"]["calls"] == 1

@@ -248,12 +248,3 @@ class TestSubcommands:
                         "--precision", "17")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    def test_threads_flag_same_output(self, capsys, screening_file):
-        base = [
-            "select", "supervised", "--response", "Y", "--epsilon", "0.005",
-            "--format", "structured", screening_file,
-        ]
-        _, one = run(capsys, *base, "--threads", "1")
-        _, four = run(capsys, *base, "--threads", "4")
-        assert one == four

@@ -80,13 +80,6 @@ class TestSupervised:
         values = [s.value for s in result.trace]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_worker_count_does_not_change_result(self):
-        rng = np.random.default_rng(3)
-        ds = random_dataset(rng)
-        r1 = select_supervised(ds, "Y", None, workers=1)
-        r4 = select_supervised(ds, "Y", None, workers=4)
-        assert r1 == r4
-
     def test_max_cells_skip_recorded(self):
         rng = np.random.default_rng(4)
         wide = rng.integers(0, 40, 80)  # high-cardinality candidate
