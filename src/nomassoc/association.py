@@ -230,14 +230,33 @@ class WeightVector:
     def size(self) -> int:
         return len(self.weights)
 
+    @classmethod
+    def _checked(cls, w: np.ndarray) -> "WeightVector":
+        """``w`` as :func:`_weight_array` returns it, already checked and
+        clipped, kept as it is."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "weights", w)
+        object.__setattr__(vector, "regular", bool(w.min() > 0))
+        return vector
 
-def _simplex(w: np.ndarray) -> np.ndarray:
+
+def _simplex(w: np.ndarray, gini: float | None = None) -> np.ndarray:
     """``w`` with values in [-1e-12, 0) set to 0; raises unless ``w`` is
-    non-negative and sums to 1, both within 1e-12."""
+    non-negative and sums to 1, both within 1e-12.
+
+    ``gini`` marks ``w`` as the k weights ``p (1 - p) / gini``: each
+    ``p (1 - p)`` is rounded and so is ``gini``, so their sum is good only
+    to ``(k + 2)`` eps relative to ``1 / gini``, past 1e-12 for a dominant
+    level, whose ``gini`` is tiny.  That bound is worked out only when the
+    fixed one fails.
+    """
     low = w.min()
     if low < -CLAMP_TOL:
         raise DataError("weights must be non-negative")
-    if abs(w.sum() - 1.0) > CLAMP_TOL:
+    error = abs(w.sum() - 1.0)
+    if error > CLAMP_TOL and (
+        gini is None or error > np.finfo(np.float64).eps * (len(w) + 2) / gini
+    ):
         raise DataError("weights must sum to 1 within 1e-12")
     return np.clip(w, 0.0, None) if low < 0 else w
 
@@ -471,8 +490,7 @@ def _invprob_weights(p: np.ndarray) -> np.ndarray:
 
 def goodman_kruskal_weights(stats: MarginalStats) -> WeightVector:
     """Weights ``p_s (1 - p_s) / V_G`` reproducing the Goodman-Kruskal tau."""
-    w = _gk_weights(stats.p, stats.gini_variation)
-    return WeightVector(weights=w, regular=bool(w.min() > 0))
+    return resolve_weights("gk", stats)
 
 
 def equal_weights(n_levels: int) -> WeightVector:
@@ -502,8 +520,8 @@ def _weight_array(
             )
         return spec.weights
     if spec == "gk":
-        w = _gk_weights(p, gini)
-    elif spec == "equal":
+        return _simplex(_gk_weights(p, gini), gini)
+    if spec == "equal":
         w = _equal_weights(len(p))
     elif spec == "invprob":
         w = _invprob_weights(p)
@@ -526,7 +544,7 @@ def resolve_weights(
     w = _weight_array(spec, stats.p, stats.gini_variation)
     if isinstance(spec, WeightVector):
         return spec
-    return WeightVector(weights=w, regular=bool(w.min() > 0))
+    return WeightVector._checked(w)
 
 
 # -- dataset-level helpers ----------------------------------------------------

@@ -172,7 +172,7 @@ def _weights_spec(raw: str, printer: Printer | None = None):
     return raw
 
 
-def _response_vector(dataset, args, printer):
+def _response_vector(dataset, args):
     given = _resolve(dataset, _names(args.given, "--given"), "--given")
     _resolve(dataset, args.response, "--response")
     table = contingency(dataset, given, args.response)
@@ -199,7 +199,7 @@ def _cmd_inspect(args) -> int:
 def _cmd_matrix(args) -> int:
     ds = compress(_load(args))
     pr = _printer(args)
-    table, _ = _response_vector(ds, args, pr)
+    table, _ = _response_vector(ds, args)
     m = association_matrix(table)
     if m.dropped_levels:
         pr.kv("dropped_levels", ",".join(str(i) for i in m.dropped_levels))
@@ -210,7 +210,7 @@ def _cmd_matrix(args) -> int:
 def _cmd_vector(args) -> int:
     ds = compress(_load(args))
     pr = _printer(args)
-    _, vec = _response_vector(ds, args, pr)
+    _, vec = _response_vector(ds, args)
     if vec.excluded_levels:
         pr.kv("excluded_levels", ",".join(str(i) for i in vec.excluded_levels))
     pr.vector("vector", vec.components, vec.y_labels)
@@ -221,7 +221,7 @@ def _cmd_tau(args) -> int:
     ds = compress(_load(args))
     pr = _printer(args)
     spec = _weights_spec(args.weights, pr)
-    _, vec = _response_vector(ds, args, pr)
+    _, vec = _response_vector(ds, args)
     alpha = resolve_weights(spec, vec.stats())
     pr.kv("tau", weighted_tau(vec, alpha))
     return 0

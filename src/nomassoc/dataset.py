@@ -5,8 +5,17 @@ variable plus an optional non-negative mass per row, so exact probability
 tables (masses) and raw observation files (unit masses) share one
 representation.  :func:`compose` turns any subset of variables into a single
 composite variable over its *observed* joint levels, and :func:`contingency`
-builds the joint mass table between a composite and a response through
-:func:`joint_table`, the one place such tables are counted.
+builds the joint mass table between a composite and a response.
+
+Three kernels count masses, each one kind of table:
+
+* :func:`_positive_cells` counts a composite's cell masses and drops its
+  zero-mass cells; every set of composite codes ends there;
+* :func:`joint_table` counts a composite against a response from the
+  composite's row codes, for :func:`contingency`, selection's
+  from-scratch tables (:func:`_cell_table`) and the bootstrap's resamples;
+* :func:`_candidate_table` counts greedy selection's candidate tables
+  straight from the rows, with no composite codes.
 
 Composite codes come from a counting kernel, not a sort: each member is
 paired onto the codes so far in O(n) time, with the n-row int64 key, one

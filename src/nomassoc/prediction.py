@@ -121,16 +121,17 @@ def predict_and_score(
         raise DataError(
             "scoring requires unit-mass rows; use expand_to_unit_rows() first"
         )
-    member_names = (
-        _as_composite(test, given).member_names
-        if given is not None
-        else predictor.member_names
+    xc = _as_composite(
+        test, predictor.member_names if given is None else given
     )
-    if set(member_names) != set(predictor.member_names):
+    if set(xc.member_names) != set(predictor.member_names):
         raise DataError(
-            f"test explanatory variables {member_names} do not match the "
+            f"test explanatory variables {xc.member_names} do not match the "
             f"predictor's {predictor.member_names}"
         )
+    # the composite orders its members by the test file's columns; the
+    # conditionals are keyed in the training file's member order
+    order = [xc.member_names.index(name) for name in predictor.member_names]
     response_name = (
         test.variable(response).name if response is not None
         else predictor.response_name
@@ -140,7 +141,6 @@ def predict_and_score(
             f"test response {response_name!r} does not match the predictor's "
             f"{predictor.response_name!r}"
         )
-    xc = _as_composite(test, predictor.member_names)
     y_meta = test.variable(predictor.response_name)
     level_of = {label: i for i, label in enumerate(predictor.response_levels)}
     unknown = [lv for lv in y_meta.levels if lv not in level_of]
@@ -166,9 +166,8 @@ def predict_and_score(
     # inverse-CDF draw per row
     cdf = np.empty((xc.observed_cardinality, n_levels))
     for k, labels in enumerate(xc.scenario_labels):
-        cdf[k] = np.cumsum(
-            predictor.conditionals.get(labels, predictor.fallback)
-        )
+        key = tuple(labels[j] for j in order)
+        cdf[k] = np.cumsum(predictor.conditionals.get(key, predictor.fallback))
     predicted = np.minimum(
         (cdf[xc.row_codes] <= uniforms[:, None]).sum(axis=1), n_levels - 1
     )

@@ -20,7 +20,7 @@ association estimates over very fine composites are unreliable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .dataset import (
     _extend,
     _joint_codes,
     _Occupied,
-    joint_table,
 )
 from .errors import DataError
 
@@ -124,21 +123,36 @@ def _measure(
     return len(table), score.value(table)
 
 
+def _leave_one_out(
+    dataset: CategoricalDataset,
+    score: _Score,
+    members: Sequence[int],
+    empty_value: float,
+) -> Iterator[tuple[int, int, float]]:
+    """``(member, cells, value)`` of ``members`` less each member in turn,
+    in member order, each set built from scratch; the empty set has one
+    cell and ``empty_value``."""
+    for v in members:
+        rest = [c for c in members if c != v]
+        cells, value = _measure(dataset, score, rest) if rest else (1, empty_value)
+        yield v, cells, value
+
+
 def _greedy(
     dataset: CategoricalDataset,
-    candidates: list[int],
     config: SelectionConfig,
-    objective: str,
+    candidates: list[int],
     score: _Score,
     empty_value: float,
     maximise: bool,
 ) -> SelectionResult:
-    """Shared forward/backward loop.
+    """Shared forward/backward loop over the objective of :func:`_objective`.
 
     The forward phase carries the chosen set's occupied tuples, so each
     candidate's table is one ``bincount`` (:func:`_candidate_table`); the
-    backward phase builds each reduced set from scratch.  Both give the
-    tables, and so the values, of :func:`_measure`.
+    backward phase builds each reduced set from scratch
+    (:func:`_leave_one_out`).  Both give the tables, and so the values, of
+    :func:`_measure`.
     """
     sign = 1.0 if maximise else -1.0
     cap = config.max_cells
@@ -196,16 +210,12 @@ def _greedy(
 
     removed: list[int] = []
     while True:
-        removal = None
-        for v in chosen:  # selection order; restart after each removal
-            rest = tuple(c for c in chosen if c != v)
-            value = _measure(dataset, score, rest)[1] if rest else empty_value
+        # selection order, scored lazily; restart after each removal
+        for v, _, value in _leave_one_out(dataset, score, chosen, empty_value):
             if sign * (current - value) <= config.epsilon:
-                removal = (v, value)
                 break
-        if removal is None:
+        else:
             break
-        v, value = removal
         chosen.remove(v)
         removed.append(v)
         current = value
@@ -218,13 +228,13 @@ def _greedy(
         skipped=tuple(sorted(skipped_ever)),
         final_value=current if chosen else empty_value,
         terminated_by=terminated,
-        objective=objective,
+        objective="association" if maximise else "concentration",
     )
 
 
 def _response_weights(
     dataset: CategoricalDataset, y_idx: int, spec: Union[str, WeightVector]
-) -> tuple[WeightVector, np.ndarray]:
+) -> WeightVector:
     counts = np.bincount(
         dataset.codes[y_idx],
         weights=dataset.mass,
@@ -241,7 +251,7 @@ def _response_weights(
     alpha = resolve_weights(spec, stats)
     if not alpha.regular:
         raise DataError("supervised selection requires a regular weight vector")
-    return alpha, positive
+    return alpha
 
 
 def _tau_score(
@@ -279,6 +289,28 @@ def _resolve_candidates(
     return resolved
 
 
+def _objective(
+    dataset: CategoricalDataset,
+    response: VarRef | None,
+    candidates: Sequence[VarRef] | None,
+    config: SelectionConfig,
+) -> tuple[list[int], _Score, float, bool]:
+    """``(candidates, score, empty-set value, maximise)`` of a selection:
+    with ``response``, its weighted association, to be maximised, over the
+    candidates (default: all other variables); without, the joint
+    concentration, to be minimised (default candidates: all variables).
+    The empty composite is a point mass: association 0, concentration 1.
+    """
+    y_idx = None if response is None else dataset.index_of(response)
+    resolved = _resolve_candidates(dataset, candidates, exclude=y_idx)
+    if y_idx is None:
+        return resolved, _concentration_score(dataset), 1.0, False
+    if y_idx in resolved:
+        raise DataError("response cannot be a candidate")
+    alpha = _response_weights(dataset, y_idx, config.weights)
+    return resolved, _tau_score(dataset, y_idx, alpha), 0.0, True
+
+
 def select_supervised(
     dataset: CategoricalDataset,
     response: VarRef,
@@ -293,19 +325,8 @@ def select_supervised(
     ``config.epsilon``.  Backward phase: repeatedly delete any chosen
     variable whose removal changes the value by at most ``epsilon``.
     """
-    y_idx = dataset.index_of(response)
-    resolved = _resolve_candidates(dataset, candidates, exclude=y_idx)
-    if y_idx in resolved:
-        raise DataError("response cannot be a candidate")
-    alpha, _ = _response_weights(dataset, y_idx, config.weights)
     return _greedy(
-        dataset,
-        resolved,
-        config,
-        objective="association",
-        score=_tau_score(dataset, y_idx, alpha),
-        empty_value=0.0,
-        maximise=True,
+        dataset, config, *_objective(dataset, response, candidates, config)
     )
 
 
@@ -323,15 +344,8 @@ def select_structural(
     whose absence leaves the concentration unchanged.  The empty composite
     is a point mass (concentration 1).
     """
-    resolved = _resolve_candidates(dataset, candidates)
     return _greedy(
-        dataset,
-        resolved,
-        config,
-        objective="concentration",
-        score=_concentration_score(dataset),
-        empty_value=1.0,
-        maximise=False,
+        dataset, config, *_objective(dataset, None, candidates, config)
     )
 
 
@@ -363,23 +377,6 @@ class BasisReport:
     basis_cells: int
 
 
-def _is_determined(
-    dataset: CategoricalDataset, target: int, given: Sequence[int]
-) -> bool:
-    """Plug-in determinism: every observed given-cell meets a single target
-    level with positive mass."""
-    target_codes = dataset.codes[target]
-    n_t = dataset.variables[target].cardinality
-    if not given:
-        positive = np.bincount(
-            target_codes, weights=dataset.mass, minlength=n_t
-        ) > 0
-        return int(positive.sum()) <= 1
-    row_codes, cell_mass = _joint_codes(dataset, sorted(given))
-    joint = joint_table(row_codes, len(cell_mass), target_codes, n_t, dataset.mass)
-    return bool(np.all((joint > 0).sum(axis=1) <= 1))
-
-
 def verify_basis(
     dataset: CategoricalDataset,
     basis: Sequence[VarRef],
@@ -392,72 +389,49 @@ def verify_basis(
     With ``response`` the basis is verified as an association basis against
     the full candidate set (default: all other variables); without it, as a
     structural basis (default candidates: all variables).
+
+    Determinism is read from cell counts: ``v`` is determined by a set
+    ``S`` exactly when ``S`` and ``S`` with ``v`` added have equal numbers
+    of positive-mass cells, since every cell of ``S`` meets at least one
+    level of ``v`` and a sum of non-negative masses is positive exactly
+    when one of them is.  The counts are integers, so no tolerance enters.
     """
     basis_idx = [dataset.index_of(b) for b in basis]
     if not basis_idx:
         raise DataError("basis must be non-empty")
     if len(set(basis_idx)) != len(basis_idx):
         raise DataError("basis variables must be distinct")
-    eps = config.epsilon
-
-    if response is not None:
-        y_idx = dataset.index_of(response)
-        if y_idx in basis_idx:
-            raise DataError("response cannot be a basis member")
-        cand = _resolve_candidates(dataset, candidates, exclude=y_idx)
-        if y_idx in cand:
-            raise DataError("response cannot be a candidate")
-        alpha, _ = _response_weights(dataset, y_idx, config.weights)
-        score = _tau_score(dataset, y_idx, alpha)
-        basis_cells, value = _measure(dataset, score, basis_idx)
-        full_value = _measure(dataset, score, cand)[1]
-        loo = []
-        irredundant = True
-        for v in basis_idx:
-            rest = tuple(c for c in basis_idx if c != v)
-            loo_value = _measure(dataset, score, rest)[1] if rest else 0.0
-            loo.append((v, loo_value))
-            if full_value - loo_value <= eps:
-                irredundant = False
-        return BasisReport(
-            kind="association",
-            achieves_full=bool(full_value - value <= eps),
-            irredundant=irredundant,
-            basis=tuple(basis_idx),
-            value=value,
-            full_value=full_value,
-            leave_one_out=tuple(loo),
-            determinism=None,
-            basis_cells=basis_cells,
-        )
-
-    cand = _resolve_candidates(dataset, candidates)
-    score = _concentration_score(dataset)
+    if response is not None and dataset.index_of(response) in basis_idx:
+        raise DataError("response cannot be a basis member")
+    cand, score, empty_value, maximise = _objective(
+        dataset, response, candidates, config
+    )
     basis_cells, value = _measure(dataset, score, basis_idx)
     full_value = _measure(dataset, score, cand)[1]
-    determinism = []
-    achieves = True
-    for v in cand:
-        determined = (
-            True if v in basis_idx else _is_determined(dataset, v, basis_idx)
+    loo = list(_leave_one_out(dataset, score, basis_idx, empty_value))
+
+    if maximise:
+        eps = config.epsilon
+        achieves = bool(full_value - value <= eps)
+        irredundant = not any(full_value - loo_value <= eps
+                              for _, _, loo_value in loo)
+        determinism = None
+    else:
+        determinism = tuple(
+            (v, v in basis_idx
+             or basis_cells == _measure(dataset, score, basis_idx + [v])[0])
+            for v in cand
         )
-        determinism.append((v, determined))
-        achieves = achieves and determined
-    loo = []
-    irredundant = True
-    for v in basis_idx:
-        rest = tuple(c for c in basis_idx if c != v)
-        loo.append((v, _measure(dataset, score, rest)[1] if rest else 1.0))
-        if _is_determined(dataset, v, rest):
-            irredundant = False
+        achieves = all(determined for _, determined in determinism)
+        irredundant = not any(cells == basis_cells for _, cells, _ in loo)
     return BasisReport(
-        kind="structural",
+        kind="association" if maximise else "structural",
         achieves_full=achieves,
         irredundant=irredundant,
         basis=tuple(basis_idx),
         value=value,
         full_value=full_value,
-        leave_one_out=tuple(loo),
-        determinism=tuple(determinism),
+        leave_one_out=tuple((v, loo_value) for v, _, loo_value in loo),
+        determinism=determinism,
         basis_cells=basis_cells,
     )

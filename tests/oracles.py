@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import defaultdict
+from fractions import Fraction
 from itertools import product
 
 
@@ -79,6 +80,16 @@ def weighted_tau(joint, scheme="gk"):
         raise ValueError(scheme)
     z = sum(raw.values())
     return sum(raw[s] / z * lifts[s] for s in lifts)
+
+
+def exact_gk_tau(counts):
+    """Goodman-Kruskal tau of an integer count table (list of rows), as an
+    exact :class:`Fraction`; rows and levels of zero count drop out."""
+    rows = [[int(c) for c in row] for row in counts if sum(row) > 0]
+    total = sum(map(sum, rows))
+    y_sq = Fraction(sum(sum(col) ** 2 for col in zip(*rows)), total * total)
+    cond = sum(Fraction(sum(c * c for c in row), sum(row)) for row in rows)
+    return (cond / total - y_sq) / (1 - y_sq)
 
 
 def joint_codes(rows, masses, positions):
@@ -164,6 +175,32 @@ def concentration_from_rows(rows, masses, positions):
     for row, m in zip(rows, masses):
         cells[tuple(row[p] for p in positions)] += m
     return concentration(list(cells.values()))
+
+
+def determined(rows, masses, target, given):
+    """Whether position ``target`` is a function of the positions ``given``
+    over the rows of positive mass: each ``given`` tuple meets one value."""
+    seen = {}
+    for row, m in zip(rows, masses):
+        if m > 0 and seen.setdefault(
+            tuple(row[p] for p in given), row[target]
+        ) != row[target]:
+            return False
+    return True
+
+
+def structural_verdicts(rows, masses, basis, candidates):
+    """``(determinism, achieves_full, irredundant)`` of a structural basis:
+    every candidate determined by the basis, no member by the others."""
+    determinism = [
+        (v, v in basis or determined(rows, masses, v, basis))
+        for v in candidates
+    ]
+    irredundant = not any(
+        determined(rows, masses, v, [c for c in basis if c != v])
+        for v in basis
+    )
+    return determinism, all(d for _, d in determinism), irredundant
 
 
 # -- screening-scenario population, enumerated independently -----------------

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from nomassoc import (
+    CategoricalDataset,
     ContingencyTable,
     DataError,
     DroppedLevelsWarning,
     MarginalStats,
+    VariableMeta,
+    WeightVector,
     association_matrix,
     association_vector,
     contingency,
@@ -20,9 +23,11 @@ from nomassoc import (
     inverse_probability_weights,
     marginal_stats,
     resolve_weights,
+    select_supervised,
     tau_for,
     weighted_tau,
 )
+from nomassoc.association import _tau
 from nomassoc.reference import (
     fixture_e4_without_e3,
     fixture_e5_without_e4,
@@ -300,6 +305,68 @@ class TestExpectedConcentration:
         assert expected_concentration(ds, ["X1", "X2"]) == pytest.approx(
             ref, abs=1e-15
         )
+
+
+def rare_level_tables(seed=5, n=300):
+    """Count tables with k <= 200 rows, s <= 12 levels and counts below
+    1e6, one level of counts 0-2: a dominant level for s = 2."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        k, s = rng.integers(1, 201), rng.integers(2, 13)
+        mass = rng.integers(0, 10**6, (k, s)).astype(float)
+        mass[:, rng.integers(s)] = rng.integers(0, 3, k)
+        if np.count_nonzero(mass.sum(axis=0)) >= 2:
+            yield mass
+
+
+def table_dataset(mass):
+    """Dataset of rows ``(X = i, Y = s)`` with mass ``mass[i, s]``."""
+    k, s = mass.shape
+    return CategoricalDataset(
+        [VariableMeta("X", tuple(f"x{i}" for i in range(k))),
+         VariableMeta("Y", tuple(f"y{j}" for j in range(s)))],
+        [np.repeat(np.arange(k), s), np.tile(np.arange(s), k)],
+        mass.ravel(),
+    )
+
+
+class TestGkWeightsWithADominantLevel:
+    # with 1 - sum(p^2) near 4e-6, p (1 - p) / (1 - sum(p^2)) sums to 1
+    # only to about 1e-10: rounding of the division, not bad weights
+
+    @staticmethod
+    def probes():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DroppedLevelsWarning)
+            for mass in rare_level_tables():
+                yield mass, float(oracles.exact_gk_tau(mass.tolist()))
+
+    def test_tau_core_and_tau_for(self):
+        for mass, exact in self.probes():
+            labels = [str(j) for j in range(mass.shape[1])]
+            assert abs(_tau(mass, "gk", "Y", labels) - exact) <= 1e-9
+            assert abs(tau_for(table_dataset(mass), "Y", "X") - exact) <= 1e-9
+
+    def test_resolve_weights(self):
+        beyond_fixed = 0
+        for mass, _ in self.probes():
+            stats = marginal_stats(ContingencyTable(mass))
+            alpha = resolve_weights("gk", stats)
+            assert np.array_equal(
+                alpha.weights, goodman_kruskal_weights(stats).weights
+            )
+            if abs(alpha.weights.sum() - 1.0) > 1e-12:
+                beyond_fixed += 1
+                # a user-built vector keeps the fixed check
+                with pytest.raises(DataError, match="within 1e-12"):
+                    WeightVector(weights=alpha.weights, regular=True)
+        assert beyond_fixed > 0
+
+    def test_select_supervised(self):
+        for mass, exact in self.probes():
+            result = select_supervised(table_dataset(mass), "Y")
+            if result.basis:
+                assert abs(result.final_value - exact) <= 1e-9
 
 
 def test_marginal_stats_from_table():

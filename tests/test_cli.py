@@ -1,6 +1,7 @@
 import csv
 import hashlib
 
+import numpy as np
 import pytest
 
 from nomassoc.cli import dispatch
@@ -175,6 +176,27 @@ class TestSubcommands:
         assert code == 0
         assert "rows_scored: 5000" in out
         assert "confusion_counts" in out and "confusion_rates" in out
+
+    def test_predict_ignores_test_column_order(self, capsys, tmp_path):
+        rng = np.random.default_rng(4)
+        rows = [(a, b, (a + 2 * b) % 3) for a, b in rng.integers(0, 3, (300, 2))]
+        paths = {}
+        for order in ("YAB", "YBA"):
+            paths[order] = tmp_path / f"{order}.csv"
+            with open(paths[order], "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(order)
+                for a, b, y in rows:
+                    writer.writerow([{"A": a, "B": b, "Y": y}[c] for c in order])
+        outs = [
+            run(capsys, "predict", "--train", str(paths["YAB"]), "--test",
+                str(paths[order]), "--response", "Y", "--given", "A,B",
+                "--seed", "3")
+            for order in ("YAB", "YBA")
+        ]
+        assert outs[0][0] == outs[1][0] == 0
+        assert "accuracy: 1" in outs[0][1]
+        assert outs[1][1] == outs[0][1]
 
     def test_bootstrap(self, capsys, screening_file):
         code, out = run(

@@ -10,10 +10,31 @@ from nomassoc import (
     expected_confusion,
     fit,
     from_scenarios,
+    load_delimited,
     predict_and_score,
     split,
 )
 from nomassoc.reference import loan_tables, retail_dataset
+
+
+def write_rows(path, names, rows):
+    """Write ``rows`` (dicts keyed by name) as a CSV file with columns in
+    ``names`` order; returns the path as a string."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(names) + "\n")
+        for row in rows:
+            fh.write(",".join(str(row[n]) for n in names) + "\n")
+    return str(path)
+
+
+def mod3_rows(n=300, seed=4):
+    """Rows with ``Y = (A + 2 B) % 3``: A and B share their labels, so a
+    tuple read in the wrong member order still names a trained scenario."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for a, b in rng.integers(0, 3, (n, 2)):
+        rows.append({"Y": (a + 2 * b) % 3, "A": a, "B": b})
+    return rows
 
 
 def table_as_unit_dataset(mass, x_name="X", y_name="Y"):
@@ -131,6 +152,20 @@ class TestPredictAndScore:
         # true categories; counts agree up to the per-position draws
         assert cm_a.counts.sum(axis=1).tolist() == cm_b.counts.sum(axis=1).tolist()
         assert cm_a.labels == cm_b.labels == ("y0", "y1")
+
+    def test_test_file_column_order_does_not_matter(self, tmp_path):
+        # training tuples are keyed in (A, B) order; a test file with the
+        # columns swapped must be matched in that same order
+        rows = mod3_rows()
+        train = load_delimited(write_rows(tmp_path / "train.csv", "YAB", rows))
+        same = load_delimited(write_rows(tmp_path / "same.csv", "YAB", rows))
+        swapped = load_delimited(write_rows(tmp_path / "swap.csv", "YBA", rows))
+        predictor = fit(train, ["A", "B"], "Y", seed=2)
+        cm_same = predict_and_score(predictor, same)
+        assert cm_same.accuracy() == 1.0
+        for given in (None, ["B", "A"], ["A", "B"]):
+            cm_swapped = predict_and_score(predictor, swapped, given=given)
+            assert cm_swapped.counts.tolist() == cm_same.counts.tolist()
 
     def test_unseen_true_label_rejected(self):
         train = table_as_unit_dataset([[40, 5], [10, 30]])

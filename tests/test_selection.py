@@ -227,7 +227,7 @@ class TestIncrementalBuild:
         ds = self.dataset()
         result = select_supervised(ds, "Y", config=SelectionConfig(epsilon=0.0))
         assert len(result.trace) >= 3
-        alpha, _ = selection._response_weights(ds, 0, "gk")
+        alpha = selection._response_weights(ds, 0, "gk")
         self.assert_trace_matches(
             ds, result, selection._tau_score(ds, 0, alpha)
         )
