@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: inspect, matrix, vector, tau, select, equiv, predict,
-bootstrap, simulate.  Exit codes: 0 success, 1 usage error, 2 data error.
+bootstrap, simulate.  Exit codes: 0 success, 1 usage error, 2 data error
+(including a file that cannot be read or written).
 
 Output formats (``--format``): ``human`` prints aligned tables,
 ``delimited`` prints delimiter-separated rows, ``structured`` prints
@@ -158,18 +159,24 @@ def _resolve(dataset: CategoricalDataset, names, flag: str):
     return list(names)
 
 
-def _weights_spec(raw: str, printer: Printer | None = None):
-    if raw.startswith("file:"):
-        path = raw[len("file:"):]
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            values = [float(line.strip()) for line in fh if line.strip()]
-        vec = WeightVector.from_raw(np.asarray(values))
-        if printer is not None:
-            printer.kv("weights.normalized",
-                       " ".join(printer.num(w) for w in vec.weights))
-            printer.kv("weights.regular", str(vec.regular).lower())
-        return vec
-    return raw
+def _weights_spec(raw: str, printer: Printer):
+    if not raw.startswith("file:"):
+        return raw
+    path = raw[len("file:"):]
+    values = []
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for n, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    values.append(float(line))
+                except ValueError:
+                    raise DataError(f"{path}, line {n}: weight {line.strip()!r}"
+                                    " is not a number") from None
+    vec = WeightVector.from_raw(np.asarray(values))
+    printer.kv("weights.normalized",
+               " ".join(printer.num(w) for w in vec.weights))
+    printer.kv("weights.regular", str(vec.regular).lower())
+    return vec
 
 
 def _response_vector(dataset, args):
@@ -470,10 +477,14 @@ def dispatch(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except NomassocError as exc:
+    except (NomassocError, OSError) as exc:  # OSError: an unreadable file
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

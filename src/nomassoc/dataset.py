@@ -7,15 +7,14 @@ representation.  :func:`compose` turns any subset of variables into a single
 composite variable over its *observed* joint levels, and :func:`contingency`
 builds the joint mass table between a composite and a response.
 
-Three kernels count masses, each one kind of table:
+Two kernels count masses:
 
 * :func:`_positive_cells` counts a composite's cell masses and drops its
-  zero-mass cells; every set of composite codes ends there;
-* :func:`joint_table` counts a composite against a response from the
-  composite's row codes, for :func:`contingency`, selection's
-  from-scratch tables (:func:`_cell_table`) and the bootstrap's resamples;
-* :func:`_candidate_table` counts greedy selection's candidate tables
-  straight from the rows, with no composite codes.
+  zero-mass cells, for :func:`compose` and :func:`compress`;
+* :func:`_count` counts every joint mass table: a composite against a
+  response for :func:`contingency`, selection's tables from scratch and
+  from the chosen set carried across steps (:func:`_candidate_table`),
+  the cell masses of a concentration, and the bootstrap's resamples.
 
 Composite codes come from a counting kernel, not a sort: each member is
 paired onto the codes so far in O(n) time, with the n-row int64 key, one
@@ -413,11 +412,13 @@ class CompositeVariable:
 
 
 #: A pairing step counts over a table of ``cells * cardinality`` key slots
-#: while that table has at most this many slots per row (or at most
+#: while that table has at most this many slots per row (plus
 #: ``_SMALL_SLOTS``); a wider key range, such as two high-cardinality
 #: variables, is ranked by a sort, whose memory follows the rows alone.
+#: :func:`_count` keeps to the same bound, so a table of few rows, such as
+#: a bootstrap resample's, is never counted over many more slots than rows.
 _SLOTS_PER_ROW = 16
-_SMALL_SLOTS = 1 << 16
+_SMALL_SLOTS = 1 << 12
 
 
 def _pair(
@@ -507,27 +508,18 @@ def _extend(dataset: CategoricalDataset, base: _Occupied, idx: int) -> _Occupied
 
 
 def _joint_codes(
-    dataset: CategoricalDataset,
-    indices: Sequence[int],
-    base: _Occupied | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense codes of the joint variable over ``indices``.
-
-    Returns ``(row_codes, cell_mass)``: codes are lexicographic over member
-    codes in ascending member index (``indices`` must be sorted), and
-    zero-mass cells are dropped (row_codes -1).  With ``base``, the
-    variables of ``indices`` are added to that member set instead.
+    dataset: CategoricalDataset, indices: Sequence[int]
+) -> tuple[np.ndarray, int]:
+    """``(key, cells)``: ``key`` numbers each row's tuple of the variables
+    ``indices`` (sorted) in ``[0, cells)``, lexicographically over member
+    codes in ascending member index.  Zero-mass tuples, and a single
+    member's unobserved levels, keep their codes.
 
     Each member after the first costs one O(n) pairing step
-    (:func:`_pair`), and the cell masses one ``bincount`` in row order.
-    Codes are compacted after every step, so the key range stays below
-    ``cells * cardinality``; memory is the n-row int64 key plus one byte of
-    occupancy and one int64 remap entry per key slot.
+    (:func:`_pair`).  Codes are compacted after every step, so the key
+    range stays below ``cells * cardinality``; memory is the n-row int64
+    key plus one byte of occupancy and one int64 remap entry per key slot.
     """
-    if base is not None:
-        for idx in indices:
-            base = _extend(dataset, base, idx)
-        return _positive_cells(base.key, len(base.scenarios), dataset.mass)
     key = dataset.codes[indices[0]]
     cells = dataset.variables[indices[0]].cardinality
     for idx in indices[1:]:
@@ -535,23 +527,44 @@ def _joint_codes(
             key, cells, dataset.codes[idx], dataset.variables[idx].cardinality
         )
         cells = len(occupied)
-    return _positive_cells(key, cells, dataset.mass)
+    return key, cells
 
 
-def _cell_table(
-    dataset: CategoricalDataset,
-    row_codes: np.ndarray,
-    cell_mass: np.ndarray,
+def _count(
+    key: np.ndarray,
+    slots: int,
     target: np.ndarray | None,
     n_target: int,
-) -> np.ndarray:
-    """Mass table of the cells of ``(row_codes, cell_mass)``, as
-    :func:`_joint_codes` gives them, against ``target`` (``n_target``
-    levels); with ``target`` ``None``, the one-column table of the cell
-    masses."""
-    if target is None:
-        return cell_mass[:, None]
-    return joint_table(row_codes, len(cell_mass), target, n_target, dataset.mass)
+    weights: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(table, keys)``: the mass table of ``key`` (codes in
+    ``[0, slots)``) against ``target`` (``n_target`` levels; ``None`` and 1
+    for the key's masses alone), as its float64 rows of positive mass in
+    ascending key order, and their key codes.
+
+    One ``bincount`` over the dense key ``key * n_target + target`` adds
+    ``weights`` (the row masses; ``None`` for unit masses, whose integer
+    counts are exact in float64) in row order, so the table does not
+    depend on how the codes were built.  Above the bound of :func:`_pair`,
+    the key codes are first ranked among the distinct ones, so the table's
+    size follows the rows.  A writeable ``key`` is overwritten; a
+    dataset's arrays and those :func:`compose` builds are read-only.
+    """
+    occupied = None
+    if slots * n_target > _SLOTS_PER_ROW * len(key) + _SMALL_SLOTS:
+        key, occupied = _pair(key, slots, 0, 1)
+        slots = len(occupied)
+    if target is not None:  # in place: the hot loop's key is not copied
+        out = key if key.flags.writeable else None
+        key = np.multiply(key, n_target, out=out)
+        key += target
+    table = np.bincount(key, weights=weights, minlength=slots * n_target)
+    table = table.reshape(slots, n_target).astype(np.float64, copy=False)
+    # entries are non-negative: a row sums to more than 0 when one does
+    keys = np.flatnonzero(table @ np.ones(n_target) > 0)
+    if len(keys) < slots:
+        table = table[keys]
+    return table, keys if occupied is None else occupied[keys]
 
 
 def _candidate_table(
@@ -562,39 +575,22 @@ def _candidate_table(
     n_target: int,
     weights: np.ndarray | None,
 ) -> np.ndarray:
-    """:func:`_cell_table` of ``base`` with variable ``idx`` added, from one
-    ``bincount`` over the rows.
-
-    The dense key ``(cell * card + code) * n_target + target`` counts the
-    mass table directly, with no pairing step, and the table keeps its rows
-    of positive mass.  Those come in lexicographic ``(base cell, code)``
-    order, the composite's own order unless ``idx`` sorts before a member
-    of ``base``; then the table's rows, one per cell, are re-sorted by a
-    lexsort of their scenario codes.  ``weights`` is the row mass, or
-    ``None`` for unit masses, whose integer counts are exact in float64.
-    The table has ``cells * card * n_target`` slots; above the pairing
-    bound of :func:`_pair`, the codes are paired by :func:`_joint_codes`
-    instead.  The result equals :func:`_cell_table` of the composite built
-    from scratch, to the bit.
+    """:func:`_count` of ``base`` with variable ``idx`` added, with no
+    pairing step: the key ``cell * card + code`` gives the rows in
+    lexicographic ``(base cell, code)`` order, the composite's own order
+    unless ``idx`` sorts before a member of ``base``; then the table's
+    rows, one per cell, are re-sorted by a lexsort of their scenario codes.
+    The result equals the table of the composite built from scratch, to
+    the bit.
     """
     card = dataset.variables[idx].cardinality
-    cells = len(base.scenarios)
-    slots = cells * card * n_target
-    if slots > _SLOTS_PER_ROW * dataset.n_rows + _SMALL_SLOTS:
-        row_codes, cell_mass = _joint_codes(dataset, (idx,), base)
-        return _cell_table(dataset, row_codes, cell_mass, target, n_target)
     key = base.key * card
     key += dataset.codes[idx]
-    if target is not None:
-        key *= n_target
-        key += target
-    counts = np.bincount(key, weights=weights, minlength=slots)
-    counts = counts.reshape(cells * card, n_target)
-    rows = counts.any(axis=1)
-    table = counts[rows].astype(np.float64, copy=False)
+    table, keys = _count(key, len(base.scenarios) * card, target, n_target,
+                         weights)
     pos = bisect(base.members, idx)
     if pos < len(base.members):
-        parent, code = np.divmod(np.flatnonzero(rows), card)
+        parent, code = np.divmod(keys, card)
         scenarios = np.insert(base.scenarios[parent], pos, code, axis=1)
         table = table[np.lexsort(scenarios.T[::-1])]
     return table
@@ -623,7 +619,9 @@ def compress(dataset: CategoricalDataset) -> CategoricalDataset:
     mass = dataset.mass
     if not (dataset.total_mass < 2**53 and np.array_equal(mass, np.floor(mass))):
         return dataset
-    row_codes, cell_mass = _joint_codes(dataset, range(dataset.n_variables))
+    row_codes, cell_mass = _positive_cells(
+        *_joint_codes(dataset, range(dataset.n_variables)), dataset.mass
+    )
     rows = _representatives(row_codes, len(cell_mass))
     return CategoricalDataset(
         dataset.variables, [c[rows] for c in dataset.codes], cell_mass,
@@ -643,7 +641,9 @@ def compose(dataset: CategoricalDataset, indices: Sequence[VarRef]) -> Composite
     if len(set(resolved)) != len(resolved):
         raise DataError("composite members must be distinct")
     members = tuple(sorted(resolved))
-    row_codes, cell_mass = _joint_codes(dataset, members)
+    row_codes, cell_mass = _positive_cells(
+        *_joint_codes(dataset, members), dataset.mass
+    )
     rep_rows = _representatives(row_codes, len(cell_mass))
     scenario_codes = np.stack(
         [dataset.codes[i][rep_rows] for i in members], axis=1
@@ -759,30 +759,6 @@ def _as_composite(
     return compose(dataset, list(ref))
 
 
-def joint_table(
-    row_codes: np.ndarray,
-    n_cells: int,
-    target_codes: np.ndarray,
-    n_target: int,
-    mass: np.ndarray,
-) -> np.ndarray:
-    """Mass table ``(n_cells, n_target)``: entry ``[i, s]`` sums ``mass``
-    over rows with row code ``i`` and target code ``s``.
-
-    Rows where either code is -1 (a zero-mass tuple) are left out; when no
-    code is -1, no row is copied.  Masses add in row order, so the table
-    does not depend on how the codes were built.
-    """
-    combined = row_codes * n_target
-    combined += target_codes
-    if row_codes.min(initial=0) < 0 or target_codes.min(initial=0) < 0:
-        valid = (row_codes >= 0) & (target_codes >= 0)
-        combined, mass = combined[valid], mass[valid]
-    return np.bincount(
-        combined, weights=mass, minlength=n_cells * n_target
-    ).reshape(n_cells, n_target)
-
-
 def contingency(
     dataset: CategoricalDataset,
     x,
@@ -814,11 +790,15 @@ def contingency(
         n_y = dataset.variables[y_idx].cardinality
         y_labels = dataset.variables[y_idx].levels
         y_name = dataset.variables[y_idx].name
-    mass = joint_table(
-        xc.row_codes, xc.observed_cardinality, y_codes, n_y, dataset.mass
-    )
+    x_codes, mass = xc.row_codes, dataset.mass
+    if x_codes.min(initial=0) < 0 or y_codes.min(initial=0) < 0:
+        valid = (x_codes >= 0) & (y_codes >= 0)  # rows of zero-mass tuples
+        x_codes, y_codes, mass = x_codes[valid], y_codes[valid], mass[valid]
+    # copied: the codes of a composite built by hand may be writeable
+    table = _count(x_codes.copy(), xc.observed_cardinality, y_codes, n_y,
+                   mass)[0]
     return ContingencyTable(
-        mass,
+        table,
         x_labels=tuple("/".join(t) for t in xc.scenario_labels),
         y_labels=y_labels,
         x_name=xc.name,

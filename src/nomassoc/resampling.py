@@ -18,12 +18,13 @@ full set, and of the subset.  A resample of n rows is a multinomial draw
 over the observed cells of the full set and the response, so its cell
 counts are a sufficient statistic (Efron & Tibshirani, *An Introduction to
 the Bootstrap*, 1993).  Each row's cell of the full set and of the subset
-is numbered once per bootstrap run.  A resample then costs, per table, a
-ranking of its drawn rows' cells among the distinct ones drawn and one
-weighted ``bincount``, with no resampled dataset and no composite, in work
-that grows with the drawn rows and not with the observed cells.  The table
-entries are integer sums below 2**53, so exact in float64, and the ranks
-follow the lexicographic order of the cells, the order a composite of the
+is numbered once per bootstrap run.  A resample then costs, per table, one
+``bincount`` of its drawn rows' cells against the response
+(``dataset._count``), with no resampled dataset and no composite; when the
+observed cells far outnumber the drawn rows, the drawn cells are first
+ranked among the distinct ones drawn, so the work follows the drawn rows.
+The table entries are integer counts, exact in float64, and its rows are
+the drawn cells in lexicographic order, the order a composite of the
 resample gives its rows, so each table equals that composite's, entry for
 entry.  The summary is therefore bit-identical to bootstrapping the same
 statistic on rows (``lambda d: statistic(d)``).
@@ -43,7 +44,7 @@ from .association import (
     _unknown_scheme,
     tau_for,
 )
-from .dataset import CategoricalDataset, VarRef, _joint_codes, joint_table
+from .dataset import CategoricalDataset, VarRef, _count, _joint_codes
 from .errors import DataError, NomassocError
 
 
@@ -227,18 +228,6 @@ def reduction_statistic(
     )
 
 
-def _ranks(codes: np.ndarray, n_codes: int) -> tuple[int, np.ndarray]:
-    """The number of distinct ``codes`` (each in ``[0, n_codes)``), and
-    each entry's rank among them, in work proportional to ``len(codes)``
-    plus a sort of the distinct values."""
-    slots = np.empty(n_codes, dtype=np.intp)  # read only where written
-    at = np.arange(len(codes))
-    slots[codes] = at
-    distinct = np.sort(codes[slots[codes] == at])  # one entry per value
-    slots[distinct] = np.arange(len(distinct))
-    return len(distinct), slots[codes]
-
-
 class _ReductionStatistic:
     """:func:`reduction_statistic` with its arguments bound."""
 
@@ -270,16 +259,14 @@ class _ReductionStatistic:
         if not (isinstance(weights, WeightVector) or weights in WEIGHT_SCHEMES):
             raise _unknown_scheme(weights)
         y = dataset.variables[y_idx]
-        y_codes, mass = dataset.codes[y_idx], dataset.mass
+        y_codes = dataset.codes[y_idx]
         sub_cells = _joint_codes(dataset, sub)
         full_cells = _joint_codes(dataset, full)
 
-        def tau(cells: tuple[np.ndarray, np.ndarray], picks: np.ndarray):
-            cell_of_row, cell_mass = cells
-            n_drawn, drawn = _ranks(cell_of_row[picks], len(cell_mass))
-            table = joint_table(
-                drawn, n_drawn, y_codes[picks], y.cardinality, mass[picks]
-            )
+        def tau(cells: tuple[np.ndarray, int], picks: np.ndarray):
+            key, n_cells = cells
+            table = _count(key[picks], n_cells, y_codes[picks], y.cardinality,
+                           None)[0]
             return _tau(table, weights, y.name, y.levels)
 
         def statistic(picks: np.ndarray) -> float:

@@ -29,7 +29,7 @@ from .dataset import (
     CategoricalDataset,
     VarRef,
     _candidate_table,
-    _cell_table,
+    _count,
     _extend,
     _joint_codes,
     _Occupied,
@@ -118,8 +118,8 @@ def _measure(
 ) -> tuple[int, float]:
     """``(observed cells, objective value)`` of the composite over
     ``indices``, built from scratch."""
-    row_codes, cell_mass = _joint_codes(dataset, sorted(indices))
-    table = _cell_table(dataset, row_codes, cell_mass, score.target, score.levels)
+    table = _count(*_joint_codes(dataset, sorted(indices)), score.target,
+                   score.levels, dataset.mass)[0]
     return len(table), score.value(table)
 
 

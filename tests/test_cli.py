@@ -1,9 +1,13 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nomassoc
 from nomassoc.cli import dispatch
 from nomassoc.reference import loan_tables
 
@@ -83,6 +87,46 @@ class TestExitCodes:
 
     def test_help_is_zero(self, capsys):
         assert dispatch(["--help"]) == 0
+
+    @pytest.mark.parametrize("flag", ["file", "--train", "--test", "--weights"])
+    @pytest.mark.parametrize("problem", ["missing", "directory"])
+    def test_unreadable_path_is_a_data_error(
+        self, capsys, tmp_path, screening_file, flag, problem
+    ):
+        bad = str(tmp_path / "absent.csv" if problem == "missing" else tmp_path)
+        tau = ["tau", "--response", "Y", "--given", "X1"]
+        predict = ["predict", "--response", "Y", "--given", "X1"]
+        argv = {
+            "file": tau + [bad],
+            "--train": predict + ["--train", bad, "--test", screening_file],
+            "--test": predict + ["--train", screening_file, "--test", bad],
+            "--weights": tau + ["--weights", f"file:{bad}", screening_file],
+        }[flag]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and bad in err
+
+    def test_non_numeric_weight_names_file_and_line(
+        self, capsys, tmp_path, loan_file
+    ):
+        wpath = tmp_path / "w.txt"
+        wpath.write_text("2\n\nabc\n1\n")
+        code = dispatch(["tau", "--response", "Risk", "--given", "OnTime",
+                         "--weights", f"file:{wpath}", loan_file])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert f"{wpath}, line 3: weight 'abc' is not a number" in err
+
+
+@pytest.mark.parametrize("module", ["nomassoc", "nomassoc.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = os.path.dirname(os.path.dirname(nomassoc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", module, "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.strip() == nomassoc.__version__
 
 
 class TestSubcommands:

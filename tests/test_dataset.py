@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -294,6 +295,15 @@ class TestContingency:
         t2 = contingency(shuffled, ["X1"], "Y")
         assert np.array_equal(t1.mass, t2.mass)
         assert np.array_equal(t1.y_marginal, t2.y_marginal)
+
+    def test_hand_built_composite_is_left_unchanged(self):
+        ds = fixture_e5_without_e4()
+        built = compose(ds, ["X1", "X2"])
+        codes = built.row_codes.copy()  # writeable
+        by_hand = dataclasses.replace(built, row_codes=codes)
+        t = contingency(ds, by_hand, "Y")
+        assert np.array_equal(codes, built.row_codes)
+        assert np.array_equal(t.mass, contingency(ds, built, "Y").mass)
 
 
 class TestContingencyLabels:

@@ -37,15 +37,16 @@ from nomassoc import (
     verify_basis,
     weighted_tau,
 )
-from nomassoc import dataset, selection
+from nomassoc import dataset, resampling, selection
 from nomassoc.association import _tau
 from nomassoc.dataset import (
     _candidate_table,
-    _cell_table,
     _extend,
     _joint_codes,
     _Occupied,
+    _positive_cells,
 )
+from nomassoc.resampling import make_reduction_statistic
 
 import oracles
 
@@ -389,7 +390,7 @@ def check_against_oracle(ds, members, order):
         rows, ds.mass.tolist(), members
     )
 
-    row_codes, cell_mass = _joint_codes(ds, members)
+    row_codes, cell_mass = _positive_cells(*_joint_codes(ds, members), ds.mass)
     assert row_codes.tolist() == want_codes
     assert cell_mass.tolist() == want_mass
 
@@ -401,11 +402,17 @@ def check_against_oracle(ds, members, order):
     # carried across steps: members added in the given order, re-ranking
     # whenever a new member sorts before an earlier one
     base = _Occupied.empty(ds)
-    for idx in order[:-1]:
+    for idx in order:
         base = _extend(ds, base, idx)
-    row_codes, cell_mass = _joint_codes(ds, order[-1:], base)
+    assert base.members == tuple(members)
+    row_codes, cell_mass = _positive_cells(base.key, len(base.scenarios),
+                                           ds.mass)
     assert row_codes.tolist() == want_codes
     assert cell_mass.tolist() == want_mass
+    positive = sorted(set(base.key[ds.mass > 0].tolist()))
+    assert base.scenarios[positive].tolist() == [
+        list(t) for t in want_scenarios
+    ]
 
 
 @given(composites())
@@ -466,19 +473,44 @@ def greedy_cases(draw, max_vars=6, max_levels=5, max_rows=40):
     return ds, order, cap
 
 
+def oracle_table(ds, x, y, rows=None):
+    """Mass table of the variables ``x`` against ``y`` from the dict
+    oracles, over ``rows`` (default: all) of ``ds``: one row per ``x``
+    tuple of positive mass, sorted.  ``y`` is a variable, a list of
+    variables (columns: its tuples of positive mass, sorted) or ``None``
+    (one column, the cell masses)."""
+    rows = range(ds.n_rows) if rows is None else rows
+    records = [tuple(int(c[r]) for c in ds.codes) for r in rows]
+    masses = [float(ds.mass[r]) for r in rows]
+    x = sorted(x)
+    if y is None:
+        return [[m] for m in oracles.joint_codes(records, masses, x)[2]]
+    if isinstance(y, list):
+        levels = oracles.joint_codes(records, masses, sorted(y))[1]
+        records = [r + (tuple(r[p] for p in sorted(y)),) for r in records]
+        y = ds.n_variables
+    else:
+        levels = range(ds.variables[y].cardinality)
+    joint = oracles.joint_from_rows(records, masses, x, y)
+    cells = sorted({key for (key, _), m in joint.items() if m > 0})
+    return [[joint.get((key, s), 0.0) for s in levels] for key in cells]
+
+
 class PathCounter:
-    """Counts, while active, the candidate tables that fall back to the
-    pairing path (a :func:`_joint_codes` call with a base set)."""
+    """Counts, while active, the tables whose key codes are too wide to
+    count and are ranked first (a ``_pair(key, slots, 0, 1)`` call)."""
 
     def __init__(self):
         self.fallbacks = 0
 
     def __enter__(self):
-        def counting(ds, indices, base=None):
-            self.fallbacks += base is not None
-            return _joint_codes(ds, indices, base)
+        pair = dataset._pair
 
-        self._patch = mock.patch.object(dataset, "_joint_codes", counting)
+        def counting(key, cells, codes, card):
+            self.fallbacks += isinstance(codes, int)
+            return pair(key, cells, codes, card)
+
+        self._patch = mock.patch.object(dataset, "_pair", counting)
         self._patch.start()
         return self
 
@@ -537,18 +569,16 @@ def test_candidate_tables_equal_scratch_tables(case):
     for idx in order:
         base = _extend(ds, base, idx)
     weights = None if ds.unit_mass else ds.mass
-    targets = [(ds.codes[0], ds.variables[0].cardinality), (None, 1)]
+    targets = [(ds.codes[0], ds.variables[0].cardinality, 0), (None, 1, None)]
     with PathCounter() as paths:
         for cand in range(ds.n_variables):
             if cand in order:
                 continue
-            row_codes, cell_mass = _joint_codes(ds, sorted(order + [cand]))
-            for target, levels in targets:
+            for target, levels, y in targets:
                 got = _candidate_table(ds, base, cand, target, levels, weights)
-                want = _cell_table(ds, row_codes, cell_mass, target, levels)
-                assert got.dtype == want.dtype == np.float64
+                assert got.dtype == np.float64
                 assert got.flags.c_contiguous
-                assert np.array_equal(got, want)
+                assert got.tolist() == oracle_table(ds, order + [cand], y)
     assert paths.fallbacks == 0
 
 
@@ -577,6 +607,21 @@ def wide_dataset():
     return CategoricalDataset(metas, codes, rng.choice([0.0, 1.0, 2.5], 300))
 
 
+@pytest.mark.parametrize("order", [[3], [2, 3]])
+def test_wide_candidate_tables_match_dict_oracle(order):
+    # V1 sorts before the chosen V3, so its ranked table is re-sorted
+    ds = wide_dataset()
+    base = _Occupied.empty(ds)
+    for idx in order:
+        base = _extend(ds, base, idx)
+    targets = [(ds.codes[0], 3, 0), (None, 1, None)]
+    with PathCounter() as paths:
+        for target, levels, y in targets:
+            got = _candidate_table(ds, base, 1, target, levels, ds.mass)
+            assert got.tolist() == oracle_table(ds, order + [1], y)
+    assert paths.fallbacks == 2
+
+
 @pytest.mark.parametrize("objective", ["supervised", "structural"])
 def test_wide_candidates_fall_back_to_pairing(objective):
     ds = wide_dataset()
@@ -596,6 +641,113 @@ def test_max_cells_skips_follow_scratch_cell_counts(objective):
     assert result.skipped == (1, 3)
     for step in result.trace:
         assert set(step.skipped) <= {1, 3}
+
+
+# -- every joint mass table against the dict oracle ---------------------------
+
+
+@st.composite
+def contingency_cases(draw):
+    """A dataset with zero-mass rows and unobserved levels, a composite
+    ``x`` and a disjoint response: a plain variable or a composite."""
+    ds, x, _ = draw(composites().filter(
+        lambda case: len(case[1]) < case[0].n_variables))
+    rest = [v for v in range(ds.n_variables) if v not in x]
+    y = draw(st.sampled_from(rest)
+             | st.lists(st.sampled_from(rest), min_size=1, unique=True))
+    return ds, x, y
+
+
+@given(contingency_cases())
+@example((FOUR_MEMBERS, [0, 2], 1))
+@example((FOUR_MEMBERS, [1], [2, 3]))
+@settings(max_examples=200, deadline=None)
+def test_contingency_tables_match_dict_oracle(case):
+    ds, x, y = case
+    table = contingency(ds, x, y)
+    assert table.mass.tolist() == oracle_table(ds, x, y)
+    assert len(table.x_labels) == table.x_levels
+
+
+def test_wide_contingency_is_ranked_and_matches_dict_oracle():
+    # about 180 positive cells of V0 against 600 levels of V1 are too many
+    # key slots to count for 300 rows
+    rng = np.random.default_rng(29)
+    cards = (600, 600, 3)
+    metas = [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
+             for v, card in enumerate(cards)]
+    ds = CategoricalDataset(
+        metas, [rng.integers(0, card, 300) for card in cards],
+        rng.choice([0.0, 1.0, 2.5], 300),
+    )
+    with PathCounter() as paths:
+        table = contingency(ds, [0], 1)
+    assert paths.fallbacks == 1
+    assert table.mass.tolist() == oracle_table(ds, [0], 1)
+
+
+def resample_tables(ds, subset, full, picks):
+    """The tables the bootstrap's reduction statistic on variable 0 counts
+    for the resample ``picks``: the full set's, then the subset's."""
+    tables = []
+
+    def recording(table, *args):
+        tables.append(table.tolist())
+        return 1.0
+
+    statistic = make_reduction_statistic(0, subset, full).on_cells(ds)
+    with mock.patch.object(resampling, "_tau", recording):
+        statistic(np.asarray(picks))
+    return tables
+
+
+@st.composite
+def resample_cases(draw, max_vars=5, max_levels=4, max_rows=30):
+    """A unit-mass dataset with unobserved levels, a subset and full set
+    of variables other than the response 0, and a resample's rows."""
+    n_vars = draw(st.integers(2, max_vars))
+    n_rows = draw(st.integers(1, max_rows))
+    cards = draw(st.lists(st.integers(1, max_levels), min_size=n_vars,
+                          max_size=n_vars))
+    columns = [
+        draw(st.lists(st.integers(0, card - 1), min_size=n_rows,
+                      max_size=n_rows))
+        for card in cards
+    ]
+    metas = [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
+             for v, card in enumerate(cards)]
+    ds = CategoricalDataset(metas, [np.asarray(c) for c in columns])
+    full = draw(st.lists(st.integers(1, n_vars - 1), min_size=1, unique=True))
+    subset = draw(st.lists(st.sampled_from(full), min_size=1, unique=True))
+    picks = draw(st.lists(st.integers(0, n_rows - 1), min_size=1,
+                          max_size=40))
+    return ds, subset, full, picks
+
+
+@given(resample_cases())
+@settings(max_examples=200, deadline=None)
+def test_resample_tables_match_dict_oracle(case):
+    ds, subset, full, picks = case
+    assert resample_tables(ds, subset, full, picks) == [
+        oracle_table(ds, full, 0, picks), oracle_table(ds, subset, 0, picks)
+    ]
+
+
+def test_wide_resample_tables_are_ranked_and_match_dict_oracle():
+    # about 1200 cells of (V1, V2) against 20 response levels are too many
+    # key slots to count for 50 drawn rows; the 3 cells of V1 are not
+    rng = np.random.default_rng(31)
+    cards = (20, 3, 600)
+    metas = [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
+             for v, card in enumerate(cards)]
+    ds = CategoricalDataset(metas, [rng.integers(0, card, 2000)
+                                    for card in cards])
+    picks = rng.integers(0, 2000, 50)
+    with PathCounter() as paths:
+        tables = resample_tables(ds, [1], [1, 2], picks)
+    assert paths.fallbacks == 1
+    assert tables == [oracle_table(ds, [1, 2], 0, picks),
+                      oracle_table(ds, [1], 0, picks)]
 
 
 @st.composite
