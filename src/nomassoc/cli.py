@@ -32,6 +32,7 @@ from .association import (
     weighted_tau,
 )
 from .dataset import CategoricalDataset, compress, contingency, load_delimited
+from .dataset import _open_text
 from .equivalence import EquivalenceLevel, check, hierarchy_scan
 from .errors import DataError, NomassocError
 from .prediction import fit, predict_and_score
@@ -164,7 +165,7 @@ def _weights_spec(raw: str, printer: Printer):
         return raw
     path = raw[len("file:"):]
     values = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with _open_text(path) as fh:
         for n, line in enumerate(fh, start=1):
             if line.strip():
                 try:
@@ -179,11 +180,10 @@ def _weights_spec(raw: str, printer: Printer):
     return vec
 
 
-def _response_vector(dataset, args):
+def _response_table(dataset, args):
     given = _resolve(dataset, _names(args.given, "--given"), "--given")
     _resolve(dataset, args.response, "--response")
-    table = contingency(dataset, given, args.response)
-    return table, association_vector(table)
+    return contingency(dataset, given, args.response)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -206,8 +206,7 @@ def _cmd_inspect(args) -> int:
 def _cmd_matrix(args) -> int:
     ds = compress(_load(args))
     pr = _printer(args)
-    table, _ = _response_vector(ds, args)
-    m = association_matrix(table)
+    m = association_matrix(_response_table(ds, args))
     if m.dropped_levels:
         pr.kv("dropped_levels", ",".join(str(i) for i in m.dropped_levels))
     pr.matrix("matrix", m.entries, m.y_labels, m.y_labels)
@@ -217,7 +216,7 @@ def _cmd_matrix(args) -> int:
 def _cmd_vector(args) -> int:
     ds = compress(_load(args))
     pr = _printer(args)
-    _, vec = _response_vector(ds, args)
+    vec = association_vector(_response_table(ds, args))
     if vec.excluded_levels:
         pr.kv("excluded_levels", ",".join(str(i) for i in vec.excluded_levels))
     pr.vector("vector", vec.components, vec.y_labels)
@@ -228,7 +227,7 @@ def _cmd_tau(args) -> int:
     ds = compress(_load(args))
     pr = _printer(args)
     spec = _weights_spec(args.weights, pr)
-    _, vec = _response_vector(ds, args)
+    vec = association_vector(_response_table(ds, args))
     alpha = resolve_weights(spec, vec.stats())
     pr.kv("tau", weighted_tau(vec, alpha))
     return 0

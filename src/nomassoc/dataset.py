@@ -7,14 +7,11 @@ representation.  :func:`compose` turns any subset of variables into a single
 composite variable over its *observed* joint levels, and :func:`contingency`
 builds the joint mass table between a composite and a response.
 
-Two kernels count masses:
-
-* :func:`_positive_cells` counts a composite's cell masses and drops its
-  zero-mass cells, for :func:`compose` and :func:`compress`;
-* :func:`_count` counts every joint mass table: a composite against a
-  response for :func:`contingency`, selection's tables from scratch and
-  from the chosen set carried across steps (:func:`_candidate_table`),
-  the cell masses of a concentration, and the bootstrap's resamples.
+One kernel, :func:`_count`, counts every mass table: a composite's cell
+masses for :func:`compose` and :func:`compress`, a composite against a
+response for :func:`contingency`, selection's tables from scratch and from
+the chosen set carried across steps (:func:`_candidate_table`), the cell
+masses of a concentration, and the bootstrap's resamples.
 
 Composite codes come from a counting kernel, not a sort: each member is
 paired onto the codes so far in O(n) time, with the n-row int64 key, one
@@ -32,6 +29,7 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -253,6 +251,18 @@ class _RecordIndex(dict):
         return values, mass
 
 
+@contextmanager
+def _open_text(path):
+    """``path`` opened as UTF-8 text for the csv module (``newline=""``)
+    with a leading byte-order mark skipped; a byte sequence that is not
+    UTF-8 raises :class:`DataError` naming the file."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_delimited(
     path,
     *,
@@ -278,7 +288,7 @@ def load_delimited(
     """
     if missing_policy not in ("own-category", "drop-row"):
         raise DataError(f"unknown missing policy {missing_policy!r}")
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)
@@ -447,21 +457,6 @@ def _pair(
     return remap[key], occupied
 
 
-def _positive_cells(
-    key: np.ndarray, cells: int, mass: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop the zero-mass cells of ``key`` (codes in ``[0, cells)``) and
-    renumber the rest in order; rows of dropped cells get -1."""
-    cell_mass = np.bincount(key, weights=mass, minlength=cells)
-    keep = cell_mass > 0
-    if keep.all():
-        return key, cell_mass
-    remap = np.cumsum(keep)
-    remap -= 1
-    remap[~keep] = -1
-    return remap[key], cell_mass[keep]
-
-
 @dataclass(frozen=True)
 class _Occupied:
     """The tuples a member set takes in some row, zero-mass ones included.
@@ -547,8 +542,9 @@ def _count(
     counts are exact in float64) in row order, so the table does not
     depend on how the codes were built.  Above the bound of :func:`_pair`,
     the key codes are first ranked among the distinct ones, so the table's
-    size follows the rows.  A writeable ``key`` is overwritten; a
-    dataset's arrays and those :func:`compose` builds are read-only.
+    size follows the rows.  With a ``target``, a writeable ``key`` is
+    overwritten; a dataset's arrays and those :func:`compose` builds are
+    read-only.
     """
     occupied = None
     if slots * n_target > _SLOTS_PER_ROW * len(key) + _SMALL_SLOTS:
@@ -596,13 +592,14 @@ def _candidate_table(
     return table
 
 
-def _representatives(row_codes: np.ndarray, n_cells: int) -> np.ndarray:
-    """One row of each cell (codes ``[0, n_cells)``, -1 rows ignored); any
-    row of a cell has its member codes."""
-    rows = np.flatnonzero(row_codes >= 0)
-    rep_rows = np.empty(n_cells, dtype=np.int64)
-    rep_rows[row_codes[rows]] = rows
-    return rep_rows
+def _representatives(
+    key: np.ndarray, cells: int, keys: np.ndarray
+) -> np.ndarray:
+    """One row of each cell in ``keys``, of the codes ``key`` numbers in
+    ``[0, cells)``; any row of a cell has its member codes."""
+    rows = np.empty(cells, dtype=np.int64)  # read at occupied cells only
+    rows[key] = np.arange(len(key))
+    return rows[keys]
 
 
 def compress(dataset: CategoricalDataset) -> CategoricalDataset:
@@ -619,12 +616,11 @@ def compress(dataset: CategoricalDataset) -> CategoricalDataset:
     mass = dataset.mass
     if not (dataset.total_mass < 2**53 and np.array_equal(mass, np.floor(mass))):
         return dataset
-    row_codes, cell_mass = _positive_cells(
-        *_joint_codes(dataset, range(dataset.n_variables)), dataset.mass
-    )
-    rows = _representatives(row_codes, len(cell_mass))
+    key, cells = _joint_codes(dataset, range(dataset.n_variables))
+    cell_mass, keys = _count(key, cells, None, 1, mass)
+    rows = _representatives(key, cells, keys)
     return CategoricalDataset(
-        dataset.variables, [c[rows] for c in dataset.codes], cell_mass,
+        dataset.variables, [c[rows] for c in dataset.codes], cell_mass[:, 0],
         validate=False,
     )
 
@@ -641,10 +637,14 @@ def compose(dataset: CategoricalDataset, indices: Sequence[VarRef]) -> Composite
     if len(set(resolved)) != len(resolved):
         raise DataError("composite members must be distinct")
     members = tuple(sorted(resolved))
-    row_codes, cell_mass = _positive_cells(
-        *_joint_codes(dataset, members), dataset.mass
-    )
-    rep_rows = _representatives(row_codes, len(cell_mass))
+    row_codes, cells = _joint_codes(dataset, members)
+    cell_mass, keys = _count(row_codes, cells, None, 1, dataset.mass)
+    cell_mass = cell_mass[:, 0]
+    rep_rows = _representatives(row_codes, cells, keys)
+    if len(keys) < cells:  # renumber the positive cells; -1 for the rest
+        remap = np.full(cells, -1, dtype=np.int64)
+        remap[keys] = np.arange(len(keys))
+        row_codes = remap[row_codes]
     scenario_codes = np.stack(
         [dataset.codes[i][rep_rows] for i in members], axis=1
     )
@@ -677,7 +677,7 @@ class ContingencyTable:
     """
 
     __slots__ = ("mass", "x_marginal", "y_marginal", "total",
-                 "_x_labels", "y_labels", "x_name", "y_name")
+                 "x_labels", "y_labels", "x_name", "y_name")
 
     def __init__(
         self,
@@ -702,9 +702,9 @@ class ContingencyTable:
         self.x_marginal = _readonly(mass.sum(axis=1))
         self.y_marginal = _readonly(mass.sum(axis=0))
         self.total = total
-        # default labels are built when read: a selection score builds a
-        # table per candidate and never reads them
-        self._x_labels = tuple(x_labels) if x_labels is not None else None
+        self.x_labels = tuple(x_labels) if x_labels is not None else tuple(
+            str(i) for i in range(mass.shape[0])
+        )
         self.y_labels = tuple(y_labels) if y_labels is not None else tuple(
             str(s) for s in range(mass.shape[1])
         )
@@ -714,12 +714,6 @@ class ContingencyTable:
     @classmethod
     def from_counts(cls, counts, **kwargs) -> "ContingencyTable":
         return cls(np.asarray(counts, dtype=np.float64), **kwargs)
-
-    @property
-    def x_labels(self) -> tuple:
-        if self._x_labels is None:
-            return tuple(str(i) for i in range(self.x_levels))
-        return self._x_labels
 
     @property
     def x_levels(self) -> int:

@@ -32,7 +32,7 @@ from .association import (
     resolve_weights,
     weighted_tau,
 )
-from .dataset import CategoricalDataset, CompositeVariable, _as_composite, contingency
+from .dataset import CategoricalDataset, _as_composite, contingency
 from .errors import DataError, HierarchyInconsistencyError
 
 LEVEL_NAMES = ("E1", "E2", "E2prime", "E3", "E4", "E5")
@@ -113,8 +113,19 @@ def _tau_one(dataset, x, response, alpha_spec) -> float:
     return weighted_tau(vector, alpha)
 
 
-def _same_members(a: CompositeVariable, b: CompositeVariable) -> bool:
-    return a.member_indices == b.member_indices
+def _first_difference(
+    comparison: str, lhs: np.ndarray, rhs: np.ndarray, labels, tol: float
+) -> Witness | None:
+    """The first entry, in C order, where ``lhs`` and ``rhs`` differ by more
+    than ``tol``, with its index and the response labels at that index;
+    ``None`` if no entry does."""
+    diff = np.abs(lhs - rhs)
+    if not (diff.size and diff.max() > tol):
+        return None
+    index = np.unravel_index(int(np.argmax(diff > tol)), diff.shape)
+    index = tuple(int(i) for i in index)
+    return Witness(comparison, index, tuple(labels[i] for i in index),
+                   float(lhs[index]), float(rhs[index]))
 
 
 def check(
@@ -127,108 +138,66 @@ def check(
     """Decide one equivalence relation between ``x1`` and ``x2`` w.r.t. ``y``.
 
     ``x1``/``x2`` may be variable references, index sequences, or
-    :class:`CompositeVariable` objects.  The report carries the first
-    violated comparison when the relation fails.
+    :class:`CompositeVariable` objects.  Each level is an ordered list of
+    comparisons; the report carries the first one that fails.
     """
     if isinstance(level, str):
         level = EquivalenceLevel(level)
     tol = level.tolerance
     c1 = _as_composite(dataset, x1)
     c2 = _as_composite(dataset, x2)
-    if _same_members(c1, c2):
+    if c1.member_indices == c2.member_indices:
         return EquivalenceReport(level=level.level, holds=True, witness=None)
 
-    def unity(name: str, value: float) -> Witness | None:
-        if abs(value - 1.0) <= tol:
-            return None
-        return Witness(comparison=name, index=None, labels=None, lhs=value, rhs=1.0)
-
-    name1, name2 = c1.name, c2.name
-    # explicit weight vectors are sized for the response; the mutual
-    # determinism checks compare the two explanatory variables, whose level
-    # counts differ, so only scheme names carry over (any regular scheme
-    # yields the same truth value for a tau = 1 predicate)
-    mutual_alpha = level.alpha if isinstance(level.alpha, str) else None
-    if level.level in ("E1", "E2prime"):
-        for name, a, b in ((f"tau({name1}|{name2})", c2, c1),
-                           (f"tau({name2}|{name1})", c1, c2)):
-            w = unity(name, _tau_one(dataset, a, b, mutual_alpha))
-            if w is not None:
-                return EquivalenceReport(level.level, False, w)
-        if level.level == "E2prime":
-            return EquivalenceReport(level.level, True, None)
-        w = unity(
-            f"tau(Y|{name1})", _tau_one(dataset, c1, y, level.alpha)
-        )
-        return EquivalenceReport(level.level, w is None, w)
-
-    if level.level == "E2":
-        for name, x in ((f"tau(Y|{name1})", c1), (f"tau(Y|{name2})", c2)):
-            w = unity(name, _tau_one(dataset, x, y, level.alpha))
-            if w is not None:
-                return EquivalenceReport(level.level, False, w)
+    if level.level in ("E1", "E2", "E2prime"):
+        # explicit weight vectors are sized for the response; the mutual
+        # determinism checks compare the two explanatory variables, whose
+        # level counts differ, so only scheme names carry over (any regular
+        # scheme yields the same truth value for a tau = 1 predicate)
+        scheme = level.alpha if isinstance(level.alpha, str) else None
+        n1, n2 = c1.name, c2.name
+        mutual = [(f"tau({n1}|{n2})", c2, c1, scheme),
+                  (f"tau({n2}|{n1})", c1, c2, scheme)]
+        of_y = [(f"tau(Y|{n1})", c1, y, level.alpha),
+                (f"tau(Y|{n2})", c2, y, level.alpha)]
+        comparisons = {"E1": mutual + of_y[:1], "E2": of_y,
+                       "E2prime": mutual}[level.level]
+        for name, given, response, alpha in comparisons:
+            value = _tau_one(dataset, given, response, alpha)
+            if not abs(value - 1.0) <= tol:  # a NaN fails too
+                return EquivalenceReport(
+                    level.level, False, Witness(name, None, None, value, 1.0)
+                )
         return EquivalenceReport(level.level, True, None)
 
+    measure = association_matrix if level.level == "E3" else association_vector
+    s1 = measure(contingency(dataset, c1, y))
+    s2 = measure(contingency(dataset, c2, y))
     if level.level == "E3":
-        m1 = association_matrix(contingency(dataset, c1, y))
-        m2 = association_matrix(contingency(dataset, c2, y))
-        if m1.level_indices != m2.level_indices:
+        if s1.level_indices != s2.level_indices:
             raise DataError("association matrices cover different levels")
-        diff = np.abs(m1.entries - m2.entries)
-        if diff.size and diff.max() > tol:
-            s, t = np.unravel_index(int(np.argmax(diff > tol)), diff.shape)
-            w = Witness(
-                comparison="association matrix entry",
-                index=(int(s), int(t)),
-                labels=(m1.y_labels[s], m1.y_labels[t]),
-                lhs=float(m1.entries[s, t]),
-                rhs=float(m2.entries[s, t]),
-            )
-            return EquivalenceReport(level.level, False, w)
-        return EquivalenceReport(level.level, True, None)
-
-    if level.level == "E4":
-        v1 = association_vector(contingency(dataset, c1, y))
-        v2 = association_vector(contingency(dataset, c2, y))
-        if v1.level_indices != v2.level_indices:
+        w = _first_difference("association matrix entry", s1.entries,
+                              s2.entries, s1.y_labels, tol)
+    elif level.level == "E4":
+        if s1.level_indices != s2.level_indices:
             raise DataError("association vectors cover different levels")
-        diff = np.abs(v1.components - v2.components)
-        if diff.size and diff.max() > tol:
-            s = int(np.argmax(diff > tol))
-            w = Witness(
-                comparison="association vector component",
-                index=(s,),
-                labels=(v1.y_labels[s],),
-                lhs=float(v1.components[s]),
-                rhs=float(v2.components[s]),
+        w = _first_difference("association vector component", s1.components,
+                              s2.components, s1.y_labels, tol)
+    else:
+        alpha = resolve_weights(
+            level.alpha if level.alpha is not None else "gk", s1.stats()
+        )
+        if not alpha.regular:
+            warnings.warn(
+                "E5 with a non-regular weight vector ignores some response "
+                "categories",
+                stacklevel=2,
             )
-            return EquivalenceReport(level.level, False, w)
-        return EquivalenceReport(level.level, True, None)
-
-    # E5
-    v1 = association_vector(contingency(dataset, c1, y))
-    v2 = association_vector(contingency(dataset, c2, y))
-    alpha = resolve_weights(
-        level.alpha if level.alpha is not None else "gk", v1.stats()
-    )
-    if not alpha.regular:
-        warnings.warn(
-            "E5 with a non-regular weight vector ignores some response "
-            "categories",
-            stacklevel=2,
-        )
-    t1 = weighted_tau(v1, alpha)
-    t2 = weighted_tau(v2, alpha)
-    if abs(t1 - t2) > tol:
-        w = Witness(
-            comparison="weighted association",
-            index=None,
-            labels=None,
-            lhs=t1,
-            rhs=t2,
-        )
-        return EquivalenceReport(level.level, False, w)
-    return EquivalenceReport(level.level, True, None)
+        t1 = weighted_tau(s1, alpha)
+        t2 = weighted_tau(s2, alpha)
+        w = (Witness("weighted association", None, None, t1, t2)
+             if abs(t1 - t2) > tol else None)
+    return EquivalenceReport(level.level, w is None, w)
 
 
 def hierarchy_scan(
@@ -245,13 +214,11 @@ def hierarchy_scan(
     misconfigured tolerances and raises :class:`HierarchyInconsistencyError`
     rather than passing silently.
     """
-    verdicts: list[tuple[str, bool]] = []
-    for name in HIERARCHY:
-        report = check(
-            dataset, x1, x2, y,
-            EquivalenceLevel(name, tolerance=tolerance, alpha=alpha),
-        )
-        verdicts.append((name, report.holds))
+    levels = [EquivalenceLevel(name, tolerance, alpha) for name in HIERARCHY]
+    c1 = _as_composite(dataset, x1)
+    c2 = _as_composite(dataset, x2)
+    verdicts = [(lv.level, check(dataset, c1, c2, y, lv).holds)
+                for lv in levels]
     held = False
     for name, holds in verdicts:
         if held and not holds:

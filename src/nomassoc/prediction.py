@@ -107,40 +107,22 @@ class ConfusionMatrix:
 def predict_and_score(
     predictor: ProportionalPredictor,
     test: CategoricalDataset,
-    given=None,
-    response=None,
     seed: int | None = None,
 ) -> ConfusionMatrix:
     """Sample one prediction per test row and tally the confusion counts.
 
-    ``given``/``response`` default to the predictor's own variables (matched
-    by name on the test dataset).  Requires unit-mass rows; expand weighted
-    tables first.  Deterministic for a fixed seed.
+    The predictor's own variables are matched by name on the test dataset.
+    Requires unit-mass rows; expand weighted tables first.  Deterministic
+    for a fixed seed.
     """
     if not test.unit_mass:
         raise DataError(
             "scoring requires unit-mass rows; use expand_to_unit_rows() first"
         )
-    xc = _as_composite(
-        test, predictor.member_names if given is None else given
-    )
-    if set(xc.member_names) != set(predictor.member_names):
-        raise DataError(
-            f"test explanatory variables {xc.member_names} do not match the "
-            f"predictor's {predictor.member_names}"
-        )
+    xc = _as_composite(test, predictor.member_names)
     # the composite orders its members by the test file's columns; the
     # conditionals are keyed in the training file's member order
     order = [xc.member_names.index(name) for name in predictor.member_names]
-    response_name = (
-        test.variable(response).name if response is not None
-        else predictor.response_name
-    )
-    if response_name != predictor.response_name:
-        raise DataError(
-            f"test response {response_name!r} does not match the predictor's "
-            f"{predictor.response_name!r}"
-        )
     y_meta = test.variable(predictor.response_name)
     level_of = {label: i for i, label in enumerate(predictor.response_levels)}
     unknown = [lv for lv in y_meta.levels if lv not in level_of]

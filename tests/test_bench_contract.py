@@ -89,3 +89,20 @@ def test_traced_run_counts_every_forward_evaluation(tracing, config, stops):
     spans = tracer.aggregate()["spans"]
     assert spans["selection.select_supervised"]["calls"] == 1
     assert spans["selection.select_structural"]["calls"] == 1
+
+
+def test_hierarchy_scan_composes_each_side_once(tracing):
+    ds = small_dataset()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        verdicts = nm.hierarchy_scan(ds, ["V1", "V4"], ["V2", "V3"], "Y")
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    assert [name for name, _ in verdicts] == ["E1", "E2", "E3", "E4", "E5"]
+    spans = tracer.aggregate()["spans"]
+    assert spans["equivalence.hierarchy_scan"]["calls"] == 1
+    assert spans["equivalence.check"]["calls"] == 5
+    assert spans["dataset.compose"]["calls"] == 2

@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and bad in err
 
+    @pytest.mark.parametrize("flag", ["file", "--weights"])
+    def test_non_utf8_file_is_a_data_error(
+        self, capsys, tmp_path, loan_file, flag
+    ):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"Risk,OnTime\n\xff,yes\n" if flag == "file"
+                        else b"1\n\xff\n")
+        tau = ["tau", "--response", "Risk", "--given", "OnTime"]
+        argv = {
+            "file": tau + [str(bad)],
+            "--weights": tau + ["--weights", f"file:{bad}", loan_file],
+        }[flag]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(bad) in err
+        assert "UTF-8" in err
+
     def test_non_numeric_weight_names_file_and_line(
         self, capsys, tmp_path, loan_file
     ):
@@ -186,6 +204,17 @@ class TestSubcommands:
         )
         assert code == 0
         assert "weights.normalized: 0.5000 0.2500 0.2500" in out
+
+    def test_matrix_warns_once_about_dropped_levels(self, capsys, tmp_path):
+        path = tmp_path / "mass.csv"
+        path.write_text("Y,X,m\na,p,2\nb,q,1\nc,p,0\na,q,1\n",
+                        encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run(capsys, "matrix", "--response", "Y", "--given", "X",
+                          "--mass-column", "m", str(path))
+        assert code == 0
+        assert [w.category for w in caught] == [nomassoc.DroppedLevelsWarning]
 
     def test_select_supervised(self, capsys, screening_file):
         code, out = run(
