@@ -266,8 +266,8 @@ def _simplex(w: np.ndarray, gini: float | None = None) -> np.ndarray:
 
 
 def _prepared(mass: np.ndarray, y_name: str, y_labels: Sequence[str]):
-    """``(kept, x_mass, total, keep)`` of a non-negative mass table with
-    positive total.
+    """``(kept, x_mass, total, keep)`` of a non-negative mass table; a
+    table of zero total raises, as :class:`ContingencyTable` does.
 
     ``keep`` marks the response levels with positive mass; the others are
     dropped with a warning.  ``kept`` is the table without them and then
@@ -282,6 +282,8 @@ def _prepared(mass: np.ndarray, y_name: str, y_labels: Sequence[str]):
     cells only.
     """
     total = float(mass.sum())
+    if not total > 0:  # a row subset of zero mass
+        raise DataError("contingency table is degenerate (total mass 0)")
     x_mass = mass.sum(axis=1)
     keep = mass.any(axis=0)  # positive mass, as no entry is negative
     if not keep.all():
@@ -355,8 +357,8 @@ def _tau(
     warnings, for callers that hold a bare mass array: a scheme name is
     resolved on the table's own marginal, a :class:`WeightVector` must
     cover its levels with marginal strictly inside (0, 1).  ``mass`` must
-    be non-negative with positive total; ``y_name`` and ``y_labels`` name
-    the response in the dropped-levels warning.
+    be non-negative, and a zero total raises; ``y_name`` and ``y_labels``
+    name the response in the dropped-levels warning.
     """
     kept, x_mass, total, _ = _prepared(mass, y_name, y_labels)
     _, p, lift = _lifts(kept, x_mass, total)

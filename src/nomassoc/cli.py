@@ -26,10 +26,9 @@ import numpy as np
 from . import __version__
 from .association import (
     WeightVector,
+    _tau,
     association_matrix,
     association_vector,
-    resolve_weights,
-    weighted_tau,
 )
 from .dataset import CategoricalDataset, compress, contingency, load_delimited
 from .dataset import _open_text
@@ -227,9 +226,8 @@ def _cmd_tau(args) -> int:
     ds = compress(_load(args))
     pr = _printer(args)
     spec = _weights_spec(args.weights, pr)
-    vec = association_vector(_response_table(ds, args))
-    alpha = resolve_weights(spec, vec.stats())
-    pr.kv("tau", weighted_tau(vec, alpha))
+    table = _response_table(ds, args)
+    pr.kv("tau", _tau(table.mass, spec, table.y_name, table.y_labels))
     return 0
 
 

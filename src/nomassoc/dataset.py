@@ -169,11 +169,6 @@ class CategoricalDataset:
             validate=False,
         )
 
-    def row_labels(self, row: int) -> tuple[str, ...]:
-        return tuple(
-            v.levels[c[row]] for v, c in zip(self.variables, self.codes)
-        )
-
     def __repr__(self) -> str:
         return (
             f"CategoricalDataset({self.n_variables} variables, "
@@ -711,10 +706,6 @@ class ContingencyTable:
         self.x_name = x_name
         self.y_name = y_name
 
-    @classmethod
-    def from_counts(cls, counts, **kwargs) -> "ContingencyTable":
-        return cls(np.asarray(counts, dtype=np.float64), **kwargs)
-
     @property
     def x_levels(self) -> int:
         return self.mass.shape[0]
@@ -763,13 +754,13 @@ def contingency(
     ``x`` may be a :class:`CompositeVariable`, a variable reference, or a
     sequence of references; ``y`` a variable reference or composite.  The
     response axis of a plain variable keeps that variable's full level set,
-    so levels with zero mass appear as zero columns.
+    so levels with zero mass appear as zero columns.  A plain response must
+    not be a member of ``x``; a composite response may share members with
+    it, being a variable of its own.
     """
     xc = _as_composite(dataset, x)
     if isinstance(y, CompositeVariable) or not isinstance(y, (int, str, np.integer)):
         yc = _as_composite(dataset, y)
-        if set(xc.member_indices) & set(yc.member_indices):
-            raise DataError("explanatory and response variables overlap")
         y_codes = yc.row_codes
         n_y = yc.observed_cardinality
         y_labels = tuple("/".join(t) for t in yc.scenario_labels)

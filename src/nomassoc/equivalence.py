@@ -138,8 +138,10 @@ def check(
     """Decide one equivalence relation between ``x1`` and ``x2`` w.r.t. ``y``.
 
     ``x1``/``x2`` may be variable references, index sequences, or
-    :class:`CompositeVariable` objects.  Each level is an ordered list of
-    comparisons; the report carries the first one that fails.
+    :class:`CompositeVariable` objects, and may share members: the mutual
+    comparisons tabulate one composite against the other.  Each level is
+    an ordered list of comparisons; the report carries the first one that
+    fails.
     """
     if isinstance(level, str):
         level = EquivalenceLevel(level)

@@ -40,10 +40,6 @@ class ProportionalPredictor:
     fallback: np.ndarray
     seed: int
 
-    @property
-    def n_scenarios(self) -> int:
-        return len(self.conditionals)
-
 
 def fit(
     train: CategoricalDataset,
@@ -107,13 +103,12 @@ class ConfusionMatrix:
 def predict_and_score(
     predictor: ProportionalPredictor,
     test: CategoricalDataset,
-    seed: int | None = None,
 ) -> ConfusionMatrix:
     """Sample one prediction per test row and tally the confusion counts.
 
     The predictor's own variables are matched by name on the test dataset.
     Requires unit-mass rows; expand weighted tables first.  Deterministic
-    for a fixed seed.
+    for the predictor's seed.
     """
     if not test.unit_mass:
         raise DataError(
@@ -141,7 +136,7 @@ def predict_and_score(
 
     n = test.n_rows
     n_levels = len(predictor.response_levels)
-    rng = np.random.default_rng(predictor.seed if seed is None else seed)
+    rng = np.random.default_rng(predictor.seed)
     uniforms = rng.random(n)  # value r is fixed by (seed, r)
 
     # one conditional CDF per observed test scenario, then a vectorised

@@ -62,7 +62,7 @@ def loan_tables(response: str) -> dict[str, ContingencyTable]:
             "expected 'Risk', 'Credit' or 'OnTime'"
         )
     return {
-        name: ContingencyTable.from_counts(
+        name: ContingencyTable(
             counts,
             x_labels=levels,
             y_labels=_Y_LEVELS[response],
@@ -86,7 +86,7 @@ _RETAIL_COUNTS = [
 
 def retail_table() -> ContingencyTable:
     """7x6 joint frequency table from a retail-credit dataset (24,000 rows)."""
-    return ContingencyTable.from_counts(
+    return ContingencyTable(
         _RETAIL_COUNTS,
         x_labels=[str(i) for i in range(1, 8)],
         y_labels=[str(s) for s in range(1, 7)],

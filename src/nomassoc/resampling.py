@@ -10,24 +10,28 @@ A statistic is any callable mapping a dataset to a float; a plain callable
 receives each resample as a row dataset.  The association reduction
 percentage of a variable subset against a full set --
 ``100 * tau(subset) / tau(full)`` -- is provided both as a direct function
-and as a statistic factory for bootstrapping.
+and as a statistic factory for bootstrapping, with one body for both.
 
-The factory's statistic is evaluated on cell counts instead of rows.  It
-reads a resample only through two joint tables with the response: of the
-full set, and of the subset.  A resample of n rows is a multinomial draw
-over the observed cells of the full set and the response, so its cell
-counts are a sufficient statistic (Efron & Tibshirani, *An Introduction to
-the Bootstrap*, 1993).  Each row's cell of the full set and of the subset
-is numbered once per bootstrap run.  A resample then costs, per table, one
+That body works on cell counts instead of rows.  It reads a dataset only
+through two joint tables with the response: of the full set, and of the
+subset.  A resample of n rows is a multinomial draw over the observed
+cells of the full set and the response, so its cell counts are a
+sufficient statistic (Efron & Tibshirani, *An Introduction to the
+Bootstrap*, 1993).  Each row's cell of the full set and of the subset is
+numbered once per dataset.  A resample then costs, per table, one
 ``bincount`` of its drawn rows' cells against the response
 (``dataset._count``), with no resampled dataset and no composite; when the
 observed cells far outnumber the drawn rows, the drawn cells are first
 ranked among the distinct ones drawn, so the work follows the drawn rows.
-The table entries are integer counts, exact in float64, and its rows are
-the drawn cells in lexicographic order, the order a composite of the
-resample gives its rows, so each table equals that composite's, entry for
-entry.  The summary is therefore bit-identical to bootstrapping the same
-statistic on rows (``lambda d: statistic(d)``).
+The direct function evaluates the same body over every row of the
+dataset, adding up the row masses.  A table's entries add up the drawn
+rows' masses in row order (integer counts for unit masses, exact in
+float64), and its rows are the cells of positive mass in lexicographic
+order, the order a composite gives its rows, so each table equals the
+table :func:`~nomassoc.dataset.contingency` builds from a composite of the
+same rows, entry for entry.  The summary is therefore bit-identical to
+bootstrapping a row statistic built from
+:func:`~nomassoc.association.tau_for`.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .association import (
     WeightVector,
     _tau,
     _unknown_scheme,
-    tau_for,
 )
 from .dataset import CategoricalDataset, VarRef, _count, _joint_codes
 from .errors import DataError, NomassocError
@@ -199,16 +202,6 @@ def _reduction_members(
     return y_idx, sorted(sub), sorted(full)
 
 
-def _reduction(tau: Callable[[object], float], subset, full_set) -> float:
-    """``100 * tau(subset) / tau(full_set)``; the full set's first."""
-    denom = tau(full_set)
-    if denom == 0:
-        raise DataError(
-            "association of the full set is zero; reduction undefined"
-        )
-    return 100.0 * tau(subset) / denom
-
-
 def reduction_statistic(
     dataset: CategoricalDataset,
     response: VarRef,
@@ -222,10 +215,7 @@ def reduction_statistic(
     (up to rounding) because the association is non-decreasing under
     variable addition.
     """
-    y_idx, sub, full = _reduction_members(dataset, response, subset, full_set)
-    return _reduction(
-        lambda given: tau_for(dataset, y_idx, given, weights), sub, full
-    )
+    return _ReductionStatistic(response, subset, full_set, weights)(dataset)
 
 
 class _ReductionStatistic:
@@ -238,19 +228,19 @@ class _ReductionStatistic:
         self.weights = weights
 
     def __call__(self, dataset: CategoricalDataset) -> float:
-        return reduction_statistic(
-            dataset, self.response, self.subset, self.full_set, self.weights
-        )
+        # every row, as a copy: the count overwrites a writeable key
+        return self.on_cells(dataset)(np.arange(dataset.n_rows))
 
     def on_cells(
         self, dataset: CategoricalDataset
     ) -> Callable[[np.ndarray], float]:
-        """The statistic on the resample of unit-mass ``dataset`` made of
-        rows ``picks``, as a function of ``picks``, from cell counts.
+        """The statistic on the resample of ``dataset`` made of rows
+        ``picks``, as a function of ``picks``, from cell counts.
 
         Raises at once if the arguments define no reduction on ``dataset``.
         Numbers each row's cell of the full set and of the subset, once;
-        a call then counts the drawn rows' cells against the response.
+        a call then counts the drawn rows' cells against the response,
+        adding up the rows' masses (plain counts when every mass is 1).
         """
         y_idx, sub, full = _reduction_members(
             dataset, self.response, self.subset, self.full_set
@@ -260,19 +250,23 @@ class _ReductionStatistic:
             raise _unknown_scheme(weights)
         y = dataset.variables[y_idx]
         y_codes = dataset.codes[y_idx]
+        mass = None if dataset.unit_mass else dataset.mass
         sub_cells = _joint_codes(dataset, sub)
         full_cells = _joint_codes(dataset, full)
 
         def tau(cells: tuple[np.ndarray, int], picks: np.ndarray):
             key, n_cells = cells
             table = _count(key[picks], n_cells, y_codes[picks], y.cardinality,
-                           None)[0]
+                           None if mass is None else mass[picks])[0]
             return _tau(table, weights, y.name, y.levels)
 
         def statistic(picks: np.ndarray) -> float:
-            return _reduction(
-                lambda cells: tau(cells, picks), sub_cells, full_cells
-            )
+            denom = tau(full_cells, picks)  # the full set's first
+            if denom == 0:
+                raise DataError(
+                    "association of the full set is zero; reduction undefined"
+                )
+            return 100.0 * tau(sub_cells, picks) / denom
 
         return statistic
 
@@ -286,7 +280,8 @@ def make_reduction_statistic(
     """Bind :func:`reduction_statistic` arguments into a bootstrap statistic.
 
     Scheme weights are re-resolved on every resample's own marginal.
-    :func:`bootstrap` evaluates this statistic on cell counts; called on a
-    dataset, it runs :func:`reduction_statistic`.
+    :func:`bootstrap` evaluates it on each resample's cell counts; called
+    on a dataset, it evaluates the same body over every row, as
+    :func:`reduction_statistic` does.
     """
     return _ReductionStatistic(response, subset, full_set, weights)

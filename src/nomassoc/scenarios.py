@@ -26,6 +26,8 @@ returns the exact weighted joint so population values need no sampling.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,30 +119,21 @@ def flu_population_distribution(
     """
     rows: list[tuple[int, ...]] = []
     masses: list[float] = []
-    for x1 in (0, 1):
-        for x2 in (0, 1):
-            p_cell = PAIR_PROBS[x1 * 2 + x2]
-            cond = CONDITIONALS[x1 * 2 + x2]
-            for y in (0, 1, 2):
-                if cond[y] == 0:
-                    continue
-                for r3 in (0, 1):
-                    p_r3 = _copy_prob(r3, x1, flip_prob, one_sided_noise)
-                    if p_r3 == 0:
-                        continue
-                    for r4 in (0, 1):
-                        p_r4 = _copy_prob(r4, x2, flip_prob, one_sided_noise)
-                        if p_r4 == 0:
-                            continue
-                        for s5 in (0, 1):
-                            p_s5 = s5_prob if (x1 and x2) else 0.0
-                            p_s5 = p_s5 if s5 else 1.0 - p_s5
-                            if p_s5 == 0:
-                                continue
-                            rows.append((y, x1, x2, r3, r4, s5))
-                            masses.append(
-                                float(p_cell * cond[y] * p_r3 * p_r4 * p_s5)
-                            )
+    for x1, x2, y, r3, r4, s5 in itertools.product(
+        (0, 1), (0, 1), (0, 1, 2), (0, 1), (0, 1), (0, 1)
+    ):
+        p_s5 = s5_prob if (x1 and x2) else 0.0
+        factors = (
+            PAIR_PROBS[x1 * 2 + x2],
+            CONDITIONALS[x1 * 2 + x2][y],
+            _copy_prob(r3, x1, flip_prob, one_sided_noise),
+            _copy_prob(r4, x2, flip_prob, one_sided_noise),
+            p_s5 if s5 else 1.0 - p_s5,
+        )
+        if 0 in factors:  # a factor, not the product, which may underflow
+            continue
+        rows.append((y, x1, x2, r3, r4, s5))
+        masses.append(float(math.prod(factors)))  # left to right
     codes = np.asarray(rows, dtype=np.int64)
     return CategoricalDataset(
         _variables(),

@@ -10,7 +10,7 @@ import pytest
 
 import nomassoc
 from nomassoc.cli import dispatch
-from nomassoc.reference import loan_tables
+from nomassoc.reference import fixture_e4_without_e3, loan_tables
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +240,39 @@ class TestSubcommands:
         for level in ("E1", "E2", "E3", "E4", "E5"):
             assert f"equivalent.{level}: " in out
 
+    def test_equiv_on_overlapping_references(self, capsys, tmp_path):
+        path = tmp_path / "overlap.csv"
+        path.write_text("Y,A,B,C\n0,a,p,x\n1,b,p,y\n1,b,q,y\n0,a,q,x\n")
+        code, out = run(capsys, "equiv", "--x1", "A,B", "--x2", "B,C",
+                        "--response", "Y", "--format", "structured",
+                        str(path))
+        assert code == 0
+        assert out == "".join(f"equivalent.{level} = true\n"
+                              for level in ("E1", "E2", "E3", "E4", "E5"))
+
+    @pytest.mark.parametrize("level, expected", [
+        ("3", "equivalent.E3 = false\n"
+              "witness = association matrix entry at ('1', '2'): 0.5 != 0\n"),
+        ("E4", "equivalent.E4 = true\n"),
+        ("2prime", "equivalent.E2prime = false\n"
+                   "witness = tau(X1|X2): 0.25 != 1\n"),
+    ])
+    def test_equiv_single_level(self, capsys, tmp_path, level, expected):
+        # the E4-without-E3 fixture's six scenarios, of equal mass
+        ds = fixture_e4_without_e3()
+        path = tmp_path / "e4.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([*ds.names, "m"])
+            for r in range(ds.n_rows):
+                writer.writerow([v.levels[c[r]] for v, c in
+                                 zip(ds.variables, ds.codes)] + [1])
+        code, out = run(capsys, "equiv", "--x1", "X1", "--x2", "X2",
+                        "--response", "Y", "--level", level, "--mass-column",
+                        "m", "--format", "structured", str(path))
+        assert code == 0
+        assert out == expected
+
     def test_predict(self, capsys, screening_file, tmp_path):
         code, out = run(
             capsys, "predict", "--train", screening_file, "--test",
@@ -341,5 +374,28 @@ class TestSubcommands:
     def test_table_commands_output_is_unchanged(self, capsys, flu_file, argv, digest):
         code, out = run(capsys, *argv, flu_file, "--format", "structured",
                         "--precision", "17")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # digests of the structured output computed while ``tau`` still
+    # resolved its weights on an association vector
+    @pytest.mark.parametrize("weights, digest", [
+        ("equal",
+         "c27e965f0183433861f0fcf90a4e514efb9dc52659de890b5733ffe3bfc99a53"),
+        ("invprob",
+         "4769c16a05746490b890d9652756e6c698e1399d4f1672453ab16874eb957037"),
+        ("file:",
+         "df755e55842519ff85216bdca0dee801ceb9da634e0cfabd74d31e9044381464"),
+    ])
+    def test_tau_output_under_each_weighting_is_unchanged(
+        self, capsys, flu_file, tmp_path, weights, digest
+    ):
+        if weights == "file:":
+            wpath = tmp_path / "w.txt"
+            wpath.write_text("2\n1\n1\n")
+            weights += str(wpath)
+        code, out = run(capsys, "tau", "--response", "Y", "--given", "X1,X2",
+                        "--weights", weights, flu_file, "--format",
+                        "structured", "--precision", "17")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -91,7 +91,7 @@ class TestPredictAndScore:
         c1 = predict_and_score(predictor, ds)
         c2 = predict_and_score(predictor, ds)
         assert np.array_equal(c1.counts, c2.counts)
-        c3 = predict_and_score(predictor, ds, seed=12)
+        c3 = predict_and_score(fit(ds, "X", "Y", seed=12), ds)
         assert not np.array_equal(c1.counts, c3.counts)
 
     def test_processing_order_independent(self):

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nomassoc import (
     BootstrapSummary,
@@ -193,9 +195,84 @@ def outcome_and_warnings(run):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
+def row_oracle(response, subset, full, weights="gk"):
+    """The reduction percentage on a row dataset, from the public
+    ``tau_for``: the full set's tau first, and no reduction when it is 0."""
+    def statistic(ds):
+        denom = tau_for(ds, response, list(full), weights)
+        if denom == 0:
+            raise DataError(
+                "association of the full set is zero; reduction undefined")
+        return 100.0 * tau_for(ds, response, list(subset), weights) / denom
+
+    return statistic
+
+
+@st.composite
+def weighted_reductions(draw, max_vars=5, max_levels=4, max_rows=25):
+    """A dataset with zero, fractional and integer row masses and
+    unobserved levels, a subset and full set of variables other than the
+    response ``V0``, and a scheme name, an unknown one, or explicit
+    weights (whose size need not fit the response)."""
+    n_vars = draw(st.integers(2, max_vars))
+    n_rows = draw(st.integers(1, max_rows))
+    cards = draw(st.lists(st.integers(1, max_levels), min_size=n_vars,
+                          max_size=n_vars))
+    columns = [
+        draw(st.lists(st.integers(0, card - 1), min_size=n_rows,
+                      max_size=n_rows))
+        for card in cards
+    ]
+    masses = draw(st.lists(st.sampled_from([0.0, 0.1, 1 / 3, 1.0, 2.5, 4.0]),
+                           min_size=n_rows, max_size=n_rows))
+    masses[0] = masses[0] or 0.5  # total mass must be positive
+    metas = [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
+             for v, card in enumerate(cards)]
+    ds = CategoricalDataset(metas, [np.asarray(c) for c in columns],
+                            np.asarray(masses))
+    full = draw(st.lists(st.integers(1, n_vars - 1), min_size=1, unique=True))
+    subset = draw(st.lists(st.sampled_from(full), min_size=1, unique=True))
+    weights = draw(st.sampled_from(["gk", "equal", "invprob", "zipf"])
+                   | st.integers(1, 4).map(
+                       lambda k: WeightVector.from_raw(np.arange(1.0, k + 1.0))))
+    return ds, subset, full, weights
+
+
+@given(weighted_reductions())
+@example((flu_population_distribution(), ["X1"], list(FULL), "gk"))
+@settings(max_examples=300, deadline=None)
+def test_reduction_statistic_equals_row_oracle(case):
+    ds, subset, full, weights = case
+    value = outcome_and_warnings(
+        lambda: reduction_statistic(ds, 0, subset, full, weights))
+    expected = outcome_and_warnings(
+        lambda: row_oracle(0, subset, full, weights)(ds))
+    if weights == "zipf":
+        # an unknown scheme is refused before any table is counted, so
+        # the oracle's dropped-levels warning does not come first
+        assert value[0] == expected[0]
+        assert value[0][1].startswith("unknown weight scheme")
+    else:
+        assert value == expected
+
+
+def test_row_subset_of_zero_mass_is_a_data_error():
+    # a row subset is not re-validated, so its total mass may be 0
+    ds = CategoricalDataset(
+        [VariableMeta("Y", ("a", "b")), VariableMeta("X", ("p", "q"))],
+        [np.array([0, 1, 1]), np.array([0, 0, 1])], np.array([0.0, 1.0, 2.0]),
+    ).take(np.array([0, 0]))
+    value = outcome_and_warnings(
+        lambda: reduction_statistic(ds, "Y", ["X"], ["X"]))
+    assert value == outcome_and_warnings(
+        lambda: row_oracle("Y", ["X"], ["X"])(ds))
+    assert value == ((DataError, "contingency table is degenerate "
+                      "(total mass 0)"), [])
+
+
 class TestCellCounts:
     """A reduction statistic runs on cell counts; bootstrapping it must
-    give exactly what bootstrapping it on row resamples gives."""
+    give exactly what bootstrapping a row oracle on row resamples gives."""
 
     @pytest.mark.parametrize("subset, full, weights, sample_size, strata, expect", [
         (["X1", "X2"], FULL, "gk", 100, "Y", "clean"),
@@ -221,8 +298,9 @@ class TestCellCounts:
             mp.setattr(CategoricalDataset, "take", None)  # no row resamples
             cells = outcome_and_warnings(
                 lambda: bootstrap(screening_500, stat, **kwargs))
+        oracle = row_oracle("Y", subset, full, weights)
         rows = outcome_and_warnings(
-            lambda: bootstrap(screening_500, lambda d: stat(d), **kwargs))
+            lambda: bootstrap(screening_500, oracle, **kwargs))
         assert cells == rows
         summary = cells[0]
         if expect == "aborts":
@@ -249,8 +327,8 @@ class TestCellCounts:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(CategoricalDataset, "take", None)  # no row resamples
             cells = outcome_and_warnings(lambda: bootstrap(ds, stat, **kwargs))
-        rows = outcome_and_warnings(
-            lambda: bootstrap(ds, lambda d: stat(d), **kwargs))
+        oracle = row_oracle("Y", ["V0"], ["V0", "V1", "V2"])
+        rows = outcome_and_warnings(lambda: bootstrap(ds, oracle, **kwargs))
         assert cells == rows
         assert isinstance(cells[0], BootstrapSummary)
 
@@ -265,8 +343,8 @@ class TestCellCounts:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(CategoricalDataset, "take", None)  # no row resamples
             cells = outcome_and_warnings(lambda: bootstrap(ds, stat, **kwargs))
-        rows = outcome_and_warnings(
-            lambda: bootstrap(ds, lambda d: stat(d), **kwargs))
+        oracle = row_oracle("Y", ["X1", "X2"], FULL)
+        rows = outcome_and_warnings(lambda: bootstrap(ds, oracle, **kwargs))
         assert cells == rows
 
     def test_unknown_weight_scheme_fails_before_drawing(self, screening_500):
