@@ -358,8 +358,10 @@ def _tau(
     resolved on the table's own marginal, a :class:`WeightVector` must
     cover its levels with marginal strictly inside (0, 1).  ``mass`` must
     be non-negative, and a zero total raises; ``y_name`` and ``y_labels``
-    name the response in the dropped-levels warning.
+    name the response in the dropped-levels warning, which an unknown
+    scheme name never reaches.
     """
+    _known_scheme(weights)
     kept, x_mass, total, _ = _prepared(mass, y_name, y_labels)
     _, p, lift = _lifts(kept, x_mass, total)
     gini = float(1.0 - (p * p).sum())
@@ -447,7 +449,7 @@ def goodman_kruskal_tau(table: ContingencyTable) -> float:
     )
     p = mass.sum(axis=0) / total
     v_g = 1.0 - float(np.sum(p * p))
-    if v_g <= 0:
+    if len(p) < 2 or v_g <= 0:  # rounding may leave v_g of one level above 0
         raise DataError(
             "Goodman-Kruskal tau undefined: response is a point mass"
         )
@@ -538,6 +540,13 @@ def _unknown_scheme(spec) -> DataError:
         f"unknown weight scheme {spec!r}; expected one of {WEIGHT_SCHEMES} "
         "or a WeightVector"
     )
+
+
+def _known_scheme(spec: Union[str, WeightVector]) -> None:
+    """Refuse ``spec`` unless it is a :class:`WeightVector` or names one of
+    :data:`WEIGHT_SCHEMES`, before any table is looked at."""
+    if not (isinstance(spec, WeightVector) or spec in WEIGHT_SCHEMES):
+        raise _unknown_scheme(spec)
 
 
 def resolve_weights(

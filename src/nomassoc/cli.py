@@ -10,9 +10,9 @@ deterministic ``key = value`` lines (nested keys joined with dots, matrix
 entries keyed by row and column labels) suitable for scripting.
 
 matrix, vector, tau, select and equiv read only joint mass tables, so they
-run on the file's distinct rows with summed counts (``compress``), with
-results bit-identical to the row form; inspect, predict and bootstrap keep
-one row per line.
+run on the file's distinct records, each with the number of its lines as
+its mass, then compressed (``compress``), with results bit-identical to the
+row form; inspect, predict and bootstrap keep one row per line.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .association import (
     association_vector,
 )
 from .dataset import CategoricalDataset, compress, contingency, load_delimited
-from .dataset import _open_text
+from .dataset import _load_table, _open_text
 from .equivalence import EquivalenceLevel, check, hierarchy_scan
 from .errors import DataError, NomassocError
 from .prediction import fit, predict_and_score
@@ -125,8 +125,12 @@ def _add_output_flags(p: _Parser) -> None:
     p.add_argument("--precision", type=int, default=4)
 
 
-def _load(args, path=None) -> CategoricalDataset:
-    return load_delimited(
+def _load(args, path=None, *, table=False) -> CategoricalDataset:
+    """The rows of ``path`` (default: the file argument), or with ``table``
+    its distinct records, each with its line count as its mass, compressed
+    (:func:`~nomassoc.dataset._load_table`)."""
+    load = _load_table if table else load_delimited
+    return load(
         path or args.file,
         delimiter=args.delimiter,
         missing_token=args.missing_token,
@@ -203,7 +207,7 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    ds = compress(_load(args))
+    ds = _load(args, table=True)
     pr = _printer(args)
     m = association_matrix(_response_table(ds, args))
     if m.dropped_levels:
@@ -213,7 +217,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_vector(args) -> int:
-    ds = compress(_load(args))
+    ds = _load(args, table=True)
     pr = _printer(args)
     vec = association_vector(_response_table(ds, args))
     if vec.excluded_levels:
@@ -223,7 +227,7 @@ def _cmd_vector(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    ds = compress(_load(args))
+    ds = _load(args, table=True)
     pr = _printer(args)
     spec = _weights_spec(args.weights, pr)
     table = _response_table(ds, args)
@@ -232,7 +236,7 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    ds = compress(_load(args))
+    ds = _load(args, table=True)
     pr = _printer(args)
     spec = _weights_spec(args.weights, pr)
     config = SelectionConfig(
@@ -268,7 +272,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    ds = compress(_load(args))
+    ds = _load(args, table=True)
     pr = _printer(args)
     alpha = _weights_spec(args.weights, pr) if args.weights else None
     x1 = _resolve(ds, _names(args.x1, "--x1"), "--x1")

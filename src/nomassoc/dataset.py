@@ -27,15 +27,18 @@ arrays are marked read-only so datasets can be shared without copies.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 from bisect import bisect
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError, NomassocError, ParseError
 
 #: Token treated as a missing value by default in delimited files.
 MISSING_TOKEN = "__NA__"
@@ -182,20 +185,34 @@ class CategoricalDataset:
 class _RecordIndex(dict):
     """Numbers each distinct record in first-appearance order.
 
-    Indexing with a record tuple returns its id; :meth:`__missing__` runs
-    once per distinct record, so the per-record work below is paid once
-    however often the record repeats.  For each id it keeps the record's
-    stripped values (``None`` for a blank or dropped record) and its mass.
-    A malformed record raises :class:`ParseError` at its first occurrence,
-    which is the bad record that occurs first.
+    Built from the header record: ``header`` holds the stripped names,
+    ``mass_idx`` the mass column's position (or ``None``) and
+    ``var_positions`` the positions of the variables.  Indexing with a
+    record tuple returns its id; :meth:`__missing__` runs once per distinct
+    record, so the per-record work below is paid once however often the
+    record repeats.  For each id it keeps the record's stripped values
+    (``None`` for a blank or dropped record) and its mass.  A malformed
+    record raises :class:`ParseError` at its first occurrence, which is the
+    bad record that occurs first; the error names its physical line when
+    ``reader``, the ``csv.reader`` the records come from, is given.
     """
 
-    def __init__(self, reader, width, var_positions, mass_idx, missing_token,
-                 drop):
+    def __init__(self, header, mass_column, missing_token, drop, reader=None):
         super().__init__()
+        header = [h.strip() for h in header]
+        if len(set(header)) != len(header):
+            raise ParseError("header names are not unique", line=1)
+        mass_idx = None
+        if mass_column is not None:
+            if mass_column not in header:
+                raise DataError(
+                    f"mass column {mass_column!r} not in header: {header}"
+                )
+            mass_idx = header.index(mass_column)
+        self.header = header
         self.reader = reader
-        self.width = width
-        self.var_positions = var_positions
+        self.width = len(header)
+        self.var_positions = [i for i in range(len(header)) if i != mass_idx]
         self.mass_idx = mass_idx
         self.missing_token = missing_token
         self.drop = drop
@@ -213,6 +230,8 @@ class _RecordIndex(dict):
         """``problem`` at the physical line where ``record``, just read,
         starts: the reader's line count less the line breaks that quoted
         fields of the record hold."""
+        if self.reader is None:
+            return ParseError(problem)
         breaks = sum(
             v.count("\n") + v.count("\r") - v.count("\r\n") for v in record
         )
@@ -245,17 +264,168 @@ class _RecordIndex(dict):
             raise self._bad(record, f"mass value {mass!r} is invalid")
         return values, mass
 
+    def kept(self) -> np.ndarray:
+        """Which records hold a row: not blank and not dropped."""
+        return np.array([v is not None for v in self.values], dtype=bool)
+
+    def dataset(
+        self, rows: np.ndarray, mass: np.ndarray | None
+    ) -> CategoricalDataset:
+        """The dataset of the kept records ``rows`` (ids, one per row) with
+        row masses ``mass`` (``None`` for 1.0); levels are numbered over the
+        records in first-appearance order."""
+        if not self.var_positions or not len(rows):
+            raise ParseError("file contains a header but no data rows")
+        variables = []
+        codes = []
+        for i in self.var_positions:
+            level_index: dict[str, int] = {}
+            record_codes = np.array(
+                [level_index.setdefault(v[i], len(level_index))
+                 if v is not None else 0 for v in self.values],
+                dtype=np.int64,
+            )
+            variables.append(VariableMeta(self.header[i], tuple(level_index)))
+            codes.append(record_codes[rows])
+        return CategoricalDataset(variables, codes, mass)
+
+
+class _LineIndex(dict):
+    """Numbers each distinct raw line of a file without quotes by the id
+    its record gets in ``records`` (a :class:`_RecordIndex`).
+
+    :meth:`__missing__` decodes, csv-parses (``parse``, from
+    :func:`_line_parser`) and numbers a line once, however often it
+    repeats, so a repeated line costs one lookup.  Without the quote
+    character, a line is one record: ``bytes.splitlines`` splits at LF,
+    CR LF and a lone CR, exactly where ``csv`` ends a record, and keeps
+    ``\\x85``, ``\\x0b``, ``\\x0c`` and ``\\x1c``-``\\x1e`` in the value, as
+    ``csv`` does (``str.splitlines`` would split there).
+    """
+
+    def __init__(self, records: _RecordIndex, parse):
+        super().__init__()
+        self.records = records
+        self.parse = parse
+
+    def __missing__(self, line: bytes) -> int:
+        rid = self[line] = self.records[self.parse(line)]
+        return rid
+
+
+def _line_parser(delimiter: str):
+    """``parse(line)``: the record of one line holding no line break
+    (``()`` when blank), from one ``csv.reader`` fed a line at a time."""
+    feed: list[str] = []
+    reader = csv.reader(iter(feed.pop, None), delimiter=delimiter)
+
+    def parse(line: bytes) -> tuple[str, ...]:
+        feed.append(line.decode("utf-8"))
+        return tuple(next(reader))
+
+    return parse
+
+
+@contextmanager
+def _decoding(path):
+    """Turns a byte sequence that is not UTF-8 into a :class:`DataError`
+    naming ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
 
 @contextmanager
 def _open_text(path):
     """``path`` opened as UTF-8 text for the csv module (``newline=""``)
     with a leading byte-order mark skipped; a byte sequence that is not
     UTF-8 raises :class:`DataError` naming the file."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh, \
+            _decoding(path):
+        yield fh
+
+
+#: The line path splits at most about this many bytes into lines at once,
+#: so the lines alive at one time are one block's, not the file's.
+_BLOCK = 1 << 20
+
+
+def _blocks(data: bytes, start: int):
+    """``data[start:]`` in pieces of about ``_BLOCK`` bytes, each cut just
+    after a line break (a CR LF pair is never cut) or at the end."""
+    end = len(data)
+    while start < end:
+        cut = start + _BLOCK
+        if cut >= end:
+            cut = end
+        else:  # the first LF or CR at or after cut
+            lf = data.find(b"\n", cut)
+            cr = data.find(b"\r", cut, lf if lf >= 0 else end)
+            if cr >= 0:
+                cut = cr + 2 if data[cr + 1:cr + 2] == b"\n" else cr + 1
+            else:
+                cut = lf + 1 if lf >= 0 else end
+        yield data[start:cut]
+        start = cut
+
+
+def _scan_lines(data: bytes, delimiter, missing_token, drop, mass_column):
+    """``(index, ids)`` of the file ``data`` holds, keyed by the raw line:
+    the :class:`_RecordIndex` of its records and the record id of each
+    line after the header.  Only for data without the quote character.
+    Its errors need not name their line: :func:`_scan` then runs the
+    record path."""
+    bom = codecs.BOM_UTF8
+    lines = chain.from_iterable(map(
+        bytes.splitlines, _blocks(data, len(bom) if data.startswith(bom) else 0)
+    ))
+    first = next(lines, None)
+    if first is None:
+        raise ParseError("empty file")
+    parse = _line_parser(delimiter)
+    index = _RecordIndex(parse(first), mass_column, missing_token, drop)
+    ids = np.fromiter(map(_LineIndex(index, parse).__getitem__, lines),
+                      dtype=np.int64)
+    return index, ids
+
+
+def _scan_records(data: bytes, path, delimiter, missing_token, drop,
+                  mass_column):
+    """:func:`_scan_lines` by ``csv.reader`` over the text of ``data``, for
+    any file: a quoted field may span lines, and an error names the
+    physical line where its record starts."""
+    fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    with _decoding(path):
+        reader = csv.reader(fh, delimiter=delimiter)
         try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty file") from None
+        index = _RecordIndex(header, mass_column, missing_token, drop, reader)
+        ids = np.fromiter(map(index.__getitem__, map(tuple, reader)),
+                          dtype=np.int64)
+    return index, ids
+
+
+def _scan(path, delimiter, missing_token, missing_policy, mass_column):
+    """``(index, ids)`` of the file at ``path`` (a path or a file
+    descriptor), read once: the line path when the bytes hold no quote
+    character, else, or when the line path finds a fault (a bad record,
+    bytes that are not UTF-8, a csv error), the record path over the same
+    bytes, so every error is the record path's."""
+    if missing_policy not in ("own-category", "drop-row"):
+        raise DataError(f"unknown missing policy {missing_policy!r}")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    args = (delimiter, missing_token, missing_policy == "drop-row",
+            mass_column)
+    if b'"' not in data:
+        try:
+            return _scan_lines(data, *args)
+        except (NomassocError, UnicodeDecodeError, csv.Error):
+            pass
+    return _scan_records(data, path, *args)
 
 
 def load_delimited(
@@ -277,52 +447,45 @@ def load_delimited(
     1.0 and is not encoded as a variable.  A malformed record is reported
     at the first line where it occurs.
 
-    Each distinct record is checked and encoded once; the rows are one
-    gather of the distinct records' codes, so the per-line cost is the CSV
-    parse and one dictionary lookup.
+    The file is read once, as bytes.  When they hold no quote character
+    ``"``, each line is one record, so the lines are numbered as raw bytes
+    and each distinct line is decoded, parsed, checked and encoded once;
+    a repeated line costs one dictionary lookup.  When they hold one, a
+    quoted field may span lines, so ``csv.reader`` parses the whole text;
+    and when the line path finds a fault, that record path runs over the
+    same bytes, so every error, with its physical line, is the same on
+    both.  The rows are one gather of the distinct records' codes.
     """
-    if missing_policy not in ("own-category", "drop-row"):
-        raise DataError(f"unknown missing policy {missing_policy!r}")
-    with _open_text(path) as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise ParseError("header names are not unique", line=1)
-        mass_idx = None
-        if mass_column is not None:
-            if mass_column not in header:
-                raise DataError(
-                    f"mass column {mass_column!r} not in header: {header}"
-                )
-            mass_idx = header.index(mass_column)
-        var_positions = [i for i in range(len(header)) if i != mass_idx]
-        index = _RecordIndex(reader, len(header), var_positions, mass_idx,
-                             missing_token, missing_policy == "drop-row")
-        ids = np.fromiter(map(index.__getitem__, map(tuple, reader)),
-                          dtype=np.int64)
-    kept = np.array([v is not None for v in index.values], dtype=bool)
-    if not var_positions or not kept.any():
-        raise ParseError("file contains a header but no data rows")
+    index, ids = _scan(path, delimiter, missing_token, missing_policy,
+                       mass_column)
+    kept = index.kept()
     if not kept.all():
         ids = ids[kept[ids]]
+    mass = np.asarray(index.masses)[ids] if index.mass_idx is not None else None
+    return index.dataset(ids, mass)
 
-    variables = []
-    codes = []
-    for i in var_positions:
-        level_index: dict[str, int] = {}
-        record_codes = np.array(
-            [level_index.setdefault(v[i], len(level_index))
-             if v is not None else 0 for v in index.values],
-            dtype=np.int64,
-        )
-        variables.append(VariableMeta(header[i], tuple(level_index)))
-        codes.append(record_codes[ids])
-    mass = np.asarray(index.masses)[ids] if mass_idx is not None else None
-    return CategoricalDataset(variables, codes, mass)
+
+def _load_table(
+    path,
+    *,
+    delimiter: str = ",",
+    missing_token: str = MISSING_TOKEN,
+    missing_policy: str = "own-category",
+    mass_column: str | None = None,
+) -> CategoricalDataset:
+    """``compress(load_delimited(path, ...))``, from the same scan: each
+    distinct kept record is one row, with the number of its lines as its
+    integer mass, so the rows are never gathered.  With a mass column,
+    whose values need not be integers, it is that expression itself."""
+    if mass_column is not None:
+        return compress(load_delimited(
+            path, delimiter=delimiter, missing_token=missing_token,
+            missing_policy=missing_policy, mass_column=mass_column,
+        ))
+    index, ids = _scan(path, delimiter, missing_token, missing_policy, None)
+    rows = np.flatnonzero(index.kept())
+    lines = np.bincount(ids, minlength=len(index.values))
+    return compress(index.dataset(rows, lines[rows]))
 
 
 def from_scenarios(

@@ -41,12 +41,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .association import (
-    WEIGHT_SCHEMES,
-    WeightVector,
-    _tau,
-    _unknown_scheme,
-)
+from .association import WeightVector, _known_scheme, _tau
 from .dataset import CategoricalDataset, VarRef, _count, _joint_codes
 from .errors import DataError, NomassocError
 
@@ -246,8 +241,7 @@ class _ReductionStatistic:
             dataset, self.response, self.subset, self.full_set
         )
         weights = self.weights
-        if not (isinstance(weights, WeightVector) or weights in WEIGHT_SCHEMES):
-            raise _unknown_scheme(weights)
+        _known_scheme(weights)
         y = dataset.variables[y_idx]
         y_codes = dataset.codes[y_idx]
         mass = None if dataset.unit_mass else dataset.mass

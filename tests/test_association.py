@@ -235,6 +235,15 @@ class TestGoodmanKruskalTau:
         with pytest.raises(DataError):
             goodman_kruskal_tau(ContingencyTable([[3.0], [2.0]]))
 
+    def test_point_mass_rejected_despite_rounding(self):
+        # the one level of positive mass sums to the total only within an
+        # ulp, so 1 - sum p^2 is not 0
+        table = ContingencyTable([[0.7, 0.0], [3.0, 0.0], [1.0, 0.0],
+                                  [0.1, 0.0]])
+        with pytest.warns(DroppedLevelsWarning):
+            with pytest.raises(DataError, match="point mass"):
+                goodman_kruskal_tau(table)
+
 
 class TestWeightSchemes:
     def test_symmetric_binary(self):
@@ -266,6 +275,20 @@ class TestWeightSchemes:
         stats = MarginalStats.from_probabilities([0.5, 0.5])
         with pytest.raises(DataError):
             resolve_weights("zipf", stats)
+
+    def test_unknown_scheme_is_refused_before_dropping_levels(self):
+        # level "b" has zero mass, so a known scheme would warn first
+        mass = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0]])
+        ds = CategoricalDataset(
+            [VariableMeta("Y", ("a", "b", "c")), VariableMeta("X", ("p", "q"))],
+            [np.array([0, 2, 0]), np.array([0, 0, 1])],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="unknown weight scheme 'zipf'"):
+                _tau(mass, "zipf", "Y", ("a", "b", "c"))
+            with pytest.raises(DataError, match="unknown weight scheme 'zipf'"):
+                tau_for(ds, "Y", ["X"], "zipf")
 
     def test_one_level_response_is_a_data_error(self):
         # the only observed level has marginal 1, so no level is left to

@@ -9,12 +9,14 @@ from nomassoc import (
     DataError,
     ParseError,
     compose,
+    compress,
     contingency,
     expand_to_unit_rows,
     from_scenarios,
     load_delimited,
     split,
 )
+from nomassoc.dataset import _load_table
 from nomassoc.reference import fixture_e5_without_e4, retail_dataset, retail_table
 
 
@@ -87,6 +89,16 @@ class TestLoadDelimited:
             load_delimited(read_end)  # a pipe cannot be read again
         assert err.value.line == 3
 
+    def test_bad_unquoted_record_line_from_input_read_once(self):
+        # no quote character: the line path refuses the ragged record, and
+        # the record path runs over the bytes already read
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"u,v\r\na,x\r\na,x\r\nb\r\n")
+        os.close(write_end)
+        with pytest.raises(ParseError, match="line 4") as err:
+            load_delimited(read_end)
+        assert err.value.line == 4
+
     def test_values_are_stripped(self, tmp_path):
         path = write(tmp_path, "u,v\na ,x\n a,x\n")
         ds = load_delimited(path)
@@ -152,6 +164,40 @@ class TestLoadDelimited:
         ds = load_delimited(path)
         assert ds.names == ("Y", "X")
         assert ds.variable("Y").levels == ("a", "b")
+
+
+class TestLoadTable:
+    """``_load_table`` is ``compress(load_delimited(...))``, field by field."""
+
+    @pytest.mark.parametrize("text, kwargs, rows", [
+        ("u,v\na,x\nb,y\na,x\n", {}, 2),
+        ("u,w\na,2\nb,1\na,2\n", {"mass_column": "w"}, 2),
+        ("u,w\na,0.5\nb,1\na,0.5\n", {"mass_column": "w"}, 3),  # row form
+        ("u,v\na,x\n__NA__,y\na,x\n", {"missing_policy": "drop-row"}, 1),
+        ("u,v\n\na,x\n\nb,y\n\n", {}, 2),  # blank lines
+        ("u,v\na,x\n a ,x\na\t, x\nb,x\n", {}, 2),  # padded variants
+        ("u,v\r\na,x\r\n\"a\",x\r\nb,y", {}, 2),  # quoted: the record path
+    ])
+    def test_equals_compressed_rows(self, tmp_path, text, kwargs, rows):
+        path = write(tmp_path, text)
+        table = _load_table(path, **kwargs)
+        expected = compress(load_delimited(path, **kwargs))
+        assert table.variables == expected.variables
+        assert [c.tolist() for c in table.codes] == [
+            c.tolist() for c in expected.codes]
+        assert table.mass.tolist() == expected.mass.tolist()
+        assert table.total_mass == expected.total_mass
+        assert table.n_rows == rows
+
+    def test_errors_equal_the_row_loader(self, tmp_path):
+        for text in ("", "u,v\n", "u,u\na,b\n", "u,v\na,x\nb\n"):
+            path = write(tmp_path, text)
+            with pytest.raises(ParseError) as table:
+                _load_table(path)
+            with pytest.raises(ParseError) as rows:
+                load_delimited(path)
+            assert (str(table.value), table.value.line) == (
+                str(rows.value), rows.value.line)
 
 
 class TestFromScenarios:

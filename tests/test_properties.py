@@ -966,6 +966,167 @@ def test_loader_matches_cell_oracle(case):
     assert ds.mass.tolist() == (masses or [1.0] * len(codes[0]))
 
 
+#: Values for raw files: padding, characters ``str.splitlines`` would
+#: split at but ``csv`` keeps, and (in quoted files) quoted fields.
+RAW_VALUES = ("a", "b", " a", "a ", "__NA__", "", "a\x85b", "a\x0bb", "\x0ca",
+              "a\x1c", "\x1cb")
+QUOTED_VALUES = ('"a"', '" a"', '"a,b"', '"__NA__"')
+LINE_ENDS = (b"\n", b"\r\n", b"\r")
+
+
+@st.composite
+def raw_files(draw):
+    """``(data, mass_column, missing_policy)``: the bytes of a delimited
+    file whose few distinct records repeat, with LF, CR LF and lone-CR line
+    ends mixed, blank lines, padded variants of one record, sometimes a
+    BOM, no final line end, bad or ragged records, a quoted field, or a
+    byte that is not UTF-8 on a repeated line."""
+    n_cols = draw(st.integers(1, 3))
+    mass_pos = draw(st.none() | st.integers(0, n_cols - 1))
+    bad = draw(st.booleans())
+    quoted = draw(st.booleans())
+    values = RAW_VALUES + QUOTED_VALUES if quoted else RAW_VALUES
+    masses = GOOD_MASSES + BAD_MASSES if bad else GOOD_MASSES
+    fields = st.tuples(*[
+        st.sampled_from(masses if j == mass_pos else values)
+        for j in range(n_cols)
+    ])
+    records = draw(st.lists(fields, min_size=1, max_size=4))
+    pool = [",".join(r).encode() for r in records]
+    pool.append(",".join(f" {v}\t" for v in records[0]).encode())  # padded
+    pool.append(b"")  # blank
+    if bad:
+        pool.append(b"a,b,c,d")  # ragged
+    lines = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=25))
+    if draw(st.booleans()) and draw(st.booleans()):  # not UTF-8, twice
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = [b"\xff" + pool[0]] * 2
+    header = ",".join(f"c{j}" for j in range(n_cols)).encode()
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines) + 1,
+                         max_size=len(lines) + 1))
+    data = b"".join(line + end for line, end in zip([header] + lines, ends))
+    if draw(st.booleans()):  # no final line end
+        data = data[:-len(ends[-1])]
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    mass_column = None if mass_pos is None else f"c{mass_pos}"
+    policy = draw(st.sampled_from(("own-category", "drop-row")))
+    return data, mass_column, policy
+
+
+class FellBack(Exception):
+    """The line path refused a file and the record path was asked for."""
+
+
+def loaded(load, path, **kwargs):
+    """``load(path, **kwargs)`` as ``(names, levels, codes, masses,
+    total)``, or its error as ``(type, message, line)``."""
+    try:
+        ds = load(path, **kwargs)
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return (ds.names, [v.levels for v in ds.variables],
+            [c.tolist() for c in ds.codes], ds.mass.tolist(), ds.total_mass)
+
+
+def refuse(*args, **kwargs):
+    raise ParseError("refused")
+
+
+def fall_back(*args, **kwargs):
+    raise FellBack
+
+
+def loaded_with(path, kwargs, block, **patches):
+    """:func:`loaded` of ``load_delimited`` with the block size ``block``
+    (``None``: unchanged) and the module functions ``patches`` replaced;
+    ``FellBack`` when :func:`fall_back` ran."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(dataset, "_BLOCK", block)
+        for name, replacement in patches.items():
+            mp.setattr(dataset, name, replacement)
+        try:
+            return loaded(load_delimited, path, **kwargs)
+        except FellBack:
+            return FellBack
+
+
+def oracle_outcome(path, **kwargs):
+    """:func:`loaded` of the cell oracle, its errors as the loader raises
+    them; a bad record as ``(ParseError, line)``."""
+    try:
+        names, levels, codes, masses = oracles.load_delimited(path, **kwargs)
+    except oracles.BadLine as bad:
+        return ParseError, bad.line
+    except UnicodeDecodeError as exc:
+        return DataError, f"{path}: not UTF-8 text ({exc.reason})", None
+    masses = masses or [1.0] * len(codes[0])
+    if sum(masses) == 0:
+        return DataError, "total mass must be positive", None
+    return tuple(names), levels, codes, masses, float(np.sum(masses))
+
+
+# a block size of 3 bytes makes lines and CR LF pairs straddle blocks
+@pytest.mark.parametrize("block", [None, 3])
+@given(raw_files())
+@example((b"u,v\r\na ,x\r\n a,x\r\n\r\n", None, "own-category"))
+@example((b"u,v\ra,x\rb\x85,y", None, "own-category"))
+@example((b"u,w\na,1\n\xffb,1\na,1\n\xffb,1\n", "w", "own-category"))
+@example((b'u,w\na,1\n"b",zz\na,1\n', "w", "own-category"))
+@settings(max_examples=300, deadline=None)
+def test_line_path_equals_record_path_and_oracle(block, case):
+    data, mass_column, policy = case
+    kwargs = dict(mass_column=mass_column, missing_policy=policy)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        got = loaded_with(path, kwargs, block)
+        by_records = loaded_with(path, kwargs, block, _scan_lines=refuse)
+        by_lines = loaded_with(path, kwargs, block, _scan_records=fall_back)
+        expected = oracle_outcome(path, **kwargs)
+    assert got == by_records
+    if expected[0] is ParseError:  # the oracle knows the line alone
+        assert (got[0], got[2]) == expected
+    else:
+        assert got == expected
+    if b'"' in data:
+        assert by_lines is FellBack
+    elif by_lines is FellBack:  # only for a file the record path refuses
+        assert isinstance(got[0], type)
+    else:
+        assert by_lines == got
+
+
+@given(raw_files())
+@settings(max_examples=200, deadline=None)
+def test_table_loader_equals_compressed_rows(case):
+    data, mass_column, policy = case
+    kwargs = dict(mass_column=mass_column, missing_policy=policy)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        table = loaded(dataset._load_table, path, **kwargs)
+        rows = loaded(lambda p, **kw: compress(load_delimited(p, **kw)),
+                      path, **kwargs)
+    assert table == rows
+
+
+@given(st.lists(st.sampled_from([b"\n", b"\r", b"\r\n", b"x", b"yz\x85"]),
+                max_size=30).map(b"".join),
+       st.integers(0, 3), st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_blocks_split_where_the_whole_does(data, start, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_BLOCK", block)
+        pieces = list(dataset._blocks(data, start))
+    assert b"".join(pieces) == data[start:]
+    assert [line for piece in pieces for line in piece.splitlines()] == (
+        data[start:].splitlines())
+
+
 # -- compression ---------------------------------------------------------------
 
 
