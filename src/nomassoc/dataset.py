@@ -583,10 +583,17 @@ class CompositeVariable:
 #: while that table has at most this many slots per row (plus
 #: ``_SMALL_SLOTS``); a wider key range, such as two high-cardinality
 #: variables, is ranked by a sort, whose memory follows the rows alone.
-#: :func:`_count` keeps to the same bound, so a table of few rows, such as
-#: a bootstrap resample's, is never counted over many more slots than rows.
+#: :func:`_count` keeps to the same bound (:func:`_dense`), so a table of
+#: few rows, such as a bootstrap resample's, is never counted over many
+#: more slots than rows.
 _SLOTS_PER_ROW = 16
 _SMALL_SLOTS = 1 << 12
+
+
+def _dense(slots: int, rows: int) -> bool:
+    """Whether a table of ``slots`` key slots over ``rows`` rows is counted
+    densely rather than ranked by a sort."""
+    return slots <= _SLOTS_PER_ROW * rows + _SMALL_SLOTS
 
 
 def _pair(
@@ -604,7 +611,7 @@ def _pair(
     key = key * card
     key += codes
     slots = cells * card
-    if slots > _SLOTS_PER_ROW * len(key) + _SMALL_SLOTS:
+    if not _dense(slots, len(key)):
         occupied, key = np.unique(key, return_inverse=True)
         return key, occupied
     seen = np.zeros(slots, dtype=bool)
@@ -672,6 +679,13 @@ def _joint_codes(
     (:func:`_pair`).  Codes are compacted after every step, so the key
     range stays below ``cells * cardinality``; memory is the n-row int64
     key plus one byte of occupancy and one int64 remap entry per key slot.
+
+    Pairing stops once a step leaves ``cells == n``: every row then has its
+    own tuple, so ``key`` is a permutation of ``[0, n)``, and a later step,
+    which orders slots by key first, would number each row by its key
+    again and keep ``cells``.  The result is the same to the bit.  The check
+    comes only after a pairing: before it, ``cells`` is the first member's
+    cardinality, which ``n`` codes may reach without being distinct.
     """
     key = dataset.codes[indices[0]]
     cells = dataset.variables[indices[0]].cardinality
@@ -680,6 +694,8 @@ def _joint_codes(
             key, cells, dataset.codes[idx], dataset.variables[idx].cardinality
         )
         cells = len(occupied)
+        if cells == len(key):
+            break
     return key, cells
 
 
@@ -705,7 +721,7 @@ def _count(
     read-only.
     """
     occupied = None
-    if slots * n_target > _SLOTS_PER_ROW * len(key) + _SMALL_SLOTS:
+    if not _dense(slots * n_target, len(key)):
         key, occupied = _pair(key, slots, 0, 1)
         slots = len(occupied)
     if target is not None:  # in place: the hot loop's key is not copied

@@ -395,6 +395,9 @@ def verify_basis(
     of positive-mass cells, since every cell of ``S`` meets at least one
     level of ``v`` and a sum of non-negative masses is positive exactly
     when one of them is.  The counts are integers, so no tolerance enters.
+    The basis is paired once; each candidate's cells are then counted with
+    one ``bincount`` over the key ``basis tuple * card + code``, whose
+    positive-mass slots are the cells of the basis with ``v`` added.
     """
     basis_idx = [dataset.index_of(b) for b in basis]
     if not basis_idx:
@@ -417,10 +420,18 @@ def verify_basis(
                               for _, _, loo_value in loo)
         determinism = None
     else:
+        key, cells = _joint_codes(dataset, sorted(basis_idx))
+        weights = None if dataset.unit_mass else dataset.mass
+
+        def is_determined(v: int) -> bool:
+            card = dataset.variables[v].cardinality
+            pairs = key * card
+            pairs += dataset.codes[v]
+            return basis_cells == len(
+                _count(pairs, cells * card, None, 1, weights)[1])
+
         determinism = tuple(
-            (v, v in basis_idx
-             or basis_cells == _measure(dataset, score, basis_idx + [v])[0])
-            for v in cand
+            (v, v in basis_idx or is_determined(v)) for v in cand
         )
         achieves = all(determined for _, determined in determinism)
         irredundant = not any(cells == basis_cells for _, cells, _ in loo)

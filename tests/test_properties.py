@@ -444,6 +444,92 @@ def test_wide_key_ranges_match_dict_oracle():
     check_against_oracle(ds, [0, 2], [2, 0])
 
 
+# -- pairing stops once every row is its own cell -----------------------------
+
+
+def pair_every_member(ds, members):
+    """``(key, cells)`` of ``_joint_codes`` with no stop: every member after
+    the first is paired onto the codes so far."""
+    key = ds.codes[members[0]]
+    cells = ds.variables[members[0]].cardinality
+    for idx in members[1:]:
+        key, occupied = dataset._pair(key, cells, ds.codes[idx],
+                                      ds.variables[idx].cardinality)
+        cells = len(occupied)
+    return key, cells
+
+
+@st.composite
+def nearly_distinct(draw, max_rows=30):
+    """A dataset whose rows are often all distinct after a few members:
+    columns with as many levels as rows (a permutation, so the first pair
+    can saturate, or repeated codes), few levels, or 80 levels (two of
+    them are too wide to count, so the pair is ranked); masses with zeros,
+    the dataset compressed or not; and a sorted member set."""
+    n_rows = draw(st.integers(1, max_rows))
+    columns, cards = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["permutation", "rows", "few", "wide"]))
+        if kind == "permutation":
+            card, codes = n_rows, draw(st.permutations(range(n_rows)))
+        else:
+            card = (n_rows if kind == "rows" else 80 if kind == "wide"
+                    else draw(st.integers(1, 3)))
+            codes = draw(st.lists(st.integers(0, card - 1), min_size=n_rows,
+                                  max_size=n_rows))
+        columns.append(list(codes))
+        cards.append(card)
+    masses = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 0.5]),
+                           min_size=n_rows, max_size=n_rows))
+    masses[0] = masses[0] or 1.0  # total mass must be positive
+    metas = [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
+             for v, card in enumerate(cards)]
+    ds = CategoricalDataset(metas, [np.asarray(c) for c in columns],
+                            np.asarray(masses))
+    if draw(st.booleans()):
+        ds = compress(ds)  # unchanged when a mass is 0.5
+    members = draw(st.lists(st.integers(0, len(cards) - 1), min_size=1,
+                            max_size=len(cards), unique=True))
+    return ds, sorted(members)
+
+
+#: A has 3 levels over 3 rows but repeats a code: a stop before the first
+#: pairing would keep A's codes and merge rows 0 and 1.
+REPEATED_FIRST_MEMBER = CategoricalDataset(
+    [VariableMeta("A", ("0", "1", "2")), VariableMeta("B", ("0", "1"))],
+    [np.array([0, 0, 1]), np.array([1, 0, 0])],
+)
+
+
+@given(nearly_distinct() | composites().map(lambda case: case[:2]))
+@example((REPEATED_FIRST_MEMBER, [0, 1]))
+@example((FOUR_MEMBERS, [0, 1, 2, 4]))
+@settings(max_examples=300, deadline=None)
+def test_joint_codes_stop_matches_pairing_every_member(case):
+    ds, members = case
+    key, cells = _joint_codes(ds, members)
+    want_key, want_cells = pair_every_member(ds, members)
+    assert np.array_equal(key, want_key)
+    assert key.dtype == want_key.dtype
+    assert cells == want_cells
+
+
+def test_joint_codes_stop_after_the_first_saturating_pair():
+    key, cells = _joint_codes(REPEATED_FIRST_MEMBER, [0, 1])
+    assert key.tolist() == [1, 0, 2] and cells == 3
+    # V0 and V1 pair into 6 distinct rows; V2 and V3 are never paired
+    ds = CategoricalDataset(
+        [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
+         for v, card in enumerate((2, 3, 2, 2))],
+        [np.array(c) for c in ([0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2],
+                               [0, 1, 0, 1, 0, 1], [1, 1, 0, 0, 1, 1])],
+    )
+    with mock.patch.object(dataset, "_pair", wraps=dataset._pair) as pair:
+        key, cells = _joint_codes(ds, [0, 1, 2, 3])
+    assert pair.call_count == 1
+    assert key.tolist() == list(range(6)) and cells == 6
+
+
 # -- greedy selection's fused candidate tables --------------------------------
 
 
