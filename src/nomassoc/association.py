@@ -25,8 +25,11 @@ The lift and weighted-sum formulas exist once, in private helpers that
 ``_tau`` chains them on a bare ``(cells, n_y)`` mass array, with every
 check and warning of the public route and with no table or vector object,
 for callers that evaluate many small tables: greedy selection and the
-bootstrap's cell counts.  :func:`goodman_kruskal_tau` keeps its own
-classical form as an independent reference.
+bootstrap's cell counts.  ``_taus`` runs the same helpers over a block of
+tables at once, for the bootstrap, and leaves to ``_tau`` every table
+that needs a warning, an error, a clamp or a rounding bound.
+:func:`goodman_kruskal_tau` keeps its own classical form as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ from .errors import DataError, DroppedLevelsWarning
 CLAMP_TOL = 1e-12
 #: Required agreement of association-matrix row sums with 1.
 ROW_SUM_TOL = 1e-9
+#: Required agreement of the two accuracy-lift forms (see ``_lifts``).
+_FORMS_TOL = 1e-12
 
 
 def _clamp_unit(values: np.ndarray, what: str, rounding=None) -> np.ndarray:
@@ -86,7 +91,7 @@ class MarginalStats:
         if p.min() < -CLAMP_TOL or abs(p.sum() - 1.0) > 1e-9:
             raise DataError("marginal must be a probability vector")
         p = np.clip(p, 0.0, 1.0)
-        return cls(p=p, gini_variation=float(1.0 - np.sum(p * p)))
+        return cls(p=p, gini_variation=float(_gini(p)))
 
     @property
     def n_levels(self) -> int:
@@ -192,7 +197,7 @@ class AssociationVector:
     def stats(self) -> MarginalStats:
         """Marginal statistics over the retained levels."""
         p = np.asarray(self.y_marginal, dtype=np.float64)
-        return MarginalStats(p=p, gini_variation=float(1.0 - np.sum(p * p)))
+        return MarginalStats(p=p, gini_variation=float(_gini(p)))
 
 
 @dataclass(frozen=True)
@@ -300,36 +305,68 @@ def _prepared(mass: np.ndarray, y_name: str, y_labels: Sequence[str]):
     return kept, x_mass, total, keep
 
 
+def _column_sums(levels_by_rows: np.ndarray, x_mass: np.ndarray) -> np.ndarray:
+    """``col[..., s] = sum_i M[i, s]^2 / Mx[i]`` of tables given level by
+    level, ``(..., levels, rows)``, and their row sums ``(..., rows)``.
+
+    The matrix diagonal is ``col[s] / My[s]``.  Each sum runs along the
+    last axis, so over one table's rows as laid out in memory: in numpy's
+    pairwise order when they are contiguous, as for a table from
+    :func:`_prepared` (its kept columns, transposed) or a C-ordered block of
+    tables of one row count.  Over tables stacked row after row,
+    ``np.add.reduceat`` sums in another order and changes the last bit of
+    a large share of the values.
+    """
+    squares = levels_by_rows * levels_by_rows
+    squares /= x_mass[..., None, :]
+    return squares.sum(axis=-1)
+
+
+def _lift_forms(col, y_mass, p, total):
+    """``(q, lift, alt)`` of levels with column sums ``col``, masses
+    ``y_mass`` and marginals ``p`` below 1, of tables of total ``total``:
+    ``q = 1 - p``, the accuracy lift ``(col / My - p) / q`` and its
+    independent second-moment form ``(col / total - p^2) / (p q)``,
+    element by element over any leading table axes."""
+    q = 1.0 - p
+    lift = (col / y_mass - p) / q
+    alt = (col / total - p * p) / (p * q)
+    return q, lift, alt
+
+
+def _gini(p: np.ndarray):
+    """Gini variation ``1 - sum(p^2)`` over the last axis of ``p``."""
+    return 1.0 - (p * p).sum(axis=-1)
+
+
 def _lifts(kept: np.ndarray, x_mass: np.ndarray, total: float):
     """``(definable, p, lift)`` of a table from :func:`_prepared`.
 
     ``definable`` holds the positions, among the kept levels, of those with
     marginal below 1, ``p`` their marginals and ``lift`` their accuracy
-    lifts, checked against the second-moment form and clamped to [0, 1].
+    lifts (:func:`_lift_forms`), checked against the second-moment form
+    and clamped to [0, 1].
 
-    The forms must agree to 1e-12, and the lifts lie within ``CLAMP_TOL``
-    of [0, 1], or else within their rounding: each form sums ``kept.size``
-    terms at most, good to that many units of float64 eps relative
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002), and
-    divides by ``p * (1 - p)``, which amplifies the error for a rare or a
-    dominant level.  That bound is worked out only when a fixed one fails.
+    The forms must agree to ``_FORMS_TOL``, and the lifts lie within
+    ``CLAMP_TOL`` of [0, 1], or else within their rounding: each form sums
+    ``kept.size`` terms at most, good to that many units of float64 eps
+    relative (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002), and divides by ``p * (1 - p)``, which amplifies the error for a
+    rare or a dominant level.  That bound is worked out only when a fixed
+    one fails.
     """
     y_mass = kept.sum(axis=0)
     p = y_mass / total
-    # col[s] = sum_i M[i,s]^2 / Mx[i]; the matrix diagonal is col[s] / My[s]
-    col = ((kept * kept) / x_mass[:, None]).sum(axis=0)
+    col = _column_sums(kept.T, x_mass)
     definable = (p < 1.0).nonzero()[0]
     if len(definable) < len(p):
         p, col, y_mass = p[definable], col[definable], y_mass[definable]
-    q = 1.0 - p
-    lift = (col / y_mass - p) / q
-    # independent second-moment route
-    alt = (col / total - p * p) / (p * q)
+    q, lift, alt = _lift_forms(col, y_mass, p, total)
 
     def rounding():
         return np.finfo(np.float64).eps * kept.size / (p * q)
 
-    if lift.size and np.abs(lift - alt).max() > 1e-12:
+    if lift.size and np.abs(lift - alt).max() > _FORMS_TOL:
         if np.any(np.abs(lift - alt) > rounding()):
             raise DataError(
                 "association-vector formulas disagree beyond 1e-12 and "
@@ -364,8 +401,83 @@ def _tau(
     _known_scheme(weights)
     kept, x_mass, total, _ = _prepared(mass, y_name, y_labels)
     _, p, lift = _lifts(kept, x_mass, total)
-    gini = float(1.0 - (p * p).sum())
+    gini = float(_gini(p))
     return _weighted(_weight_array(weights, p, gini), lift)
+
+
+def _taus(
+    mass: np.ndarray, sizes: np.ndarray, weights: Union[str, WeightVector]
+) -> np.ndarray:
+    """:func:`_tau` of each of many tables, NaN where it is not settled.
+
+    ``mass`` stacks the tables row after row, ``sizes[t]`` rows for table
+    ``t``, every row of positive mass, as :func:`~nomassoc.dataset._count`
+    lists a table's cells; ``weights`` is a known scheme or a
+    :class:`WeightVector`.  A table's value is NaN when :func:`_tau` would
+    warn about it, refuse it or clamp a value of it, or when only the
+    rounding bounds of :func:`_lifts` and :func:`_simplex` would accept it:
+    a level of zero mass or of marginal 1, lift forms apart by more than
+    ``_FORMS_TOL``, a lift or a weighted value outside [0, 1], weights that
+    do not fit the levels or do not sum to 1 within ``CLAMP_TOL``.  No
+    warning is raised; evaluate such a table with :func:`_tau`.  Every
+    other value equals :func:`_tau`'s to the bit.
+
+    The tables are grouped by row count, and each group is laid out level
+    by level as one C-ordered ``(tables, levels, rows)`` array, so that
+    each sum runs over one table's values in the order :func:`_tau` sums
+    them (:func:`_column_sums`).  The weighted sum is one ``np.dot`` per
+    table: a row sum of ``w * lift``, or ``einsum``, rounds differently.
+    """
+    n_y = mass.shape[1]
+    out = np.full(len(sizes), np.nan)
+    if isinstance(weights, WeightVector) and weights.size != n_y:
+        return out
+    x_all = mass.sum(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows in np.unique(sizes[sizes > 0]):
+            tables = np.flatnonzero(sizes == rows)
+            at = (starts[tables, None] + np.arange(rows)).ravel()
+            group = mass[at].reshape(len(tables), rows, n_y)
+            # as float(mass.sum()): one pairwise sum over the table in C order
+            total = group.reshape(len(tables), -1).sum(axis=1)[:, None]
+            out[tables] = _group_taus(
+                group.transpose(0, 2, 1).copy(),
+                x_all[at].reshape(len(tables), rows), total, weights,
+            )
+    return out
+
+
+def _group_taus(kept, x_mass, total, weights) -> np.ndarray:
+    """:func:`_taus` of the tables ``kept``, ``(tables, levels, rows)``
+    C-ordered, with row sums ``x_mass`` and totals ``total`` (``(tables,
+    1)``)."""
+    y_mass = kept.sum(axis=-1)
+    p = y_mass / total
+    _, lift, alt = _lift_forms(_column_sums(kept, x_mass), y_mass, p, total)
+    settled = (
+        (y_mass > 0) & (p < 1.0) & (np.abs(lift - alt) <= _FORMS_TOL)
+        & (lift >= 0.0) & (lift <= 1.0)
+    ).all(axis=1)
+    if isinstance(weights, WeightVector):
+        w = weights.weights
+    else:
+        if weights == "gk":
+            gini = _gini(p)
+            settled &= gini > 0
+            w = _gk_weights(p, gini[:, None])
+        elif weights == "equal":
+            w = _equal_weights(p.shape[1])
+        else:
+            w = _invprob_weights(p)
+        settled &= (w.min(axis=-1) >= 0) & (
+            np.abs(w.sum(axis=-1) - 1.0) <= CLAMP_TOL
+        )
+    w = np.broadcast_to(w, lift.shape)
+    values = np.full(len(lift), np.nan)
+    for t in np.flatnonzero(settled):
+        values[t] = np.dot(w[t], lift[t])
+    return np.where((values >= 0.0) & (values <= 1.0), values, np.nan)
 
 
 def association_matrix(table: ContingencyTable) -> AssociationMatrix:
@@ -462,16 +574,14 @@ def goodman_kruskal_tau(table: ContingencyTable) -> float:
 
 # -- weight schemes -----------------------------------------------------------
 
-_NO_LEVELS = "no response level has marginal strictly inside (0, 1)"
+_ONE_LEVEL = (
+    "weighted association undefined: the response has one level of "
+    "positive mass"
+)
 
 
-def _gk_weights(p: np.ndarray, gini: float) -> np.ndarray:
-    if not p.size:
-        raise DataError(
-            f"variation-proportional weights undefined: {_NO_LEVELS}"
-        )
-    if gini <= 0:
-        raise DataError("variation-proportional weights undefined: point mass")
+def _gk_weights(p: np.ndarray, gini) -> np.ndarray:
+    """``p (1 - p) / gini``, over the last axis of ``p``."""
     return p * (1.0 - p) / gini
 
 
@@ -482,15 +592,9 @@ def _equal_weights(n_levels: int) -> np.ndarray:
 
 
 def _invprob_weights(p: np.ndarray) -> np.ndarray:
-    if not p.size:
-        raise DataError(f"inverse-probability weights undefined: {_NO_LEVELS}")
-    if p.min() <= 0:
-        raise DataError(
-            "inverse-probability weights undefined for zero-probability "
-            "levels; re-code the response to eliminate them"
-        )
+    """``1 / p`` normalised over the last axis of ``p``."""
     raw = 1.0 / p
-    return raw / raw.sum()
+    return raw / raw.sum(axis=-1, keepdims=True)
 
 
 def goodman_kruskal_weights(stats: MarginalStats) -> WeightVector:
@@ -505,7 +609,7 @@ def equal_weights(n_levels: int) -> WeightVector:
 
 def inverse_probability_weights(stats: MarginalStats) -> WeightVector:
     """Weights proportional to ``1 / p_s``, emphasising rare categories."""
-    return WeightVector(weights=_invprob_weights(stats.p), regular=True)
+    return resolve_weights("invprob", stats)
 
 
 #: Named weight schemes accepted wherever a WeightVector is expected.
@@ -516,7 +620,15 @@ def _weight_array(
     spec: Union[str, WeightVector], p: np.ndarray, gini: float
 ) -> np.ndarray:
     """The weights ``spec`` gives a response with marginal ``p`` and Gini
-    variation ``gini``, checked as :class:`WeightVector` checks them."""
+    variation ``gini``, checked as :class:`WeightVector` checks them.
+
+    From :func:`_lifts`, ``p`` covers the levels with marginal strictly
+    inside (0, 1): it is empty exactly when the response has one level of
+    positive mass, which every weighting refuses with one message.
+    """
+    _known_scheme(spec)
+    if not p.size:
+        raise DataError(_ONE_LEVEL)
     if isinstance(spec, WeightVector):
         if spec.size != len(p):
             raise DataError(
@@ -525,14 +637,19 @@ def _weight_array(
             )
         return spec.weights
     if spec == "gk":
+        if gini <= 0:
+            raise DataError(
+                "variation-proportional weights undefined: point mass"
+            )
         return _simplex(_gk_weights(p, gini), gini)
     if spec == "equal":
-        w = _equal_weights(len(p))
-    elif spec == "invprob":
-        w = _invprob_weights(p)
-    else:
-        raise _unknown_scheme(spec)
-    return _simplex(w)
+        return _simplex(_equal_weights(len(p)))
+    if p.min() <= 0:
+        raise DataError(
+            "inverse-probability weights undefined for zero-probability "
+            "levels; re-code the response to eliminate them"
+        )
+    return _simplex(_invprob_weights(p))
 
 
 def _unknown_scheme(spec) -> DataError:

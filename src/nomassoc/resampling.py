@@ -32,6 +32,19 @@ table :func:`~nomassoc.dataset.contingency` builds from a composite of the
 same rows, entry for entry.  The summary is therefore bit-identical to
 bootstrapping a row statistic built from
 :func:`~nomassoc.association.tau_for`.
+
+The bootstrap evaluates that body over blocks of iterations, about
+``_BLOCK_ROWS`` drawn rows each, so its memory does not grow with the
+iteration count.  A block's resamples are drawn as one at a time would
+draw them, each from its own seed.  Each set's tables of the whole block
+come from one ``_count`` over the key ``resample * cells + cell``, which
+lists them resample by resample (a key too wide to count densely is
+ranked first, as for one resample), and their taus from one
+:func:`~nomassoc.association._taus` pass, equal to one tau at a time to
+the bit.  That pass settles only what needs no warning, no error and no
+clamp; every iteration it leaves unsettled runs as an iteration alone
+does, redraw included, in iteration order, so the warnings, redraws,
+failures and errors come out as before.
 """
 
 from __future__ import annotations
@@ -41,7 +54,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .association import WeightVector, _known_scheme, _tau
+from .association import WeightVector, _known_scheme, _tau, _taus
 from .dataset import CategoricalDataset, VarRef, _count, _joint_codes
 from .errors import DataError, NomassocError
 
@@ -64,6 +77,12 @@ class BootstrapSummary:
     def __post_init__(self):
         if not self.ci_low <= self.ci_high:
             raise DataError("confidence interval bounds are out of order")
+
+
+#: Drawn rows per block of bootstrap iterations: a reduction statistic
+#: counts a block's resamples and computes their taus together (see the
+#: module docstring).
+_BLOCK_ROWS = 1 << 16
 
 
 def _stratum_sizes(counts: np.ndarray, sample_size: int) -> np.ndarray:
@@ -94,8 +113,8 @@ def bootstrap(
     level vanishing from the resample) is redrawn once with a fresh derived
     seed, then counted as failed; more than 5% failures abort.  A statistic
     from :func:`make_reduction_statistic` has its arguments checked against
-    ``dataset`` before the first draw, and is evaluated on the resample's
-    cell counts (see the module docstring).
+    ``dataset`` before the first draw, and is evaluated on the resamples'
+    cell counts, a block of resamples at a time (see the module docstring).
     """
     if iterations < 1:
         raise DataError("iterations must be positive")
@@ -124,9 +143,19 @@ def bootstrap(
 
     if isinstance(statistic, _ReductionStatistic):
         evaluate = statistic.on_cells(dataset)
+        settle = evaluate.block
+
+        def estimate() -> float:  # statistic(dataset), on the same cells
+            return evaluate(np.arange(dataset.n_rows))
     else:
         def evaluate(picks: np.ndarray) -> float:
             return statistic(dataset.take(picks))
+
+        def settle(picks: np.ndarray) -> np.ndarray:
+            return np.full(len(picks), np.nan)  # each runs alone, on rows
+
+        def estimate() -> float:
+            return statistic(dataset)
 
     children = np.random.SeedSequence(seed).spawn(iterations)
 
@@ -138,19 +167,30 @@ def bootstrap(
         ]
         return np.concatenate(picks)
 
-    values = []
-    failures = 0
-    for child in children:
+    def iteration(child: np.random.SeedSequence, picks: np.ndarray):
+        """The statistic on the resample ``picks`` drawn from ``child``,
+        redrawn once on a data error; ``None`` when both draws fail."""
         try:
-            values.append(float(evaluate(draw(np.random.default_rng(child)))))
-            continue
+            return float(evaluate(picks))
         except NomassocError:
             pass
         retry = child.spawn(1)[0]
         try:
-            values.append(float(evaluate(draw(np.random.default_rng(retry)))))
+            return float(evaluate(draw(np.random.default_rng(retry))))
         except NomassocError:
-            failures += 1
+            return None
+
+    values = []
+    step = max(1, _BLOCK_ROWS // sample_size)
+    for start in range(0, iterations, step):
+        block = children[start:start + step]
+        picks = np.stack([draw(np.random.default_rng(c)) for c in block])
+        for child, rows, value in zip(block, picks, settle(picks)):
+            # NaN: not settled by the block, so run as one iteration
+            values.append(float(value) if value == value
+                          else iteration(child, rows))
+    values = [value for value in values if value is not None]
+    failures = iterations - len(values)
     if failures > 0.05 * iterations:
         raise DataError(
             f"{failures}/{iterations} bootstrap iterations failed; "
@@ -161,7 +201,7 @@ def bootstrap(
         values, [(1 - confidence) / 2, (1 + confidence) / 2]
     )
     return BootstrapSummary(
-        point_estimate=float(statistic(dataset)),
+        point_estimate=float(estimate()),
         mean=float(values.mean()),
         ci_low=float(lo),
         ci_high=float(hi),
@@ -230,12 +270,18 @@ class _ReductionStatistic:
         self, dataset: CategoricalDataset
     ) -> Callable[[np.ndarray], float]:
         """The statistic on the resample of ``dataset`` made of rows
-        ``picks``, as a function of ``picks``, from cell counts.
+        ``picks``, as a function of ``picks``, from cell counts.  Its
+        ``block(picks)`` takes one resample per row of ``picks`` and gives
+        the statistic of each, NaN where the block does not settle it.
 
         Raises at once if the arguments define no reduction on ``dataset``.
         Numbers each row's cell of the full set and of the subset, once;
         a call then counts the drawn rows' cells against the response,
         adding up the rows' masses (plain counts when every mass is 1).
+        A block is counted with one ``_count`` per set, its resamples'
+        tables kept apart by the key ``resample * cells + cell``, and its
+        taus come from one :func:`~nomassoc.association._taus` per set,
+        NaN wherever ``statistic`` could warn, raise or clamp.
         """
         y_idx, sub, full = _reduction_members(
             dataset, self.response, self.subset, self.full_set
@@ -248,11 +294,18 @@ class _ReductionStatistic:
         sub_cells = _joint_codes(dataset, sub)
         full_cells = _joint_codes(dataset, full)
 
-        def tau(cells: tuple[np.ndarray, int], picks: np.ndarray):
+        def table(cells: tuple[np.ndarray, int], picks: np.ndarray):
             key, n_cells = cells
-            table = _count(key[picks], n_cells, y_codes[picks], y.cardinality,
-                           None if mass is None else mass[picks])[0]
-            return _tau(table, weights, y.name, y.levels)
+            key = key[picks]
+            if picks.ndim == 2:  # a block: resample r's cells from r * cells
+                key += n_cells * np.arange(len(picks))[:, None]
+                n_cells *= len(picks)
+                picks = picks.ravel()
+            return _count(key.ravel(), n_cells, y_codes[picks], y.cardinality,
+                          None if mass is None else mass[picks])
+
+        def tau(cells: tuple[np.ndarray, int], picks: np.ndarray):
+            return _tau(table(cells, picks)[0], weights, y.name, y.levels)
 
         def statistic(picks: np.ndarray) -> float:
             denom = tau(full_cells, picks)  # the full set's first
@@ -262,6 +315,17 @@ class _ReductionStatistic:
                 )
             return 100.0 * tau(sub_cells, picks) / denom
 
+        def taus(cells: tuple[np.ndarray, int], picks: np.ndarray):
+            counts, keys = table(cells, picks)
+            sizes = np.bincount(keys // cells[1], minlength=len(picks))
+            return _taus(counts, sizes, weights)
+
+        def block(picks: np.ndarray) -> np.ndarray:
+            denom = taus(full_cells, picks)
+            denom[denom == 0] = np.nan  # no reduction: left to statistic
+            return 100.0 * taus(sub_cells, picks) / denom
+
+        statistic.block = block
         return statistic
 
 

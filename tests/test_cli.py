@@ -76,6 +76,22 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_one_level_response_has_one_reason_for_every_scheme(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "one.csv"
+        path.write_text("Y,X\na,p\na,q\n", encoding="utf-8")
+        reasons = {}
+        for weights in ("gk", "equal", "invprob"):
+            code = dispatch(["tau", "--response", "Y", "--given", "X",
+                             "--weights", weights, str(path)])
+            assert code == 2
+            reasons[weights] = capsys.readouterr().err
+        assert set(reasons.values()) == {
+            "data error: weighted association undefined: the response has "
+            "one level of positive mass\n"
+        }
+
     def test_misconfigured_bootstrap_reports_the_cause(
         self, capsys, screening_file
     ):

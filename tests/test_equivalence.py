@@ -357,6 +357,29 @@ OVERLAPPING_DIGEST = (
 )
 
 
+#: What every weight scheme now says of a response with one level of
+#: positive mass.  When ``LADDER_DIGEST`` was pinned, each scheme named it
+#: its own way (:func:`one_level_when_pinned`, by the case's ``alpha``);
+#: the digest keeps those texts, and ``ONE_LEVEL_LINES`` lines carry it.
+ONE_LEVEL = ("weighted association undefined: the response has one level "
+             "of positive mass")
+ONE_LEVEL_LINES = 300
+
+
+def one_level_when_pinned(alpha):
+    """The text ``ONE_LEVEL`` replaced for a case weighted by ``alpha``."""
+    if isinstance(alpha, tuple):
+        return (f"weight vector has {len(alpha)} components, response has "
+                "0 levels")
+    undefined = "no response level has marginal strictly inside (0, 1)"
+    return {
+        None: f"variation-proportional weights undefined: {undefined}",
+        "gk": f"variation-proportional weights undefined: {undefined}",
+        "invprob": f"inverse-probability weights undefined: {undefined}",
+        "equal": "need at least one response level",
+    }[alpha]
+
+
 def overlapping(case):
     """Whether the references of a ``ladder_case`` share a member without
     being equal."""
@@ -370,6 +393,10 @@ def test_ladder_outputs_match_pinned_digest():
     assert {i for i, case in enumerate(raw) if overlapping(case)} == (
         OVERLAPPING_REFERENCES)
     cases = [ladder_lines(nm, case) for case in raw]
+    assert sum(ONE_LEVEL in line for case in cases for line in case) == (
+        ONE_LEVEL_LINES)
+    cases = [[line.replace(ONE_LEVEL, one_level_when_pinned(case[-1]))
+              for line in lines] for case, lines in zip(raw, cases)]
     mutual = [cases[i][j] for i in sorted(OVERLAPPING_REFERENCES)
               for j in MUTUAL_LINES]
     assert OVERLAP_ERROR not in mutual

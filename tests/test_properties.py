@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from nomassoc import (
@@ -38,8 +38,8 @@ from nomassoc import (
     verify_basis,
     weighted_tau,
 )
-from nomassoc import dataset, resampling, selection
-from nomassoc.association import _tau
+from nomassoc import association, dataset, resampling, selection
+from nomassoc.association import _tau, _taus
 from nomassoc.dataset import (
     _candidate_table,
     _count,
@@ -893,6 +893,98 @@ def test_wide_resample_tables_are_ranked_and_match_dict_oracle():
     assert paths.fallbacks == 1
     assert tables == [oracle_table(ds, [1, 2], 0, picks),
                       oracle_table(ds, [1], 0, picks)]
+
+
+@st.composite
+def count_blocks(draw, max_tables=6, max_levels=4):
+    """Unit-count tables of one response, stacked as one ``_count`` of a
+    bootstrap block lists them: 1 to 40 rows each, every row of positive
+    mass, some with dropped levels, a dominant level or a single level."""
+    n_y = draw(st.integers(1, max_levels))
+    tables = []
+    for _ in range(draw(st.integers(1, max_tables))):
+        rows = draw(st.sampled_from([1, 7, 8, 9, 16, 17, 40])
+                    | st.integers(1, 40))
+        mass = np.asarray(draw(st.lists(
+            st.lists(st.integers(0, 9), min_size=n_y, max_size=n_y),
+            min_size=rows, max_size=rows)), dtype=np.float64)
+        shape = draw(st.sampled_from(["plain", "dropped", "dominant", "one"]))
+        if shape == "dropped":
+            mass[:, draw(st.integers(0, n_y - 1))] = 0.0
+        elif shape == "dominant":
+            mass[:, 0] *= draw(st.sampled_from([1e3, 1e6]))
+        elif shape == "one":
+            mass[:, 1:] = 0.0
+        mass[mass.sum(axis=1) == 0, 0] = 1.0  # rows of positive mass
+        tables.append(mass)
+    weights = draw(st.sampled_from(["gk", "equal", "invprob"])
+                   | st.integers(1, max_levels).map(
+                       lambda k: WeightVector.from_raw(np.arange(1.0, k + 1.0))))
+    return tables, weights
+
+
+def scalar_tau(mass, weights):
+    """``_tau`` of one table as ``(value or error, warnings, loose)``;
+    ``loose`` tells whether it clamped a value, or accepted lift forms or
+    weights only within their rounding bounds, beyond a fixed tolerance."""
+    loose = []
+    forms, clamp_unit = association._lift_forms, association._clamp_unit
+    clamp_scalar, simplex = association._clamp_scalar, association._simplex
+
+    def checked_forms(*args):
+        q, lift, alt = forms(*args)
+        loose.append(np.abs(lift - alt).max(initial=0.0) > 1e-12)
+        return q, lift, alt
+
+    def checked_unit(values, *args):
+        loose.append(values.min(initial=0.0) < 0 or values.max(initial=1.0) > 1)
+        return clamp_unit(values, *args)
+
+    def checked_scalar(value, *args):
+        loose.append(not 0.0 <= value <= 1.0)
+        return clamp_scalar(value, *args)
+
+    def checked_simplex(w, *args):
+        loose.append(w.min() < 0 or abs(w.sum() - 1.0) > 1e-12)
+        return simplex(w, *args)
+
+    with mock.patch.multiple(association, _lift_forms=checked_forms,
+                             _clamp_unit=checked_unit,
+                             _clamp_scalar=checked_scalar,
+                             _simplex=checked_simplex):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                value = _tau(mass, weights, "Y", "abcd")
+            except DataError as exc:
+                value = str(exc)
+    return value, caught, any(loose)
+
+
+@given(count_blocks())
+@example(([np.array([[1e6, 1.0], [3e6, 0.0]])] * 2, "gk"))
+@example(([np.array([[6.0, 0.0, 3.0], [8.0, 1.0, 3.0], [8.0, 1.0, 3.0]])],
+          "gk"))  # the first lift is -3.3e-16, so _tau clamps it to 0
+@settings(max_examples=300, deadline=None)
+def test_batched_taus_equal_tau_table_by_table(case):
+    # a table the batch settles has _tau's value to the bit; a table it
+    # leaves NaN is one that _tau warns on, refuses, clamps or accepts
+    # only within a rounding bound
+    tables, weights = case
+    sizes = np.array([len(t) for t in tables])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the batch itself never warns
+        values = _taus(np.concatenate(tables), sizes, weights)
+    assert values.shape == (len(tables),)
+    for mass, value in zip(tables, values):
+        expected, caught, loose = scalar_tau(mass, weights)
+        event("raises" if isinstance(expected, str) else
+              "warns" if caught else "loose" if loose else "clean")
+        if np.isnan(value):
+            assert isinstance(expected, str) or caught or loose
+        else:
+            assert not caught and not loose
+            assert value == expected
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from nomassoc import (
     reduction_statistic,
     tau_for,
 )
+from nomassoc import dataset, resampling
 
 FULL = ("X1", "X2", "R3", "R4", "S5")
 
@@ -342,6 +344,106 @@ class TestCellCounts:
         oracle = row_oracle("Y", ["X1", "X2"], FULL)
         rows = outcome_and_warnings(lambda: bootstrap(ds, oracle, **kwargs))
         assert cells == rows
+
+    @pytest.mark.parametrize("iterations, seed, redrawn, failed", [
+        # blocks of 10 iterations: 1, block - 1, block, block + 1 and
+        # 2 * block + 3 iterations, redrawn on a block's first iteration
+        # (0) and on its last (9), with one failure, then with the two
+        # failures that abort 23 iterations
+        (1, 33, [0], []),
+        (9, 33, [0, 4, 8], [4]),
+        (10, 33, [0, 4, 8, 9], [4]),
+        (11, 33, [0, 4, 8, 9], [4]),
+        (23, 33, [0, 4, 8, 9], [4]),
+        (23, 1, [2, 6, 11, 18], [2, 18]),
+    ])
+    def test_block_boundaries_equal_row_resamples(
+        self, screening_500, iterations, seed, redrawn, failed
+    ):
+        stat = make_reduction_statistic("Y", ["X1"], FULL)
+        kwargs = dict(iterations=iterations, sample_size=6, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resampling, "_BLOCK_ROWS", 60)  # 10 resamples of 6
+            mp.setattr(CategoricalDataset, "take", None)  # no row resamples
+            cells = outcome_and_warnings(
+                lambda: bootstrap(screening_500, stat, **kwargs))
+        oracle = row_oracle("Y", ["X1"], FULL)
+        raised = []
+
+        def recording(ds):
+            try:
+                value = oracle(ds)
+            except DataError:
+                raised.append(True)
+                raise
+            raised.append(False)
+            return value
+
+        rows = outcome_and_warnings(
+            lambda: bootstrap(screening_500, recording, **kwargs))
+        assert cells == rows
+        assert cells[1]  # dropped response levels were warned about
+        attempts = iter(raised)  # a raising first draw is redrawn once
+        first, second = [], []
+        for it in range(iterations):
+            if next(attempts):
+                first.append(it)
+                if next(attempts):
+                    second.append(it)
+        assert (first, second) == (redrawn, failed)
+        if len(failed) > 0.05 * iterations:
+            assert cells[0] == (DataError, f"{len(failed)}/{iterations} "
+                                "bootstrap iterations failed; the statistic "
+                                "is unstable at this sample size")
+        else:
+            assert cells[0].failures == len(failed)
+
+    def test_wide_block_key_is_ranked(self):
+        # about 14k observed cells of the full set: a block of 131
+        # resamples of 500 rows spans 1.85M cells, so its count ranks the
+        # drawn cells instead of counting a dense block x cells table
+        rng = np.random.default_rng(7)
+        cards = (2, 30, 30, 30)
+        ds = CategoricalDataset(
+            [VariableMeta(f"V{v}", tuple(map(str, range(card))))
+             for v, card in enumerate(cards)],
+            [rng.integers(0, card, 20000) for card in cards],
+        )
+        full_cells = dataset._joint_codes(ds, [1, 2, 3])[1]
+        assert full_cells >= 10_000
+        stat = make_reduction_statistic("V0", ["V1"], ["V1", "V2", "V3"])
+        kwargs = dict(iterations=300, sample_size=500, seed=4,
+                      stratify_by="V0")
+        count, blocks = resampling._count, []
+
+        def measured(key, slots, target, n_target, weights):
+            tracemalloc.start()
+            try:
+                table, keys = count(key, slots, target, n_target, weights)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            resamples = len(key) // 500
+            if resamples > 1 and slots == full_cells * resamples:
+                blocks.append((len(key), slots, n_target, peak, len(table)))
+            return table, keys
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resampling, "_count", measured)
+            mp.setattr(CategoricalDataset, "take", None)  # no row resamples
+            cells = outcome_and_warnings(lambda: bootstrap(ds, stat, **kwargs))
+        oracle = row_oracle("V0", ["V1"], ["V1", "V2", "V3"])
+        rows = outcome_and_warnings(lambda: bootstrap(ds, oracle, **kwargs))
+        assert cells == rows
+        assert isinstance(cells[0], BootstrapSummary)
+        # 300 iterations: blocks of 131, 131 and 38 resamples
+        assert [b[0] for b in blocks] == [131 * 500, 131 * 500, 38 * 500]
+        for drawn, slots, n_target, peak, table_rows in blocks:
+            assert not dataset._dense(slots * n_target, drawn)  # ranked,
+            assert not dataset._dense(slots, drawn)  # by a sort
+            assert table_rows <= drawn
+            # under a quarter of a dense block x cells table's 8 bytes a slot
+            assert peak < 2 * slots * n_target
 
     def test_unknown_weight_scheme_fails_before_drawing(self, screening_500):
         stat = make_reduction_statistic("Y", ["X1"], FULL, "zipf")
