@@ -630,11 +630,7 @@ def _weight_array(
     if not p.size:
         raise DataError(_ONE_LEVEL)
     if isinstance(spec, WeightVector):
-        if spec.size != len(p):
-            raise DataError(
-                f"weight vector has {spec.size} components, response has "
-                f"{len(p)} levels"
-            )
+        _fit_vector(spec, len(p))
         return spec.weights
     if spec == "gk":
         if gini <= 0:
@@ -664,6 +660,15 @@ def _known_scheme(spec: Union[str, WeightVector]) -> None:
     :data:`WEIGHT_SCHEMES`, before any table is looked at."""
     if not (isinstance(spec, WeightVector) or spec in WEIGHT_SCHEMES):
         raise _unknown_scheme(spec)
+
+
+def _fit_vector(spec: WeightVector, levels: int) -> None:
+    """Refuse ``spec`` unless it has one weight per response level."""
+    if spec.size != levels:
+        raise DataError(
+            f"weight vector has {spec.size} components, response has "
+            f"{levels} levels"
+        )
 
 
 def resolve_weights(

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: inspect, matrix, vector, tau, select, equiv, predict,
-bootstrap, simulate.  Exit codes: 0 success, 1 usage error, 2 data error
-(including a file that cannot be read or written).
+bootstrap, simulate.  Exit codes: 0 success, 1 usage error (including a
+``--delimiter`` that is not one character), 2 data error (including a file
+that cannot be read or written, and a field longer than the csv module's
+limit, with its line).
 
 Output formats (``--format``): ``human`` prints aligned tables,
 ``delimited`` prints delimiter-separated rows, ``structured`` prints
@@ -12,13 +14,15 @@ entries keyed by row and column labels) suitable for scripting.
 matrix, vector, tau, select and equiv read only joint mass tables, so they
 run on the file's distinct records, each with the number of its lines as
 its mass, then compressed (``compress``), with results bit-identical to the
-row form; inspect, predict and bootstrap keep one row per line.
+row form; so does predict's fit on its training file.  inspect, bootstrap
+and predict's scoring of its test file keep one row per line.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 
 import numpy as np
@@ -104,10 +108,22 @@ class Printer:
             print(f"{key}: {body}")
 
 
-def _add_io_flags(p: _Parser, with_file: bool = True) -> None:
-    if with_file:
+def _delimiter(text: str) -> str:
+    """``--delimiter``: one character, as ``csv`` requires."""
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be one character, got {text!r}")
+    return text
+
+
+def _command(p: _Parser, handler, reads: str | None) -> None:
+    """Gives subcommand ``p`` the shared input and output flags and its
+    ``handler(ds, printer, args)``.  ``dispatch`` passes as ``ds`` the file
+    argument loaded as ``reads`` (see :func:`_load`); with ``reads`` None,
+    ``p`` takes no file argument and ``ds`` is None."""
+    if reads:
         p.add_argument("file", help="delimited input file")
-    p.add_argument("--delimiter", default=",", help="field delimiter (default ,)")
+    p.add_argument("--delimiter", type=_delimiter, default=",",
+                   help="field delimiter (default ,)")
     p.add_argument("--missing-token", default="__NA__")
     p.add_argument(
         "--missing-policy", choices=("own-category", "drop-row"),
@@ -115,33 +131,28 @@ def _add_io_flags(p: _Parser, with_file: bool = True) -> None:
     )
     p.add_argument("--mass-column", default=None,
                    help="column holding per-row masses")
-
-
-def _add_output_flags(p: _Parser) -> None:
     p.add_argument(
         "--format", choices=("human", "delimited", "structured"),
         default="human", dest="out_format",
     )
     p.add_argument("--precision", type=int, default=4)
+    p.set_defaults(func=handler, reads=reads)
 
 
-def _load(args, path=None, *, table=False) -> CategoricalDataset:
-    """The rows of ``path`` (default: the file argument), or with ``table``
-    its distinct records, each with its line count as its mass, compressed
-    (:func:`~nomassoc.dataset._load_table`)."""
-    load = _load_table if table else load_delimited
+def _load(args, path, reads: str) -> CategoricalDataset:
+    """``path`` read as ``reads``: ``"rows"``, one row per line, or
+    ``"table"``, its distinct records, each with its line count as its
+    mass, compressed (:func:`~nomassoc.dataset._load_table`).  Both
+    loaders are looked up in this module at each call, so a tracer that
+    rebinds them sees every load."""
+    load = load_delimited if reads == "rows" else _load_table
     return load(
-        path or args.file,
+        path,
         delimiter=args.delimiter,
         missing_token=args.missing_token,
         missing_policy=args.missing_policy,
         mass_column=args.mass_column,
     )
-
-
-def _printer(args) -> Printer:
-    return Printer(args.out_format, args.precision,
-                   getattr(args, "delimiter", ","))
 
 
 def _names(raw: str, flag: str) -> list[str]:
@@ -192,9 +203,7 @@ def _response_table(dataset, args):
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_inspect(args) -> int:
-    ds = _load(args)
-    pr = _printer(args)
+def _cmd_inspect(ds, pr, args) -> int:
     pr.kv("rows", ds.n_rows)
     pr.kv("distinct_rows", compress(ds).n_rows)
     pr.kv("variables", ds.n_variables)
@@ -206,9 +215,7 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _cmd_matrix(args) -> int:
-    ds = _load(args, table=True)
-    pr = _printer(args)
+def _cmd_matrix(ds, pr, args) -> int:
     m = association_matrix(_response_table(ds, args))
     if m.dropped_levels:
         pr.kv("dropped_levels", ",".join(str(i) for i in m.dropped_levels))
@@ -216,9 +223,7 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
-def _cmd_vector(args) -> int:
-    ds = _load(args, table=True)
-    pr = _printer(args)
+def _cmd_vector(ds, pr, args) -> int:
     vec = association_vector(_response_table(ds, args))
     if vec.excluded_levels:
         pr.kv("excluded_levels", ",".join(str(i) for i in vec.excluded_levels))
@@ -226,18 +231,14 @@ def _cmd_vector(args) -> int:
     return 0
 
 
-def _cmd_tau(args) -> int:
-    ds = _load(args, table=True)
-    pr = _printer(args)
+def _cmd_tau(ds, pr, args) -> int:
     spec = _weights_spec(args.weights, pr)
     table = _response_table(ds, args)
     pr.kv("tau", _tau(table.mass, spec, table.y_name, table.y_labels))
     return 0
 
 
-def _cmd_select(args) -> int:
-    ds = _load(args, table=True)
-    pr = _printer(args)
+def _cmd_select(ds, pr, args) -> int:
     spec = _weights_spec(args.weights, pr)
     config = SelectionConfig(
         weights=spec,
@@ -271,9 +272,7 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _cmd_equiv(args) -> int:
-    ds = _load(args, table=True)
-    pr = _printer(args)
+def _cmd_equiv(ds, pr, args) -> int:
     alpha = _weights_spec(args.weights, pr) if args.weights else None
     x1 = _resolve(ds, _names(args.x1, "--x1"), "--x1")
     x2 = _resolve(ds, _names(args.x2, "--x2"), "--x2")
@@ -292,10 +291,9 @@ def _cmd_equiv(args) -> int:
     return 0
 
 
-def _cmd_predict(args) -> int:
-    pr = _printer(args)
-    train = _load(args, args.train)
-    test = _load(args, args.test)
+def _cmd_predict(_ds, pr, args) -> int:
+    train = _load(args, args.train, "table")  # fit reads only its table
+    test = _load(args, args.test, "rows")
     given = _resolve(train, _names(args.given, "--given"), "--given")
     _resolve(train, args.response, "--response")
     predictor = fit(train, given, args.response, seed=args.seed)
@@ -307,9 +305,7 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _cmd_bootstrap(args) -> int:
-    ds = _load(args)
-    pr = _printer(args)
+def _cmd_bootstrap(ds, pr, args) -> int:
     if args.stat != "reduction":
         raise UsageError(f"--stat: unknown statistic {args.stat!r}")
     if not args.response or not args.subset:
@@ -346,7 +342,7 @@ def _cmd_bootstrap(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(_ds, _pr, args) -> int:
     if args.scenario != "flu":
         raise UsageError(f"unknown scenario {args.scenario!r}; available: flu")
     config = FluScenarioConfig(
@@ -370,15 +366,15 @@ def _cmd_simulate(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process."""
     parser = _Parser(prog="nomassoc", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("inspect", help="describe a delimited file")
-    _add_io_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_inspect)
+    _command(p, _cmd_inspect, "rows")
 
     for name, handler, needs_weights in (
         ("matrix", _cmd_matrix, False),
@@ -386,20 +382,17 @@ def build_parser() -> _Parser:
         ("tau", _cmd_tau, True),
     ):
         p = sub.add_parser(name, help=f"print the association {name}")
-        _add_io_flags(p)
-        _add_output_flags(p)
+        _command(p, handler, "table")
         p.add_argument("--response", required=True)
         p.add_argument("--given", required=True,
                        help="comma-separated explanatory variables")
         if needs_weights:
             p.add_argument("--weights", default="gk",
                            help="gk|equal|invprob|file:<path>")
-        p.set_defaults(func=handler)
 
     p = sub.add_parser("select", help="greedy basis selection")
     p.add_argument("mode", choices=("supervised", "structural"))
-    _add_io_flags(p)
-    _add_output_flags(p)
+    _command(p, _cmd_select, "table")
     p.add_argument("--response", default=None)
     p.add_argument("--candidates", default=None,
                    help="comma-separated candidates (default: all)")
@@ -407,11 +400,9 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, default=1e-9)
     p.add_argument("--max-vars", type=int, default=None)
     p.add_argument("--max-cells", type=int, default=10_000)
-    p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("equiv", help="pairwise equivalence of two variables")
-    _add_io_flags(p)
-    _add_output_flags(p)
+    _command(p, _cmd_equiv, "table")
     p.add_argument("--x1", required=True)
     p.add_argument("--x2", required=True)
     p.add_argument("--response", required=True)
@@ -419,22 +410,18 @@ def build_parser() -> _Parser:
                    help="1|2|2prime|3|4|5 (default: scan the hierarchy)")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--weights", default=None)
-    p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("predict",
                        help="fit on train, score proportional predictions on test")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    _add_io_flags(p, with_file=False)
-    _add_output_flags(p)
+    _command(p, _cmd_predict, None)
     p.add_argument("--response", required=True)
     p.add_argument("--given", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("bootstrap", help="stratified bootstrap of a statistic")
-    _add_io_flags(p)
-    _add_output_flags(p)
+    _command(p, _cmd_bootstrap, "rows")
     p.add_argument("--stat", default="reduction")
     p.add_argument("--response", required=True)
     p.add_argument("--subset", required=True)
@@ -446,35 +433,37 @@ def build_parser() -> _Parser:
     p.add_argument("--confidence", type=float, default=0.95)
     p.add_argument("--stratify-by", default=None,
                    help="stratum variable (default: the response)")
-    p.set_defaults(func=_cmd_bootstrap)
 
     p = sub.add_parser("simulate", help="write a synthetic scenario file")
     p.add_argument("scenario", help="scenario name (flu)")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", type=_delimiter, default=",")
     p.add_argument("--flip-prob", type=float, default=0.10)
     p.add_argument("--s5-prob", type=float, default=0.8)
     p.add_argument("--symmetric-noise", action="store_true",
                    help="also corrupt negative results")
-    p.set_defaults(func=_cmd_simulate)
+    # no output flags: its printer, built like every command's, goes unused
+    p.set_defaults(func=_cmd_simulate, reads=None, out_format="human",
+                   precision=4)
 
     return parser
 
 
 def dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help/--version
         return int(exc.code or 0)
     try:
-        return args.func(args) or 0
+        ds = _load(args, args.file, args.reads) if args.reads else None
+        printer = Printer(args.out_format, args.precision, args.delimiter)
+        return args.func(ds, printer, args) or 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

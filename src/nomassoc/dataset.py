@@ -394,17 +394,21 @@ def _scan_records(data: bytes, path, delimiter, missing_token, drop,
                   mass_column):
     """:func:`_scan_lines` by ``csv.reader`` over the text of ``data``, for
     any file: a quoted field may span lines, and an error names the
-    physical line where its record starts."""
+    physical line where its record starts, or for a ``csv`` error (such as
+    a field over ``csv.field_size_limit()``) the line it was found on."""
     fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     with _decoding(path):
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)
+            index = _RecordIndex(header, mass_column, missing_token, drop,
+                                 reader)
+            ids = np.fromiter(map(index.__getitem__, map(tuple, reader)),
+                              dtype=np.int64)
         except StopIteration:
             raise ParseError("empty file") from None
-        index = _RecordIndex(header, mass_column, missing_token, drop, reader)
-        ids = np.fromiter(map(index.__getitem__, map(tuple, reader)),
-                          dtype=np.int64)
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
     return index, ids
 
 

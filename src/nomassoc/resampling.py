@@ -54,7 +54,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .association import WeightVector, _known_scheme, _tau, _taus
+from .association import (
+    WeightVector, _fit_vector, _known_scheme, _tau, _taus,
+)
 from .dataset import CategoricalDataset, VarRef, _count, _joint_codes
 from .errors import DataError, NomassocError
 
@@ -113,8 +115,10 @@ def bootstrap(
     level vanishing from the resample) is redrawn once with a fresh derived
     seed, then counted as failed; more than 5% failures abort.  A statistic
     from :func:`make_reduction_statistic` has its arguments checked against
-    ``dataset`` before the first draw, and is evaluated on the resamples'
-    cell counts, a block of resamples at a time (see the module docstring).
+    ``dataset`` before the first draw, an explicit weight vector against
+    the response levels the rows observe, and is evaluated on the
+    resamples' cell counts, a block of resamples at a time (see the module
+    docstring).
     """
     if iterations < 1:
         raise DataError("iterations must be positive")
@@ -144,6 +148,11 @@ def bootstrap(
     if isinstance(statistic, _ReductionStatistic):
         evaluate = statistic.on_cells(dataset)
         settle = evaluate.block
+        if isinstance(statistic.weights, WeightVector):
+            # the point estimate, over every row, refuses a vector that
+            # does not fit the levels the rows observe
+            y_codes = dataset.codes[dataset.index_of(statistic.response)]
+            _fit_vector(statistic.weights, np.count_nonzero(np.bincount(y_codes)))
 
         def estimate() -> float:  # statistic(dataset), on the same cells
             return evaluate(np.arange(dataset.n_rows))

@@ -3,6 +3,8 @@ names it uses, and the counts it reads from them, in step with the code.
 
 ``bench/tracing.py`` is loaded from its file and not modified: its
 :class:`Tracer` is installed on a small dataset and removed again.
+``bench/workloads.py`` is loaded the same way, to run the CLI calls of its
+``flu_cli`` workload on a small file.
 """
 
 import importlib
@@ -16,15 +18,20 @@ import nomassoc as nm
 import nomassoc.cli  # noqa: F401  (a traced module the package does not import)
 from nomassoc import selection
 
-TRACING_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench("tracing")
 
 
 def small_dataset():
@@ -106,3 +113,18 @@ def test_hierarchy_scan_composes_each_side_once(tracing):
     assert spans["equivalence.hierarchy_scan"]["calls"] == 1
     assert spans["equivalence.check"]["calls"] == 5
     assert spans["dataset.compose"]["calls"] == 2
+
+
+def test_flu_cli_commands_pass_their_checks(tmp_path):
+    workloads = load_bench("workloads")
+
+    class SmallFluCli(workloads.FluCli):
+        N_ROWS = 3000
+
+    workload = SmallFluCli(seed=1, workdir=str(tmp_path))
+    workload.setup()
+    workload.prepare()
+    problems = {task: workload.check(task, run()) for task, run in workload.tasks()}
+    assert problems == dict.fromkeys(
+        ["select_supervised_s", "select_structural_s", "predict_s", "equiv_s"]
+    )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nomassoc
-from nomassoc.cli import dispatch
+from nomassoc.cli import build_parser, dispatch
 from nomassoc.reference import fixture_e4_without_e3, loan_tables
 
 
@@ -104,6 +104,34 @@ class TestExitCodes:
 
     def test_help_is_zero(self, capsys):
         assert dispatch(["--help"]) == 0
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("value", [",,", ""])
+    def test_bad_delimiter_is_a_usage_error(self, capsys, screening_file, value):
+        code = dispatch(["inspect", "--delimiter", value, screening_file])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--delimiter" in err
+
+    @pytest.mark.parametrize("value", [",,", ""])
+    def test_bad_simulate_delimiter_is_a_usage_error(self, capsys, tmp_path, value):
+        out = tmp_path / "flu.csv"
+        code = dispatch(["simulate", "flu", "-n", "10", "--seed", "1",
+                         "-o", str(out), "--delimiter", value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--delimiter" in err
+        assert not out.exists()
+
+    def test_over_long_field_is_a_data_error(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("u,v\na,x\n" + "b" * (csv.field_size_limit() + 1)
+                        + ",x\n", encoding="utf-8")
+        assert dispatch(["inspect", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 3: ")
 
     @pytest.mark.parametrize("flag", ["file", "--train", "--test", "--weights"])
     @pytest.mark.parametrize("problem", ["missing", "directory"])

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import os
 
@@ -98,6 +99,17 @@ class TestLoadDelimited:
         with pytest.raises(ParseError, match="line 4") as err:
             load_delimited(read_end)
         assert err.value.line == 4
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_over_long_field_reports_its_line(self, tmp_path, quote, line):
+        # csv refuses a field over its limit; the limit is left as it is
+        lines = ["u,v", "a,x", f"{quote}b{quote},x"]
+        lines[line - 1] = "w" * (csv.field_size_limit() + 1) + ",x"
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            load_delimited(path)
+        assert err.value.line == line
 
     def test_values_are_stripped(self, tmp_path):
         path = write(tmp_path, "u,v\na ,x\n a,x\n")

@@ -14,6 +14,7 @@ from nomassoc import (
     predict_and_score,
     split,
 )
+from nomassoc.dataset import _load_table
 from nomassoc.reference import loan_tables, retail_dataset
 
 
@@ -75,6 +76,39 @@ class TestFit:
         cm = predict_and_score(predictor, test)
         rate = cm.counts[0] / cm.counts[0].sum()
         assert rate == pytest.approx(predictor.fallback, abs=0.03)
+
+
+def weighted_rows(masses, seed=6):
+    """Noisy ``Y = (A + B) % 3`` rows, each with the next of ``masses`` in
+    column ``w`` (repeated lines, so the table path merges them)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for k, (a, b, noise) in enumerate(rng.integers(0, 3, (400, 3))):
+        y = (a + b + (noise == 0)) % 3
+        rows.append({"Y": y, "A": a, "B": b, "w": masses[k % len(masses)]})
+    return rows
+
+
+@pytest.mark.parametrize("masses, kwargs", [
+    ([1], {}),  # unit rows: w is a variable, not read as a mass
+    ([1, 2, 5], {"mass_column": "w"}),
+    ([0.5, 1.25, 3], {"mass_column": "w"}),
+    ([0, 1, 2, 0], {"mass_column": "w"}),
+    (["__NA__", 1, 2], {"missing_policy": "drop-row"}),
+])
+def test_fit_on_table_equals_fit_on_rows(tmp_path, masses, kwargs):
+    path = write_rows(tmp_path / "train.csv", ["Y", "A", "B", "w"],
+                      weighted_rows(masses))
+    given = ["A", "B"] if "mass_column" in kwargs else ["A", "B", "w"]
+    got = fit(_load_table(path, **kwargs), given, "Y", seed=3)
+    want = fit(load_delimited(path, **kwargs), given, "Y", seed=3)
+    assert (got.member_names, got.response_name, got.response_levels,
+            got.seed) == (want.member_names, want.response_name,
+                          want.response_levels, want.seed)
+    assert list(got.conditionals) == list(want.conditionals)
+    for key, vec in want.conditionals.items():
+        assert np.array_equal(got.conditionals[key], vec)
+    assert np.array_equal(got.fallback, want.fallback)
 
 
 class TestPredictAndScore:

@@ -99,17 +99,19 @@ class TestBootstrap:
             with pytest.raises(DataError, match="iterations failed"):
                 bootstrap(ds, stat, iterations=200, sample_size=3, seed=0)
 
-    @pytest.mark.parametrize("subset, full, message", [
-        (["X1"], ["X2", "R3"], "subset must be contained"),
-        (["X1"], ["X1", "Nope"], "unknown variable 'Nope'"),
-        (["X1"], ["X1", "Y"], "response 'Y'"),
-        (["Y"], FULL + ("Y",), "response 'Y'"),
-        ([], FULL, "at least one variable"),
+    @pytest.mark.parametrize("subset, full, weights, message", [
+        (["X1"], ["X2", "R3"], "gk", "subset must be contained"),
+        (["X1"], ["X1", "Nope"], "gk", "unknown variable 'Nope'"),
+        (["X1"], ["X1", "Y"], "gk", "response 'Y'"),
+        (["Y"], FULL + ("Y",), "gk", "response 'Y'"),
+        ([], FULL, "gk", "at least one variable"),
+        (["X1"], FULL, WeightVector.from_raw([1.0, 2.0]),
+         "weight vector has 2 components, response has 3 levels"),
     ])
     def test_misconfigured_statistic_fails_before_drawing(
-        self, screening_500, subset, full, message
+        self, screening_500, subset, full, weights, message
     ):
-        stat = make_reduction_statistic("Y", subset, full)
+        stat = make_reduction_statistic("Y", subset, full, weights)
         with pytest.raises(DataError, match=message) as err:
             bootstrap(screening_500, stat, iterations=50, sample_size=100,
                       seed=0, stratify_by="Y")
