@@ -17,9 +17,11 @@ Composite codes come from a counting kernel, not a sort: each member is
 paired onto the codes so far in O(n) time, with the n-row int64 key, one
 byte of occupancy and one int64 remap entry per key slot (see
 :func:`_joint_codes`); only key ranges too wide to count are sorted.
-Greedy selection carries the chosen set's codes across steps and counts a
-candidate's table with the response in one ``bincount`` over a dense key,
-with no pairing step (:func:`_candidate_table`).
+Greedy selection carries the chosen set's codes across steps in pick
+order and counts a candidate's table with the response in one ``bincount``
+over a dense key, with no pairing step; that table is the one a greedy step
+sorts, and only when its members are not in ascending order
+(:func:`_candidate_table`).
 
 All structures are immutable after construction; the underlying numpy
 arrays are marked read-only so datasets can be shared without copies.
@@ -30,7 +32,6 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-from bisect import bisect
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -183,21 +184,26 @@ class CategoricalDataset:
 
 
 class _RecordIndex(dict):
-    """Numbers each distinct record in first-appearance order.
+    """Numbers each distinct record of a file in first-appearance order.
 
     Built from the header record: ``header`` holds the stripped names,
     ``mass_idx`` the mass column's position (or ``None``) and
-    ``var_positions`` the positions of the variables.  Indexing with a
-    record tuple returns its id; :meth:`__missing__` runs once per distinct
-    record, so the per-record work below is paid once however often the
-    record repeats.  For each id it keeps the record's stripped values
-    (``None`` for a blank or dropped record) and its mass.  A malformed
-    record raises :class:`ParseError` at its first occurrence, which is the
-    bad record that occurs first; the error names its physical line when
-    ``reader``, the ``csv.reader`` the records come from, is given.
+    ``var_positions`` the positions of the variables.  Indexing with a raw
+    key returns its record's id.  The key is the record tuple, or with
+    ``parse`` (from :func:`_line_parser`) a line's bytes, which ``parse``
+    turns into the record; without the quote character a distinct line is
+    a distinct record, so the ids are the same.  :meth:`__missing__` runs
+    once per distinct key, so the per-record work below, parsing included,
+    is paid once however often the record repeats.  For each id it keeps the record's
+    stripped values (``None`` for a blank or dropped record) and its mass.
+    A malformed record raises :class:`ParseError` at its first occurrence,
+    which is the bad record that occurs first; the error names its
+    physical line when ``reader``, the ``csv.reader`` the records come
+    from, is given.
     """
 
-    def __init__(self, header, mass_column, missing_token, drop, reader=None):
+    def __init__(self, header, mass_column, missing_token, drop, reader=None,
+                 parse=None):
         super().__init__()
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
@@ -211,6 +217,7 @@ class _RecordIndex(dict):
             mass_idx = header.index(mass_column)
         self.header = header
         self.reader = reader
+        self.parse = parse
         self.width = len(header)
         self.var_positions = [i for i in range(len(header)) if i != mass_idx]
         self.mass_idx = mass_idx
@@ -219,9 +226,10 @@ class _RecordIndex(dict):
         self.values: list[tuple[str, ...] | None] = []
         self.masses: list[float] = []
 
-    def __missing__(self, record: tuple[str, ...]) -> int:
-        rid = self[record] = len(self)
-        values, mass = self._check(record)
+    def __missing__(self, key) -> int:
+        rid = self[key] = len(self)
+        values, mass = self._check(key if self.parse is None
+                                   else self.parse(key))
         self.values.append(values)
         self.masses.append(mass)
         return rid
@@ -246,7 +254,7 @@ class _RecordIndex(dict):
             )
         values = tuple(v.strip() for v in record)
         if values == record:
-            values = record  # share the key's tuple
+            values = record  # share the record's tuple
         if self.drop and any(
             values[i] == self.missing_token for i in self.var_positions
         ):
@@ -288,29 +296,6 @@ class _RecordIndex(dict):
             variables.append(VariableMeta(self.header[i], tuple(level_index)))
             codes.append(record_codes[rows])
         return CategoricalDataset(variables, codes, mass)
-
-
-class _LineIndex(dict):
-    """Numbers each distinct raw line of a file without quotes by the id
-    its record gets in ``records`` (a :class:`_RecordIndex`).
-
-    :meth:`__missing__` decodes, csv-parses (``parse``, from
-    :func:`_line_parser`) and numbers a line once, however often it
-    repeats, so a repeated line costs one lookup.  Without the quote
-    character, a line is one record: ``bytes.splitlines`` splits at LF,
-    CR LF and a lone CR, exactly where ``csv`` ends a record, and keeps
-    ``\\x85``, ``\\x0b``, ``\\x0c`` and ``\\x1c``-``\\x1e`` in the value, as
-    ``csv`` does (``str.splitlines`` would split there).
-    """
-
-    def __init__(self, records: _RecordIndex, parse):
-        super().__init__()
-        self.records = records
-        self.parse = parse
-
-    def __missing__(self, line: bytes) -> int:
-        rid = self[line] = self.records[self.parse(line)]
-        return rid
 
 
 def _line_parser(delimiter: str):
@@ -373,9 +358,12 @@ def _blocks(data: bytes, start: int):
 def _scan_lines(data: bytes, delimiter, missing_token, drop, mass_column):
     """``(index, ids)`` of the file ``data`` holds, keyed by the raw line:
     the :class:`_RecordIndex` of its records and the record id of each
-    line after the header.  Only for data without the quote character.
-    Its errors need not name their line: :func:`_scan` then runs the
-    record path."""
+    line after the header.  Only for data without the quote character:
+    then a line is one record, since ``bytes.splitlines`` splits at LF,
+    CR LF and a lone CR, exactly where ``csv`` ends a record, and keeps
+    ``\\x85``, ``\\x0b``, ``\\x0c`` and ``\\x1c``-``\\x1e`` in the value, as
+    ``csv`` does (``str.splitlines`` would split there).  Its errors need
+    not name their line: :func:`_scan` then runs the record path."""
     bom = codecs.BOM_UTF8
     lines = chain.from_iterable(map(
         bytes.splitlines, _blocks(data, len(bom) if data.startswith(bom) else 0)
@@ -384,9 +372,9 @@ def _scan_lines(data: bytes, delimiter, missing_token, drop, mass_column):
     if first is None:
         raise ParseError("empty file")
     parse = _line_parser(delimiter)
-    index = _RecordIndex(parse(first), mass_column, missing_token, drop)
-    ids = np.fromiter(map(_LineIndex(index, parse).__getitem__, lines),
-                      dtype=np.int64)
+    index = _RecordIndex(parse(first), mass_column, missing_token, drop,
+                         parse=parse)
+    ids = np.fromiter(map(index.__getitem__, lines), dtype=np.int64)
     return index, ids
 
 
@@ -631,9 +619,10 @@ class _Occupied:
     """The tuples a member set takes in some row, zero-mass ones included.
 
     ``key`` numbers each row's tuple, lexicographically over member codes
-    in ascending member index; ``scenarios[k]`` holds the member codes of
-    tuple ``k``.  Greedy selection carries one of these for its chosen set
-    so that a candidate's table costs one ``bincount``
+    in the order of ``members``, the order they were added in;
+    ``scenarios[k]`` holds the member codes of tuple ``k`` in that order.
+    Greedy selection carries one of these for its chosen set, in pick
+    order, so that a candidate's table costs one ``bincount``
     (:func:`_candidate_table`).
     """
 
@@ -648,27 +637,14 @@ class _Occupied:
 
 
 def _extend(dataset: CategoricalDataset, base: _Occupied, idx: int) -> _Occupied:
-    """``base`` with variable ``idx`` added as a member.
-
-    The pairing numbers tuples with ``idx`` as the last member; when ``idx``
-    sorts before a member of ``base`` the tuples are re-ranked by a lexsort
-    of their scenario codes, one row per tuple, and the row codes follow by
-    one gather.
-    """
+    """``base`` with variable ``idx`` added as its last member: one pairing
+    step numbers the tuples lexicographically in pick order, ``idx``
+    last."""
     card = dataset.variables[idx].cardinality
     key, occupied = _pair(base.key, len(base.scenarios), dataset.codes[idx], card)
     parent, code = np.divmod(occupied, card)
-    cells = len(occupied)
-    pos = bisect(base.members, idx)
-    scenarios = np.insert(base.scenarios[parent], pos, code, axis=1)
-    if pos < len(base.members):
-        order = np.lexsort(scenarios.T[::-1])
-        rank = np.empty(cells, dtype=np.int64)
-        rank[order] = np.arange(cells)
-        key = rank[key]
-        scenarios = scenarios[order]
-    members = base.members[:pos] + (idx,) + base.members[pos:]
-    return _Occupied(members, key, scenarios)
+    scenarios = np.column_stack((base.scenarios[parent], code))
+    return _Occupied(base.members + (idx,), key, scenarios)
 
 
 def _joint_codes(
@@ -751,21 +727,22 @@ def _candidate_table(
 ) -> np.ndarray:
     """:func:`_count` of ``base`` with variable ``idx`` added, with no
     pairing step: the key ``cell * card + code`` gives the rows in
-    lexicographic ``(base cell, code)`` order, the composite's own order
-    unless ``idx`` sorts before a member of ``base``; then the table's
-    rows, one per cell, are re-sorted by a lexsort of their scenario codes.
-    The result equals the table of the composite built from scratch, to
-    the bit.
+    lexicographic order over the members in pick order, ``idx`` last.
+    Unless that order is ascending, the table's rows, one per cell, are
+    sorted by a lexsort of their member codes taken in ascending member
+    index, the composite's own order.  The result equals the table of the
+    composite built from scratch, to the bit.
     """
     card = dataset.variables[idx].cardinality
     key = base.key * card
     key += dataset.codes[idx]
     table, keys = _count(key, len(base.scenarios) * card, target, n_target,
                          weights)
-    pos = bisect(base.members, idx)
-    if pos < len(base.members):
+    members = base.members + (idx,)
+    if list(members) != sorted(members):
         parent, code = np.divmod(keys, card)
-        scenarios = np.insert(base.scenarios[parent], pos, code, axis=1)
+        scenarios = np.column_stack((base.scenarios[parent], code))
+        scenarios = scenarios[:, np.argsort(members)]
         table = table[np.lexsort(scenarios.T[::-1])]
     return table
 

@@ -55,7 +55,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .association import (
-    WeightVector, _fit_vector, _known_scheme, _tau, _taus,
+    _ONE_LEVEL, WeightVector, _fit_vector, _known_scheme, _tau, _taus,
 )
 from .dataset import CategoricalDataset, VarRef, _count, _joint_codes
 from .errors import DataError, NomassocError
@@ -114,11 +114,11 @@ def bootstrap(
     An iteration whose statistic raises a data error (for example a response
     level vanishing from the resample) is redrawn once with a fresh derived
     seed, then counted as failed; more than 5% failures abort.  A statistic
-    from :func:`make_reduction_statistic` has its arguments checked against
-    ``dataset`` before the first draw, an explicit weight vector against
-    the response levels the rows observe, and is evaluated on the
-    resamples' cell counts, a block of resamples at a time (see the module
-    docstring).
+    from :func:`make_reduction_statistic` is checked before the first draw:
+    its arguments against ``dataset``, and the response levels the rows
+    observe, which must be at least two and fit an explicit weight vector.
+    It is evaluated on the resamples' cell counts, a block of resamples at
+    a time (see the module docstring).
     """
     if iterations < 1:
         raise DataError("iterations must be positive")
@@ -148,11 +148,14 @@ def bootstrap(
     if isinstance(statistic, _ReductionStatistic):
         evaluate = statistic.on_cells(dataset)
         settle = evaluate.block
+        # the point estimate, over every row, refuses a response with one
+        # observed level, and a vector that does not fit the levels
+        y_codes = dataset.codes[dataset.index_of(statistic.response)]
+        observed = np.count_nonzero(np.bincount(y_codes))
+        if observed < 2:
+            raise DataError(_ONE_LEVEL)
         if isinstance(statistic.weights, WeightVector):
-            # the point estimate, over every row, refuses a vector that
-            # does not fit the levels the rows observe
-            y_codes = dataset.codes[dataset.index_of(statistic.response)]
-            _fit_vector(statistic.weights, np.count_nonzero(np.bincount(y_codes)))
+            _fit_vector(statistic.weights, observed)
 
         def estimate() -> float:  # statistic(dataset), on the same cells
             return evaluate(np.arange(dataset.n_rows))

@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nomassoc
 from nomassoc.cli import build_parser, dispatch
@@ -46,6 +51,10 @@ def loan_file(tmp_path):
                 for _ in range(int(table.mass[i, s])):
                     writer.writerow([xl, yl])
     return str(path)
+
+
+#: Three response levels over two explanatory ones, six rows.
+SMALL = "Y,X\na,p\na,p\nb,q\na,q\nc,q\nc,p\n"
 
 
 def run(capsys, *argv):
@@ -123,6 +132,26 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and "--delimiter" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["select", "supervised", "FILE"],
+         "select supervised requires --response"),
+        (["tau", "--response", "Y", "--given", ",", "FILE"],
+         "--given requires at least one variable name"),
+        (["bootstrap", "--stat", "mean", "--response", "Y", "--subset", "X",
+          "--seed", "1", "FILE"],
+         "--stat: unknown statistic 'mean'"),
+        (["simulate", "nope", "-n", "10", "--seed", "1", "-o", "OUT"],
+         "unknown scenario 'nope'; available: flu"),
+    ])
+    def test_handler_usage_error_is_one(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "small.csv"
+        path.write_text(SMALL)
+        out = tmp_path / "out.csv"
+        argv = [{"FILE": str(path), "OUT": str(out)}.get(a, a) for a in argv]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
         assert not out.exists()
 
     def test_over_long_field_is_a_data_error(self, capsys, tmp_path):
@@ -259,6 +288,22 @@ class TestSubcommands:
                           "--mass-column", "m", str(path))
         assert code == 0
         assert [w.category for w in caught] == [nomassoc.DroppedLevelsWarning]
+
+    def test_delimited_output_is_pinned(self, capsys, tmp_path):
+        path = tmp_path / "small.csv"
+        path.write_text(SMALL.replace(",", ";"))
+        argv = ["--response", "Y", "--given", "X", "--delimiter", ";",
+                "--format", "delimited", str(path)]
+        assert run(capsys, "matrix", *argv) == (0, (
+            "matrix;a;b;c\n"
+            "a;0.5556;0.1111;0.3333\n"
+            "b;0.3333;0.3333;0.3333\n"
+            "c;0.5000;0.1667;0.3333\n"
+        ))
+        assert run(capsys, "vector", *argv) == (0, (
+            "vector;a;b;c\n"
+            ";0.1111;0.2000;0.0000\n"
+        ))
 
     def test_select_supervised(self, capsys, screening_file):
         code, out = run(
@@ -443,3 +488,111 @@ class TestSubcommands:
                         "structured", "--precision", "17")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@st.composite
+def cli_calls(draw):
+    """A small delimited file and one command line over it: random names,
+    values, masses, weights, levels, numeric flags and missing policies."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    names = draw(st.lists(st.text("ABXY", min_size=1, max_size=2),
+                          min_size=2, max_size=4, unique=True))
+    mass = draw(st.none() | st.sampled_from(names))
+    values = st.sampled_from(["a", "b", "c", " c", "__NA__"])
+    masses = st.sampled_from(["1", "2", "0", "0.5"])
+    lines = [names] + [
+        [draw(masses) if n == mass else draw(values) for n in names]
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    # at most one fault: an odd name, a malformed line or a bad mass
+    fault = draw(st.sampled_from([None, None, None, "name", "line", "mass"]))
+    if fault == "name":
+        names[-1] = draw(st.sampled_from(["", " A", "m-", "A B", '"q"']))
+    elif fault == "line":
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(
+            [[], ["a"], names + ["a"], ['"q"'] * len(names)])))
+    elif fault == "mass" and mass is not None:
+        lines[-1][names.index(mass)] = draw(st.sampled_from(
+            ["-1", "x", "nan", "inf", ""]))
+    text = "".join(delimiter.join(line) + "\n" for line in lines)
+
+    pick = st.sampled_from(names + names + ["Nope"])
+    group = st.lists(pick, min_size=1, max_size=2).map(",".join)
+    common = ["--delimiter", delimiter,
+              "--missing-policy", draw(st.sampled_from(["own-category",
+                                                        "drop-row"])),
+              "--format", draw(st.sampled_from(["human", "delimited",
+                                                "structured"])),
+              "--precision", draw(st.sampled_from(["-1", "0", "3", "17"]))]
+    if mass is not None:
+        common += ["--mass-column", mass]
+    weights = draw(st.sampled_from(["gk", "equal", "invprob", "zipf"]))
+    command = draw(st.sampled_from([
+        "inspect", "matrix", "vector", "tau", "select", "equiv", "predict",
+        "bootstrap", "simulate",
+    ]))
+    if command == "inspect":
+        argv = ["inspect", "FILE"]
+    elif command in ("matrix", "vector", "tau"):
+        argv = [command, "--response", draw(pick), "--given", draw(group),
+                "FILE"]
+        if command == "tau":
+            argv += ["--weights", weights]
+    elif command == "select":
+        mode = draw(st.sampled_from(["supervised", "structural"]))
+        argv = ["select", mode, "FILE", "--weights", weights,
+                "--epsilon", draw(st.sampled_from(["0", "1e-9", "0.5"])),
+                "--max-cells", draw(st.sampled_from(["1", "4", "10000"]))]
+        if draw(st.booleans()):
+            argv += ["--response", draw(pick)]
+        if draw(st.booleans()):
+            argv += ["--max-vars", draw(st.sampled_from(["-1", "0", "2"]))]
+        if draw(st.booleans()):
+            argv += ["--candidates", draw(group)]
+    elif command == "equiv":
+        argv = ["equiv", "--x1", draw(group), "--x2", draw(group),
+                "--response", draw(pick), "--tol",
+                draw(st.sampled_from(["0", "1e-9", "0.5"])), "FILE"]
+        if draw(st.booleans()):
+            argv += ["--level", draw(st.sampled_from(
+                ["1", "2", "2prime", "3", "E4", "5", "9"]))]
+        if draw(st.booleans()):
+            argv += ["--weights", weights]
+    elif command == "predict":
+        argv = ["predict", "--train", "FILE", "--test", "FILE",
+                "--response", draw(pick), "--given", draw(group),
+                "--seed", "3"]
+    elif command == "bootstrap":
+        argv = ["bootstrap", "--response", draw(pick), "--subset",
+                draw(group), "--seed", "1", "--weights", weights,
+                "-B", draw(st.sampled_from(["0", "1", "3"])),
+                "-n", draw(st.sampled_from(["0", "1", "5"])),
+                "--confidence", draw(st.sampled_from(["0.5", "0.95", "1.5"])),
+                "FILE"]
+        if draw(st.booleans()):
+            argv += ["--full", draw(group)]
+        if draw(st.booleans()):
+            argv += ["--stratify-by", draw(pick)]
+    else:
+        return text, ["simulate", "flu", "-n",
+                      draw(st.sampled_from(["0", "1", "7", "40"])),
+                      "--seed", "2", "-o", "OUT", "--delimiter", delimiter]
+    return text, argv + common
+
+
+@given(cli_calls())
+@settings(max_examples=300, deadline=None)
+def test_every_call_exits_with_a_documented_code(call):
+    text, argv = call
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "out.csv")
+        argv = [{"FILE": path, "OUT": out}.get(a, a) for a in argv]
+        with warnings.catch_warnings(), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            code = dispatch(argv)
+    assert code in (0, 1, 2)

@@ -406,17 +406,20 @@ def check_against_oracle(ds, members, order):
     assert comp.scenario_codes.tolist() == [list(t) for t in want_scenarios]
     assert comp.cell_mass.tolist() == want_mass
 
-    # carried across steps: members added in the given order, re-ranking
-    # whenever a new member sorts before an earlier one
+    # carried across steps: members added in the given order, the key
+    # lexicographic over them in that order, never re-ranked
+    picked_codes, picked_scenarios, picked_mass = oracles.joint_codes(
+        rows, ds.mass.tolist(), order
+    )
     base = _Occupied.empty(ds)
     for idx in order:
         base = _extend(ds, base, idx)
-    assert base.members == tuple(members)
-    assert positive_cells(base.key, len(base.scenarios)) == (want_codes,
-                                                            want_mass)
+    assert base.members == tuple(order)
+    assert positive_cells(base.key, len(base.scenarios)) == (picked_codes,
+                                                            picked_mass)
     positive = sorted(set(base.key[ds.mass > 0].tolist()))
     assert base.scenarios[positive].tolist() == [
-        list(t) for t in want_scenarios
+        list(t) for t in picked_scenarios
     ]
 
 

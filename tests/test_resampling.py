@@ -99,25 +99,33 @@ class TestBootstrap:
             with pytest.raises(DataError, match="iterations failed"):
                 bootstrap(ds, stat, iterations=200, sample_size=3, seed=0)
 
-    @pytest.mark.parametrize("subset, full, weights, message", [
-        (["X1"], ["X2", "R3"], "gk", "subset must be contained"),
-        (["X1"], ["X1", "Nope"], "gk", "unknown variable 'Nope'"),
-        (["X1"], ["X1", "Y"], "gk", "response 'Y'"),
-        (["Y"], FULL + ("Y",), "gk", "response 'Y'"),
-        ([], FULL, "gk", "at least one variable"),
-        (["X1"], FULL, WeightVector.from_raw([1.0, 2.0]),
+    @pytest.mark.parametrize("subset, full, weights, one_level, message", [
+        (["X1"], ["X2", "R3"], "gk", False, "subset must be contained"),
+        (["X1"], ["X1", "Nope"], "gk", False, "unknown variable 'Nope'"),
+        (["X1"], ["X1", "Y"], "gk", False, "response 'Y'"),
+        (["Y"], FULL + ("Y",), "gk", False, "response 'Y'"),
+        ([], FULL, "gk", False, "at least one variable"),
+        (["X1"], FULL, WeightVector.from_raw([1.0, 2.0]), False,
          "weight vector has 2 components, response has 3 levels"),
+        (["X1"], FULL, "gk", True, "the response has one level"),
     ])
     def test_misconfigured_statistic_fails_before_drawing(
-        self, screening_500, subset, full, weights, message
+        self, screening_500, subset, full, weights, one_level, message
     ):
+        ds = screening_500
+        if one_level:  # the rows whose Y is its first level
+            ds = ds.take(np.flatnonzero(ds.codes[ds.index_of("Y")] == 0))
         stat = make_reduction_statistic("Y", subset, full, weights)
-        with pytest.raises(DataError, match=message) as err:
-            bootstrap(screening_500, stat, iterations=50, sample_size=100,
-                      seed=0, stratify_by="Y")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a draw would warn first
+            with pytest.raises(DataError, match=message) as err:
+                bootstrap(ds, stat, iterations=50, sample_size=100,
+                          seed=0, stratify_by="Y")
         assert "iterations failed" not in str(err.value)
-        with pytest.raises(DataError, match=message):
-            stat(screening_500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DroppedLevelsWarning)
+            with pytest.raises(DataError, match=message):
+                stat(ds)
 
     def test_weighted_dataset_rejected(self):
         ds = from_scenarios([(("a", "x"), 2.5), (("b", "y"), 1.0)])
