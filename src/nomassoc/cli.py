@@ -329,16 +329,10 @@ def _cmd_bootstrap(ds, pr, args) -> int:
     pr.kv("statistic", "reduction")
     pr.kv("subset", ",".join(subset))
     pr.kv("full_set", ",".join(full))
-    pr.kv("point_estimate", summary.point_estimate)
-    pr.kv("mean", summary.mean)
-    pr.kv("ci_low", summary.ci_low)
-    pr.kv("ci_high", summary.ci_high)
-    pr.kv("confidence", summary.confidence)
-    pr.kv("iterations", summary.iterations)
-    pr.kv("failures", summary.failures)
-    pr.kv("sample_size", summary.sample_size)
-    pr.kv("stratified_by", summary.stratified_by)
-    pr.kv("seed", summary.seed)
+    for name in ("point_estimate", "mean", "ci_low", "ci_high", "confidence",
+                 "iterations", "failures", "sample_size", "stratified_by",
+                 "seed"):
+        pr.kv(name, getattr(summary, name))
     return 0
 
 

@@ -960,7 +960,8 @@ def split(
     """Disjoint random row partition with sizes ``(round(f*n), rest)``.
 
     Requires unit row masses; row-level resampling of weighted scenario
-    tables is meaningless.  Deterministic given ``seed``.
+    tables is meaningless.  Raises when either part would be empty.
+    Deterministic given ``seed``.
     """
     if not 0 < fraction < 1:
         raise DataError("fraction must be in (0, 1)")
@@ -970,6 +971,9 @@ def split(
         )
     n = dataset.n_rows
     k = int(round(fraction * n))
+    if not 0 < k < n:
+        raise DataError(f"fraction {fraction} splits {n} rows into parts "
+                        f"of {k} and {n - k} rows; both must be non-empty")
     perm = np.random.default_rng(seed).permutation(n)
     first = np.sort(perm[:k])
     second = np.sort(perm[k:])

@@ -26,6 +26,7 @@ import numpy as np
 
 from .association import (
     WeightVector,
+    _tau,
     association_matrix,
     association_vector,
     goodman_kruskal_tau,
@@ -96,23 +97,6 @@ class EquivalenceReport:
             raise DataError("a failing report must carry a witness")
 
 
-def _tau_one(dataset, x, response, alpha_spec) -> float:
-    """Weighted association of ``response`` on ``x`` for a perfect-prediction
-    check; defaults to the Goodman-Kruskal tau."""
-    table = contingency(dataset, x, response)
-    if alpha_spec is None or alpha_spec == "gk":
-        return goodman_kruskal_tau(table)
-    vector = association_vector(table)
-    alpha = resolve_weights(alpha_spec, vector.stats())
-    if not alpha.regular:
-        warnings.warn(
-            "perfect-prediction checks with a non-regular weight vector do "
-            "not characterise determinism",
-            stacklevel=3,
-        )
-    return weighted_tau(vector, alpha)
-
-
 def _first_difference(
     comparison: str, lhs: np.ndarray, rhs: np.ndarray, labels, tol: float
 ) -> Witness | None:
@@ -165,7 +149,17 @@ def check(
         comparisons = {"E1": mutual + of_y[:1], "E2": of_y,
                        "E2prime": mutual}[level.level]
         for name, given, response, alpha in comparisons:
-            value = _tau_one(dataset, given, response, alpha)
+            table = contingency(dataset, given, response)
+            if alpha is None or alpha == "gk":
+                value = goodman_kruskal_tau(table)
+            else:
+                value = _tau(table.mass, alpha, table.y_name, table.y_labels)
+                if isinstance(alpha, WeightVector) and not alpha.regular:
+                    warnings.warn(
+                        "perfect-prediction checks with a non-regular weight "
+                        "vector do not characterise determinism",
+                        stacklevel=2,
+                    )
             if not abs(value - 1.0) <= tol:  # a NaN fails too
                 return EquivalenceReport(
                     level.level, False, Witness(name, None, None, value, 1.0)

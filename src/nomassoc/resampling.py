@@ -44,7 +44,8 @@ ranked first, as for one resample), and their taus from one
 the bit.  That pass settles only what needs no warning, no error and no
 clamp; every iteration it leaves unsettled runs as an iteration alone
 does, redraw included, in iteration order, so the warnings, redraws,
-failures and errors come out as before.
+failures and errors come out as before.  One resample on its own is
+counted as a block of one.
 """
 
 from __future__ import annotations
@@ -282,9 +283,10 @@ class _ReductionStatistic:
         self, dataset: CategoricalDataset
     ) -> Callable[[np.ndarray], float]:
         """The statistic on the resample of ``dataset`` made of rows
-        ``picks``, as a function of ``picks``, from cell counts.  Its
-        ``block(picks)`` takes one resample per row of ``picks`` and gives
-        the statistic of each, NaN where the block does not settle it.
+        ``picks``, as a function of ``picks``, from cell counts, counted
+        as a block of one resample.  Its ``block(picks)`` takes one
+        resample per row of ``picks`` and gives the statistic of each, NaN
+        where the block does not settle it.
 
         Raises at once if the arguments define no reduction on ``dataset``.
         Numbers each row's cell of the full set and of the subset, once;
@@ -307,17 +309,17 @@ class _ReductionStatistic:
         full_cells = _joint_codes(dataset, full)
 
         def table(cells: tuple[np.ndarray, int], picks: np.ndarray):
+            # one resample per row of picks: resample r's cells from r * cells
             key, n_cells = cells
             key = key[picks]
-            if picks.ndim == 2:  # a block: resample r's cells from r * cells
-                key += n_cells * np.arange(len(picks))[:, None]
-                n_cells *= len(picks)
-                picks = picks.ravel()
-            return _count(key.ravel(), n_cells, y_codes[picks], y.cardinality,
-                          None if mass is None else mass[picks])
+            key += n_cells * np.arange(len(picks))[:, None]
+            picks = picks.ravel()
+            return _count(key.ravel(), n_cells * len(key), y_codes[picks],
+                          y.cardinality, None if mass is None else mass[picks])
 
         def tau(cells: tuple[np.ndarray, int], picks: np.ndarray):
-            return _tau(table(cells, picks)[0], weights, y.name, y.levels)
+            # one resample, counted as a block of one
+            return _tau(table(cells, picks[None])[0], weights, y.name, y.levels)
 
         def statistic(picks: np.ndarray) -> float:
             denom = tau(full_cells, picks)  # the full set's first

@@ -202,8 +202,7 @@ def _greedy(
                 chosen=best_cand,
                 chosen_name=dataset.variables[best_cand].name,
                 value=best_value,
-                scores=tuple((c, v) for c, cells, v in evals
-                             if cap is None or cells <= cap),
+                scores=tuple((c, v) for c, _, v in usable),
                 skipped=step_skipped,
             )
         )

@@ -3,8 +3,8 @@ names it uses, and the counts it reads from them, in step with the code.
 
 ``bench/tracing.py`` is loaded from its file and not modified: its
 :class:`Tracer` is installed on a small dataset and removed again.
-``bench/workloads.py`` is loaded the same way, to run the CLI calls of its
-``flu_cli`` workload on a small file.
+``bench/workloads.py`` is loaded the same way, to run one pass of each
+workload, and its output checks, at a small size.
 """
 
 import importlib
@@ -115,16 +115,46 @@ def test_hierarchy_scan_composes_each_side_once(tracing):
     assert spans["dataset.compose"]["calls"] == 2
 
 
+def run_small(workload):
+    """``{task: problem}`` of one pass of ``workload``, after its set-up."""
+    workload.setup()
+    workload.prepare()
+    return {task: workload.check(task, run()) for task, run in workload.tasks()}
+
+
 def test_flu_cli_commands_pass_their_checks(tmp_path):
     workloads = load_bench("workloads")
 
     class SmallFluCli(workloads.FluCli):
         N_ROWS = 3000
 
-    workload = SmallFluCli(seed=1, workdir=str(tmp_path))
-    workload.setup()
-    workload.prepare()
-    problems = {task: workload.check(task, run()) for task, run in workload.tasks()}
+    problems = run_small(SmallFluCli(seed=1, workdir=str(tmp_path)))
     assert problems == dict.fromkeys(
         ["select_supervised_s", "select_structural_s", "predict_s", "equiv_s"]
     )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_wide_select_tasks_pass_their_checks(tmp_path, seed):
+    workloads = load_bench("workloads")
+
+    class SmallWideSelect(workloads.WideSelect):
+        N_ROWS = 3000
+
+    problems = run_small(SmallWideSelect(seed=seed, workdir=str(tmp_path)))
+    assert problems == dict.fromkeys(
+        ["select_supervised_s", "select_structural_s", "verify_basis_s"]
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_boot_small_task_passes_its_check(tmp_path, seed):
+    workloads = load_bench("workloads")
+
+    class SmallBootSmall(workloads.BootSmall):
+        N_ROWS = 2000
+        ITERATIONS = 50
+        SAMPLE_SIZE = 200
+
+    problems = run_small(SmallBootSmall(seed=seed, workdir=str(tmp_path)))
+    assert problems == {"bootstrap_s": None}

@@ -144,6 +144,9 @@ class TestExitCodes:
          "--stat: unknown statistic 'mean'"),
         (["simulate", "nope", "-n", "10", "--seed", "1", "-o", "OUT"],
          "unknown scenario 'nope'; available: flu"),
+        (["bootstrap", "--response", "", "--subset", "X", "--seed", "1",
+          "FILE"],
+         "bootstrap --stat reduction requires --response and --subset"),
     ])
     def test_handler_usage_error_is_one(self, capsys, tmp_path, argv, message):
         path = tmp_path / "small.csv"
@@ -465,6 +468,40 @@ class TestSubcommands:
                         "--precision", "17")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # digests computed while ``bootstrap`` printed its summary one named
+    # field at a time, in every output format
+    @pytest.mark.parametrize("fmt, digest", [
+        ("structured",
+         "931958f54523a04d2e2499ba3b8470334626c8bc08b24838536777f221af0f4a"),
+        ("human",
+         "3fa30cfbc275e63f23c6f16159e7735555d6597f1ddbc54d5d50338e78772660"),
+        ("delimited",
+         "969c2b4c005a0490e56b5400608a781632d9ce06aa996d9fb1a7350121cd285e"),
+    ])
+    def test_bootstrap_output_is_unchanged(self, capsys, flu_file, fmt, digest):
+        code, out = run(capsys, "bootstrap", flu_file, "--response", "Y",
+                        "--subset", "X1,X2", "--seed", "3", "-B", "200",
+                        "-n", "200", "--weights", "equal", "--format", fmt,
+                        "--precision", "17")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_inspect_output_is_unchanged(self, capsys, flu_file):
+        code, out = run(capsys, "inspect", flu_file, "--format", "structured",
+                        "--precision", "17")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "42a636f0ccc997e342702d89b53ce4d5b03820d5b76082e11ff5d9fdf40a945a")
+
+    def test_predict_output_is_unchanged(self, capsys, flu_file, screening_file):
+        code, out = run(capsys, "predict", "--train", flu_file, "--test",
+                        screening_file, "--response", "Y", "--given", "X1,X2",
+                        "--seed", "7", "--format", "structured",
+                        "--precision", "17")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "68213df328fa3dbbb6d56f153f00d373688a84659b209b7bd62873e47d44d3ef")
 
     # digests of the structured output computed while ``tau`` still
     # resolved its weights on an association vector

@@ -8,12 +8,14 @@ import pytest
 from nomassoc import (
     ContingencyTable,
     DataError,
+    FluScenarioConfig,
     ParseError,
     compose,
     compress,
     contingency,
     expand_to_unit_rows,
     from_scenarios,
+    generate_flu,
     load_delimited,
     split,
 )
@@ -401,6 +403,14 @@ class TestSplit:
         assert ds.n_rows == 24000
         first, second = split(ds, 0.8, seed=0)
         assert (first.n_rows, second.n_rows) == (19200, 4800)
+
+    def test_empty_part_rejected(self):
+        ds = generate_flu(FluScenarioConfig(n=10, seed=1))
+        with pytest.raises(DataError, match="parts of 0 and 10 rows"):
+            split(ds, 0.01, 1)
+        ds = generate_flu(FluScenarioConfig(n=1000, seed=1))
+        first, second = split(ds, 0.01, 1)
+        assert (first.n_rows, second.n_rows) == (10, 990)
 
     def test_weighted_dataset_rejected(self):
         ds = retail_dataset()
