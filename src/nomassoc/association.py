@@ -204,19 +204,23 @@ class AssociationVector:
 class WeightVector:
     """Simplex weights over response categories.
 
-    ``regular`` is true when every weight is strictly positive, the condition
-    under which a weighted association of 0 characterises independence and 1
+    Regularity is read from the weights, not given: :attr:`regular` is true
+    when every weight is strictly positive, the condition under which a
+    weighted association of 0 characterises independence and 1
     characterises determinism.
     """
 
     weights: np.ndarray
-    regular: bool
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise DataError("weights must form a non-empty vector")
         object.__setattr__(self, "weights", np.clip(_simplex(w), 0.0, None))
+
+    @property
+    def regular(self) -> bool:
+        return bool(self.weights.min() > 0)
 
     @classmethod
     def from_raw(cls, raw) -> "WeightVector":
@@ -229,8 +233,7 @@ class WeightVector:
         total = raw.sum()
         if total <= 0:
             raise DataError("raw weights must have positive sum")
-        w = raw / total
-        return cls(weights=w, regular=bool(w.min() > 0))
+        return cls(raw / total)
 
     @property
     def size(self) -> int:
@@ -242,13 +245,12 @@ class WeightVector:
         clipped, kept as it is."""
         vector = object.__new__(cls)
         object.__setattr__(vector, "weights", w)
-        object.__setattr__(vector, "regular", bool(w.min() > 0))
         return vector
 
 
 def _simplex(w: np.ndarray, gini: float | None = None) -> np.ndarray:
     """``w`` with values in [-1e-12, 0) set to 0; raises unless ``w`` is
-    non-negative and sums to 1, both within 1e-12.
+    finite, non-negative and sums to 1, both within 1e-12.
 
     ``gini`` marks ``w`` as the k weights ``p (1 - p) / gini``: each
     ``p (1 - p)`` is rounded and so is ``gini``, so their sum is good only
@@ -256,6 +258,8 @@ def _simplex(w: np.ndarray, gini: float | None = None) -> np.ndarray:
     level, whose ``gini`` is tiny.  That bound is worked out only when the
     fixed one fails.
     """
+    if not np.isfinite(w).all():  # a NaN passes every comparison below
+        raise DataError("weights must be finite")
     low = w.min()
     if low < -CLAMP_TOL:
         raise DataError("weights must be non-negative")
@@ -455,21 +459,15 @@ def _group_taus(kept, x_mass, total, weights) -> np.ndarray:
     y_mass = kept.sum(axis=-1)
     p = y_mass / total
     _, lift, alt = _lift_forms(_column_sums(kept, x_mass), y_mass, p, total)
+    gini = _gini(p)
     settled = (
         (y_mass > 0) & (p < 1.0) & (np.abs(lift - alt) <= _FORMS_TOL)
         & (lift >= 0.0) & (lift <= 1.0)
-    ).all(axis=1)
+    ).all(axis=1) & (gini > 0)
     if isinstance(weights, WeightVector):
         w = weights.weights
     else:
-        if weights == "gk":
-            gini = _gini(p)
-            settled &= gini > 0
-            w = _gk_weights(p, gini[:, None])
-        elif weights == "equal":
-            w = _equal_weights(p.shape[1])
-        else:
-            w = _invprob_weights(p)
+        w = _SCHEMES[weights](p, gini[:, None])
         settled &= (w.min(axis=-1) >= 0) & (
             np.abs(w.sum(axis=-1) - 1.0) <= CLAMP_TOL
         )
@@ -580,21 +578,18 @@ _ONE_LEVEL = (
 )
 
 
-def _gk_weights(p: np.ndarray, gini) -> np.ndarray:
-    """``p (1 - p) / gini``, over the last axis of ``p``."""
-    return p * (1.0 - p) / gini
+#: Each named weight scheme's weights over the last axis of ``p``, the
+#: marginals of the levels strictly inside (0, 1), with their Gini
+#: variation ``gini``; :func:`_weight_array` holds each scheme's refusals.
+_SCHEMES = {
+    "gk": lambda p, gini: p * (1.0 - p) / gini,
+    "equal": lambda p, gini: np.full(p.shape, 1.0 / p.shape[-1]),
+    "invprob": lambda p, gini: (
+        (1.0 / p) / (1.0 / p).sum(axis=-1, keepdims=True)),
+}
 
-
-def _equal_weights(n_levels: int) -> np.ndarray:
-    if n_levels < 1:
-        raise DataError("need at least one response level")
-    return np.full(n_levels, 1.0 / n_levels)
-
-
-def _invprob_weights(p: np.ndarray) -> np.ndarray:
-    """``1 / p`` normalised over the last axis of ``p``."""
-    raw = 1.0 / p
-    return raw / raw.sum(axis=-1, keepdims=True)
+#: Named weight schemes accepted wherever a WeightVector is expected.
+WEIGHT_SCHEMES = tuple(_SCHEMES)
 
 
 def goodman_kruskal_weights(stats: MarginalStats) -> WeightVector:
@@ -604,16 +599,14 @@ def goodman_kruskal_weights(stats: MarginalStats) -> WeightVector:
 
 def equal_weights(n_levels: int) -> WeightVector:
     """Uniform weights ``1 / n`` over the response categories."""
-    return WeightVector(weights=_equal_weights(n_levels), regular=True)
+    if n_levels < 1:
+        raise DataError("need at least one response level")
+    return WeightVector(np.full(n_levels, 1.0 / n_levels))
 
 
 def inverse_probability_weights(stats: MarginalStats) -> WeightVector:
     """Weights proportional to ``1 / p_s``, emphasising rare categories."""
     return resolve_weights("invprob", stats)
-
-
-#: Named weight schemes accepted wherever a WeightVector is expected.
-WEIGHT_SCHEMES = ("gk", "equal", "invprob")
 
 
 def _weight_array(
@@ -632,34 +625,24 @@ def _weight_array(
     if isinstance(spec, WeightVector):
         _fit_vector(spec, len(p))
         return spec.weights
-    if spec == "gk":
-        if gini <= 0:
-            raise DataError(
-                "variation-proportional weights undefined: point mass"
-            )
-        return _simplex(_gk_weights(p, gini), gini)
-    if spec == "equal":
-        return _simplex(_equal_weights(len(p)))
-    if p.min() <= 0:
+    if spec == "gk" and gini <= 0:
+        raise DataError("variation-proportional weights undefined: point mass")
+    if spec == "invprob" and p.min() <= 0:
         raise DataError(
             "inverse-probability weights undefined for zero-probability "
             "levels; re-code the response to eliminate them"
         )
-    return _simplex(_invprob_weights(p))
-
-
-def _unknown_scheme(spec) -> DataError:
-    return DataError(
-        f"unknown weight scheme {spec!r}; expected one of {WEIGHT_SCHEMES} "
-        "or a WeightVector"
-    )
+    return _simplex(_SCHEMES[spec](p, gini), gini if spec == "gk" else None)
 
 
 def _known_scheme(spec: Union[str, WeightVector]) -> None:
     """Refuse ``spec`` unless it is a :class:`WeightVector` or names one of
     :data:`WEIGHT_SCHEMES`, before any table is looked at."""
     if not (isinstance(spec, WeightVector) or spec in WEIGHT_SCHEMES):
-        raise _unknown_scheme(spec)
+        raise DataError(
+            f"unknown weight scheme {spec!r}; expected one of "
+            f"{WEIGHT_SCHEMES} or a WeightVector"
+        )
 
 
 def _fit_vector(spec: WeightVector, levels: int) -> None:

@@ -280,22 +280,33 @@ class _RecordIndex(dict):
         self, rows: np.ndarray, mass: np.ndarray | None
     ) -> CategoricalDataset:
         """The dataset of the kept records ``rows`` (ids, one per row) with
-        row masses ``mass`` (``None`` for 1.0); levels are numbered over the
-        records in first-appearance order."""
-        if not self.var_positions or not len(rows):
+        row masses ``mass`` (``None`` for 1.0)."""
+        if not self.var_positions:  # a blank header, or only the mass column
+            raise ParseError("header names no variable column")
+        if not len(rows):
             raise ParseError("file contains a header but no data rows")
-        variables = []
-        codes = []
-        for i in self.var_positions:
-            level_index: dict[str, int] = {}
-            record_codes = np.array(
-                [level_index.setdefault(v[i], len(level_index))
-                 if v is not None else 0 for v in self.values],
-                dtype=np.int64,
-            )
-            variables.append(VariableMeta(self.header[i], tuple(level_index)))
-            codes.append(record_codes[rows])
-        return CategoricalDataset(variables, codes, mass)
+        return _encode([self.header[i] for i in self.var_positions],
+                       self.var_positions, self.values, rows, mass)
+
+
+def _encode(names, positions, records, rows, mass) -> CategoricalDataset:
+    """The dataset whose variable ``names[j]`` is field ``positions[j]`` of
+    ``records`` (``None`` for a record that holds no row), taken at the
+    record indices ``rows``, with row masses ``mass`` (``None`` for 1.0).
+    Each variable numbers its levels in order of first appearance over
+    ``records``."""
+    variables = []
+    codes = []
+    for name, i in zip(names, positions):
+        level_index: dict[str, int] = {}
+        record_codes = np.array(
+            [level_index.setdefault(r[i], len(level_index))
+             if r is not None else 0 for r in records],
+            dtype=np.int64,
+        )
+        variables.append(VariableMeta(name, tuple(level_index)))
+        codes.append(record_codes[rows])
+    return CategoricalDataset(variables, codes, mass)
 
 
 def _line_parser(delimiter: str):
@@ -510,20 +521,8 @@ def from_scenarios(
         names = [f"V{i + 1}" for i in range(arity)]
     elif len(names) != arity:
         raise DataError("number of names does not match scenario arity")
-
-    level_maps: list[dict[str, int]] = [{} for _ in range(arity)]
-    rows = list(merged.items())
-    codes = [np.empty(len(rows), dtype=np.int64) for _ in range(arity)]
-    mass = np.empty(len(rows), dtype=np.float64)
-    for r, (labels, m) in enumerate(rows):
-        mass[r] = m
-        for v, label in enumerate(labels):
-            codes[v][r] = level_maps[v].setdefault(label, len(level_maps[v]))
-    variables = [
-        VariableMeta(str(name), tuple(level_map))
-        for name, level_map in zip(names, level_maps)
-    ]
-    return CategoricalDataset(variables, codes, mass)
+    return _encode([str(name) for name in names], range(arity), list(merged),
+                   slice(None), np.array(list(merged.values())))
 
 
 def expand_to_unit_rows(dataset: CategoricalDataset) -> CategoricalDataset:

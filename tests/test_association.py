@@ -3,21 +3,28 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nomassoc import (
     CategoricalDataset,
     ContingencyTable,
     DataError,
     DroppedLevelsWarning,
+    EquivalenceLevel,
+    FluScenarioConfig,
     MarginalStats,
+    SelectionConfig,
     VariableMeta,
     WeightVector,
     association_matrix,
     association_vector,
+    check,
     contingency,
     equal_weights,
     expected_concentration,
     from_scenarios,
+    generate_flu,
     goodman_kruskal_tau,
     goodman_kruskal_weights,
     inverse_probability_weights,
@@ -305,6 +312,50 @@ class TestWeightSchemes:
                 tau_for(ds, "Y", ["X"], scheme)
 
 
+class TestDerivedRegularity:
+    """A weight vector is regular exactly when every weight is positive;
+    nothing else can say so."""
+
+    @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_regular_iff_every_weight_is_positive(self, raw):
+        raw = np.array(raw)
+        builders = [lambda: equal_weights(len(raw)),
+                    lambda: WeightVector.from_raw(raw)]
+        if raw.sum() > 0:
+            p = raw / raw.sum()
+            builders.append(lambda: WeightVector(p))
+            builders += [
+                lambda s=scheme: resolve_weights(
+                    s, MarginalStats.from_probabilities(p))
+                for scheme in ("gk", "equal", "invprob")
+            ]
+        for build in builders:
+            try:
+                vector = build()
+            except DataError:
+                continue
+            assert vector.regular is bool(vector.weights.min() > 0)
+
+    def test_regularity_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            WeightVector(np.array([0.5, 0.5]), True)
+        assert not WeightVector(np.array([1.0, 0.0])).regular
+
+    def test_supervised_selection_refuses_a_zero_weight(self):
+        ds = generate_flu(FluScenarioConfig(n=2000, seed=1))
+        config = SelectionConfig(weights=WeightVector(np.array([1.0, 0, 0])))
+        with pytest.raises(DataError, match="requires a regular weight"):
+            select_supervised(ds, "Y", config=config)
+
+    def test_perfect_prediction_check_warns_on_a_zero_weight(self):
+        ds = generate_flu(FluScenarioConfig(n=2000, seed=1))
+        level = EquivalenceLevel(
+            "E2", alpha=WeightVector(np.array([1.0, 0.0, 0.0])))
+        with pytest.warns(UserWarning, match="non-regular weight vector"):
+            check(ds, "X1", "X2", "Y", level)
+
+
 class TestExpectedConcentration:
     def test_uniform_and_point_mass(self):
         ds_uniform = from_scenarios([((str(i),), 1.0) for i in range(5)])
@@ -382,7 +433,7 @@ class TestGkWeightsWithADominantLevel:
                 beyond_fixed += 1
                 # a user-built vector keeps the fixed check
                 with pytest.raises(DataError, match="within 1e-12"):
-                    WeightVector(weights=alpha.weights, regular=True)
+                    WeightVector(weights=alpha.weights)
         assert beyond_fixed > 0
 
     def test_select_supervised(self):

@@ -165,6 +165,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: line 3: ")
 
+    @pytest.mark.parametrize("text, flags, message", [
+        ("w\n1\n2\n", ["--mass-column", "w"],
+         "header names no variable column"),
+        ("u,v\n", [], "file contains a header but no data rows"),
+        ("\n\n\n", [], "header names no variable column"),
+    ])
+    def test_file_without_variables_or_rows_is_a_data_error(
+        self, capsys, tmp_path, text, flags, message
+    ):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        assert dispatch(["inspect", *flags, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"data error: {message}\n")
+
     @pytest.mark.parametrize("flag", ["file", "--train", "--test", "--weights"])
     @pytest.mark.parametrize("problem", ["missing", "directory"])
     def test_unreadable_path_is_a_data_error(

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import os
 
 import numpy as np
@@ -151,6 +152,18 @@ class TestLoadDelimited:
         with pytest.raises(ParseError):
             load_delimited(write(tmp_path, "u,v\n"))
 
+    @pytest.mark.parametrize("text, kwargs, message", [
+        ("w\n1\n2\n", {"mass_column": "w"},
+         "header names no variable column"),
+        ("u,v\n", {}, "file contains a header but no data rows"),
+        ("\n\n\n", {}, "header names no variable column"),
+    ])
+    def test_file_without_variables_or_rows(self, tmp_path, text, kwargs,
+                                            message):
+        with pytest.raises(ParseError) as err:
+            load_delimited(write(tmp_path, text), **kwargs)
+        assert str(err.value) == message
+
     def test_mass_column(self, tmp_path):
         path = write(tmp_path, "u,w\na,2\nb,0.5\n")
         ds = load_delimited(path, mass_column="w")
@@ -249,6 +262,29 @@ class TestFromScenarios:
     def test_nonpositive_mass(self):
         with pytest.raises(DataError):
             from_scenarios([(("a",), 0.0)])
+
+    #: Repeated tuples whose masses sum in list order (``0.1 + 0.2 + 0.3``
+    #: differs from ``0.1 + (0.2 + 0.3)``), labels that are not strings
+    #: (``1`` and ``"1"`` are one label), fractional masses, and both
+    #: given and default names.
+    PINNED = [
+        ([(("a", "x"), 0.1), (("b", "y"), 1 / 3), (("a", "x"), 0.2),
+          (("c", "x"), 2.5), (("a", "x"), 0.3)], ["Y", "X"]),
+        ([((1, None), 1.0), (("1", "None"), 0.7), ((2.5, True), 1e-3),
+          ((0, False), 3.0), ((2.5, 1), 1 / 7)], None),
+        ([(("p",), 0.5), (("q",), 0.25), (("p",), 0.125)], None),
+    ]
+
+    def test_output_is_pinned(self):
+        # SHA-256 over names, levels, codes and the exact masses of each
+        lines = []
+        for scenarios, names in self.PINNED:
+            ds = from_scenarios(scenarios, names)
+            lines.append(repr([(v.name, v.levels) for v in ds.variables]))
+            lines.append(repr([c.tolist() for c in ds.codes]))
+            lines.append(repr([m.hex() for m in ds.mass.tolist()]))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "5ad33d16bb8c289a2a3546768e77529ecdd9d224eb8da2869eb9ef8c1198f141")
 
 
 class TestCompose:

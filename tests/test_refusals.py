@@ -231,12 +231,28 @@ CASES = {
         lambda: loan_tables("Age"), nm.DataError, "unknown loan response 'Age'",
     ),
     "weights-empty": (
-        lambda: nm.WeightVector(np.array([]), True), nm.DataError,
+        lambda: nm.WeightVector(np.array([])), nm.DataError,
         "weights must form a non-empty vector",
     ),
     "weights-negative": (
-        lambda: nm.WeightVector(np.array([1.5, -0.5]), True), nm.DataError,
+        lambda: nm.WeightVector(np.array([1.5, -0.5])), nm.DataError,
         "weights must be non-negative",
+    ),
+    # a NaN compares false with everything, so only a finiteness check
+    # refuses it
+    "weights-nan": (
+        lambda: nm.WeightVector(np.array([np.nan, 1.0])), nm.DataError,
+        "weights must be finite",
+    ),
+    "weights-inf": (
+        lambda: nm.WeightVector(np.array([np.inf, 1.0])), nm.DataError,
+        "weights must be finite",
+    ),
+    "invprob-weights-overflow": (  # 1 / 1e-310 overflows to inf
+        lambda: nm.tau_for(nm.from_scenarios(
+            [(("a", "p"), 1e-310), (("b", "q"), 1.0), (("b", "p"), 1.0)],
+            names=["Y", "X"]), "Y", "X", "invprob"),
+        nm.DataError, "weights must be finite",
     ),
     "equal-weights-no-level": (
         lambda: nm.equal_weights(0), nm.DataError,
