@@ -207,7 +207,9 @@ class WeightVector:
     Regularity is read from the weights, not given: :attr:`regular` is true
     when every weight is strictly positive, the condition under which a
     weighted association of 0 characterises independence and 1
-    characterises determinism.
+    characterises determinism.  Two vectors are equal, and hash alike,
+    when their weights have the same shape and bytes, so a vector can sit
+    in a frozen configuration that is compared or hashed.
     """
 
     weights: np.ndarray
@@ -217,6 +219,17 @@ class WeightVector:
         if w.ndim != 1 or w.size == 0:
             raise DataError("weights must form a non-empty vector")
         object.__setattr__(self, "weights", np.clip(_simplex(w), 0.0, None))
+
+    def _value(self) -> tuple[tuple[int, ...], bytes]:
+        return self.weights.shape, self.weights.tobytes()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeightVector):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
 
     @property
     def regular(self) -> bool:
@@ -584,8 +597,10 @@ _ONE_LEVEL = (
 _SCHEMES = {
     "gk": lambda p, gini: p * (1.0 - p) / gini,
     "equal": lambda p, gini: np.full(p.shape, 1.0 / p.shape[-1]),
-    "invprob": lambda p, gini: (
-        (1.0 / p) / (1.0 / p).sum(axis=-1, keepdims=True)),
+    # a subnormal marginal overflows 1 / p: the weights come out non-finite
+    # and are refused, so numpy's overflow warning would only repeat that
+    "invprob": np.errstate(over="ignore", invalid="ignore")(lambda p, gini: (
+        (1.0 / p) / (1.0 / p).sum(axis=-1, keepdims=True))),
 }
 
 #: Named weight schemes accepted wherever a WeightVector is expected.

@@ -9,19 +9,25 @@ builds the joint mass table between a composite and a response.
 
 One kernel, :func:`_count`, counts every mass table: a composite's cell
 masses for :func:`compose` and :func:`compress`, a composite against a
-response for :func:`contingency`, selection's tables from scratch and from
-the chosen set carried across steps (:func:`_candidate_table`), the cell
-masses of a concentration, and the bootstrap's resamples.
+response for :func:`contingency`, selection's tables from scratch, the
+cell masses of a concentration, and the bootstrap's resamples.  Tables
+from the chosen set carried across greedy steps (:func:`_candidate_table`)
+are counted over a key with the response folded in before the candidate,
+and keep their positive rows with the same tail (:func:`_positive_rows`).
 
 Composite codes come from a counting kernel, not a sort: each member is
 paired onto the codes so far in O(n) time, with the n-row int64 key, one
 byte of occupancy and one int64 remap entry per key slot (see
 :func:`_joint_codes`); only key ranges too wide to count are sorted.
-Greedy selection carries the chosen set's codes across steps in pick
-order and counts a candidate's table with the response in one ``bincount``
-over a dense key, with no pairing step; that table is the one a greedy step
-sorts, and only when its members are not in ascending order
-(:func:`_candidate_table`).
+Members of few levels are multiplied into a mixed-radix key while the
+tuples it can hold stay within the row count, and one pairing step then
+numbers them all at once.  Greedy selection carries the chosen set's
+codes across steps in pick order and folds the response into them once
+per step, ``key * levels + response``; each candidate then counts its
+table in one ``bincount`` over ``folded * card + code``, a ``(cell,
+level, code)`` array moved to one row per ``(cell, code)``, with no
+pairing step.  That table is the one a greedy step sorts, and only when
+its members are not in ascending order (:func:`_candidate_table`).
 
 All structures are immutable after construction; the underlying numpy
 arrays are marked read-only so datasets can be shared without copies.
@@ -205,9 +211,11 @@ class _RecordIndex(dict):
     def __init__(self, header, mass_column, missing_token, drop, reader=None,
                  parse=None):
         super().__init__()
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise ParseError("header names are not unique", line=1)
+        self.reader = reader
+        names = [h.strip() for h in header]
+        if len(set(names)) != len(names):
+            raise self._bad(header, "header names are not unique")
+        header = names
         mass_idx = None
         if mass_column is not None:
             if mass_column not in header:
@@ -216,7 +224,6 @@ class _RecordIndex(dict):
                 )
             mass_idx = header.index(mass_column)
         self.header = header
-        self.reader = reader
         self.parse = parse
         self.width = len(header)
         self.var_positions = [i for i in range(len(header)) if i != mass_idx]
@@ -382,6 +389,8 @@ def _scan_lines(data: bytes, delimiter, missing_token, drop, mass_column):
     first = next(lines, None)
     if first is None:
         raise ParseError("empty file")
+    if not first:  # blank lines before the header; all blank: a blank header
+        first = next(filter(None, lines), first)
     parse = _line_parser(delimiter)
     index = _RecordIndex(parse(first), mass_column, missing_token, drop,
                          parse=parse)
@@ -400,6 +409,8 @@ def _scan_records(data: bytes, path, delimiter, missing_token, drop,
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)
+            if not header:  # as on the line path
+                header = next(filter(None, reader), header)
             index = _RecordIndex(header, mass_column, missing_token, drop,
                                  reader)
             ids = np.fromiter(map(index.__getitem__, map(tuple, reader)),
@@ -441,13 +452,14 @@ def load_delimited(
 ) -> CategoricalDataset:
     """Read a delimited UTF-8 text file into a dataset.
 
-    A leading byte-order mark is skipped.  The first record must be a
-    header of unique names.  Surrounding whitespace is stripped from names
-    and values.  Category levels are the distinct observed strings in
-    first-appearance order.  ``missing_policy`` is ``"own-category"`` (the
-    missing token becomes a regular level) or ``"drop-row"``.  If
-    ``mass_column`` names a column, it supplies per-row masses instead of
-    1.0 and is not encoded as a variable.  A malformed record is reported
+    A leading byte-order mark is skipped, and so are blank lines before
+    the header.  The first other record must be a header of unique names.
+    Surrounding whitespace is stripped from names and values.  Category
+    levels are the distinct observed strings in first-appearance order.
+    ``missing_policy`` is ``"own-category"`` (the missing token becomes a
+    regular level) or ``"drop-row"``.  If ``mass_column`` names a column,
+    it supplies per-row masses instead of 1.0 and is not encoded as a
+    variable.  A malformed record is reported
     at the first line where it occurs.
 
     The file is read once, as bytes.  When they hold no quote character
@@ -634,6 +646,12 @@ class _Occupied:
         return cls((), np.zeros(dataset.n_rows, dtype=np.int64),
                    np.zeros((1, 0), dtype=np.int64))
 
+    def folded(self, target: np.ndarray | None, n_target: int) -> np.ndarray:
+        """``key * n_target + target`` (``key`` itself when ``target`` is
+        ``None``): the key a greedy step folds once for all its candidates
+        (:func:`_candidate_table`)."""
+        return self.key if target is None else self.key * n_target + target
+
 
 def _extend(dataset: CategoricalDataset, base: _Occupied, idx: int) -> _Occupied:
     """``base`` with variable ``idx`` added as its last member: one pairing
@@ -654,28 +672,52 @@ def _joint_codes(
     codes in ascending member index.  Zero-mass tuples, and a single
     member's unobserved levels, keep their codes.
 
-    Each member after the first costs one O(n) pairing step
-    (:func:`_pair`).  Codes are compacted after every step, so the key
-    range stays below ``cells * cardinality``; memory is the n-row int64
-    key plus one byte of occupancy and one int64 remap entry per key slot.
+    A member that has a next one is multiplied in, ``key * card + code``,
+    with no pairing step, while the key range times its cardinality and
+    the next member's is at most the row count: the key is then a
+    mixed-radix number of the tuple so far, in lexicographic order.  Every
+    other member after the first costs one O(n) pairing step
+    (:func:`_pair`), which numbers the occupied slots of the whole tuple so
+    far at once, as pairing every member would.  Codes are compacted
+    after every pairing, so the key range stays below ``cells *
+    cardinality`` (at most the row count for a multiplied member); memory
+    is the n-row int64 key plus one byte of occupancy and one int64 remap
+    entry per key slot.
 
     Pairing stops once a step leaves ``cells == n``: every row then has its
     own tuple, so ``key`` is a permutation of ``[0, n)``, and a later step,
     which orders slots by key first, would number each row by its key
     again and keep ``cells``.  The result is the same to the bit.  The check
-    comes only after a pairing: before it, ``cells`` is the first member's
-    cardinality, which ``n`` codes may reach without being distinct.
+    comes only after a pairing: before it, ``cells`` is a key range, which
+    ``n`` codes may reach without being distinct.
     """
     key = dataset.codes[indices[0]]
     cells = dataset.variables[indices[0]].cardinality
-    for idx in indices[1:]:
-        key, occupied = _pair(
-            key, cells, dataset.codes[idx], dataset.variables[idx].cardinality
-        )
+    cards = [dataset.variables[idx].cardinality for idx in indices]
+    for i, idx in enumerate(indices[1:], 1):
+        if i + 1 < len(cards) and cells * cards[i] * cards[i + 1] <= len(key):
+            key = key * cards[i]
+            key += dataset.codes[idx]
+            cells *= cards[i]
+            continue
+        key, occupied = _pair(key, cells, dataset.codes[idx], cards[i])
         cells = len(occupied)
         if cells == len(key):
             break
     return key, cells
+
+
+def _positive_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, keys)``: the rows of positive mass of a mass table whose
+    last axis holds the target levels, flattened over its other axes, as
+    one C-ordered float64 array, and their row numbers."""
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    table = table.reshape(-1, table.shape[-1])
+    # entries are non-negative: a row sums to more than 0 when one does
+    keys = np.flatnonzero(table @ np.ones(table.shape[1]) > 0)
+    if len(keys) < len(table):
+        table = table[keys]
+    return table, keys
 
 
 def _count(
@@ -703,40 +745,52 @@ def _count(
     if not _dense(slots * n_target, len(key)):
         key, occupied = _pair(key, slots, 0, 1)
         slots = len(occupied)
-    if target is not None:  # in place: the hot loop's key is not copied
+    if target is not None:  # in place: a freshly built key is not copied
         out = key if key.flags.writeable else None
         key = np.multiply(key, n_target, out=out)
         key += target
     table = np.bincount(key, weights=weights, minlength=slots * n_target)
-    table = table.reshape(slots, n_target).astype(np.float64, copy=False)
-    # entries are non-negative: a row sums to more than 0 when one does
-    keys = np.flatnonzero(table @ np.ones(n_target) > 0)
-    if len(keys) < slots:
-        table = table[keys]
+    table, keys = _positive_rows(table.reshape(slots, n_target))
     return table, keys if occupied is None else occupied[keys]
 
 
 def _candidate_table(
     dataset: CategoricalDataset,
     base: _Occupied,
+    folded: np.ndarray,
     idx: int,
     target: np.ndarray | None,
     n_target: int,
     weights: np.ndarray | None,
 ) -> np.ndarray:
-    """:func:`_count` of ``base`` with variable ``idx`` added, with no
-    pairing step: the key ``cell * card + code`` gives the rows in
-    lexicographic order over the members in pick order, ``idx`` last.
-    Unless that order is ascending, the table's rows, one per cell, are
-    sorted by a lexsort of their member codes taken in ascending member
-    index, the composite's own order.  The result equals the table of the
-    composite built from scratch, to the bit.
+    """:func:`_count` of ``base`` with variable ``idx`` added against
+    ``target``, with no pairing step.
+
+    ``folded`` is ``base.folded(target, n_target)``, folded once per
+    greedy step for all its candidates.  One ``bincount`` over ``folded *
+    card + code`` counts a ``(cells, n_target, card)`` array; moved to
+    ``(cells * card, n_target)``, its rows are the cells ``cell * card +
+    code``, in lexicographic order over the members in pick order, ``idx``
+    last.  A key range too wide to count takes :func:`_count`'s ranked
+    route on the key ``base.key * card + code``.  Unless the pick order is
+    ascending, the table's rows, one per cell, are sorted by a lexsort of
+    their member codes taken in ascending member index, the composite's own
+    order.  The result equals the table of the composite built from
+    scratch, to the bit.
     """
     card = dataset.variables[idx].cardinality
-    key = base.key * card
-    key += dataset.codes[idx]
-    table, keys = _count(key, len(base.scenarios) * card, target, n_target,
-                         weights)
+    cells = len(base.scenarios)
+    if _dense(cells * card * n_target, len(folded)):
+        key = folded * card
+        key += dataset.codes[idx]
+        table = np.bincount(key, weights=weights,
+                            minlength=cells * n_target * card)
+        table, keys = _positive_rows(
+            table.reshape(cells, n_target, card).transpose(0, 2, 1))
+    else:
+        key = base.key * card
+        key += dataset.codes[idx]
+        table, keys = _count(key, cells * card, target, n_target, weights)
     members = base.members + (idx,)
     if list(members) != sorted(members):
         parent, code = np.divmod(keys, card)

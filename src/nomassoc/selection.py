@@ -148,11 +148,11 @@ def _greedy(
 ) -> SelectionResult:
     """Shared forward/backward loop over the objective of :func:`_objective`.
 
-    The forward phase carries the chosen set's occupied tuples, so each
-    candidate's table is one ``bincount`` (:func:`_candidate_table`); the
-    backward phase builds each reduced set from scratch
-    (:func:`_leave_one_out`).  Both give the tables, and so the values, of
-    :func:`_measure`.
+    The forward phase carries the chosen set's occupied tuples and folds
+    the target into them once per step, so each candidate's table is one
+    ``bincount`` (:func:`_candidate_table`); the backward phase builds
+    each reduced set from scratch (:func:`_leave_one_out`).  Both give the
+    tables, and so the values, of :func:`_measure`.
     """
     sign = 1.0 if maximise else -1.0
     cap = config.max_cells
@@ -173,10 +173,11 @@ def _greedy(
             terminated = "exhausted"
             break
 
+        folded = occupied.folded(score.target, score.levels)
+
         def evaluate(cand: int) -> tuple[int, float]:
-            table = _candidate_table(
-                dataset, occupied, cand, score.target, score.levels, weights
-            )
+            table = _candidate_table(dataset, occupied, folded, cand,
+                                     score.target, score.levels, weights)
             return len(table), score.value(table)
 
         evals = _evaluate_all(remaining, evaluate)

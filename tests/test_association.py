@@ -356,6 +356,48 @@ class TestDerivedRegularity:
             check(ds, "X1", "X2", "Y", level)
 
 
+class TestWeightVectorValue:
+    """Weight vectors compare and hash by their weights, so the frozen
+    configurations that hold one compare and hash too."""
+
+    def test_equal_weights_give_equal_vectors(self):
+        a = WeightVector(np.array([0.5, 0.5]))
+        b = WeightVector.from_raw(np.array([2.0, 2.0]))
+        assert a == b and hash(a) == hash(b)
+        assert a != WeightVector(np.array([0.25, 0.75]))
+        assert a != WeightVector(np.array([1 / 3, 1 / 3, 1 / 3]))
+        assert a != "equal"
+        assert len({a, b, equal_weights(2)}) == 1
+
+    def test_equivalence_levels_holding_vectors_compare(self):
+        a = EquivalenceLevel("E5", alpha=WeightVector(np.array([0.5, 0.5])))
+        b = EquivalenceLevel("E5", alpha=equal_weights(2))
+        assert a == b and hash(a) == hash(b)
+        assert a != EquivalenceLevel("E5", alpha="equal")
+        assert a != EquivalenceLevel(
+            "E5", alpha=WeightVector(np.array([1.0, 0.0])))
+
+    def test_selection_configs_holding_vectors_compare(self):
+        a = SelectionConfig(weights=WeightVector(np.array([0.2, 0.8])))
+        b = SelectionConfig(
+            weights=WeightVector.from_raw(np.array([1.0, 4.0])))
+        assert a == b and hash(a) == hash(b)
+        assert a != SelectionConfig(weights=equal_weights(2))
+
+
+def test_invprob_overflow_is_refused_without_a_numpy_warning():
+    # 1 / 1e-310 overflows; the refusal is the only report of it
+    ds = from_scenarios([(("a", "p"), 1e-310), (("b", "q"), 1.0),
+                         (("b", "p"), 1.0)], names=["Y", "X"])
+    stats = MarginalStats.from_probabilities(np.array([1e-310, 1.0 - 1e-310]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="weights must be finite"):
+            tau_for(ds, "Y", "X", "invprob")
+        with pytest.raises(DataError, match="weights must be finite"):
+            resolve_weights("invprob", stats)
+
+
 class TestExpectedConcentration:
     def test_uniform_and_point_mass(self):
         ds_uniform = from_scenarios([((str(i),), 1.0) for i in range(5)])

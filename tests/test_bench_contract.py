@@ -4,9 +4,13 @@ names it uses, and the counts it reads from them, in step with the code.
 ``bench/tracing.py`` is loaded from its file and not modified: its
 :class:`Tracer` is installed on a small dataset and removed again.
 ``bench/workloads.py`` is loaded the same way, to run one pass of each
-workload, and its output checks, at a small size.
+workload, and its output checks, at a small size.  Each pass's canonical
+outputs are pinned by their SHA-256, hashed as ``bench/run.py`` hashes a
+run's digest, so a kernel change that moves any output by one bit fails
+here and not only in the benchmark.
 """
 
+import hashlib
 import importlib
 import importlib.util
 from pathlib import Path
@@ -116,10 +120,33 @@ def test_hierarchy_scan_composes_each_side_once(tracing):
 
 
 def run_small(workload):
-    """``{task: problem}`` of one pass of ``workload``, after its set-up."""
+    """``({task: problem}, digest)`` of one pass of ``workload``, after its
+    set-up; ``digest`` is the SHA-256 of the tasks' canonical outputs."""
     workload.setup()
     workload.prepare()
-    return {task: workload.check(task, run()) for task, run in workload.tasks()}
+    outputs = {task: run() for task, run in workload.tasks()}
+    digest = hashlib.sha256()
+    for task in sorted(outputs):
+        text = workload.canonical(task, outputs[task])
+        digest.update(f"{task}\n{text}\n".encode())
+    problems = {task: workload.check(task, out)
+                for task, out in outputs.items()}
+    return problems, digest.hexdigest()
+
+
+#: Digests of the small passes below, computed before the folded candidate
+#: keys and the multiplied members of ``dataset._joint_codes``.
+FLU_CLI_DIGEST = (
+    "32a064cbbe65da1865395ada9725dad7ca51d8919a5a001b8d690eef1652d30b")
+WIDE_SELECT_DIGESTS = {
+    1: "52adb2e78ddd7c0940e36d0adb3130b9fffaec0bbfdc453212112b7214eabab2",
+    2: "5d6d2275da4959f002ab79eba3af00daa475ab4e7b17186d240486bc2c0b9968",
+    3: "379f524d6906b89f2a8379d10706e18f2dc3617120c33da6b895cf44ecbd877e",
+}
+BOOT_SMALL_DIGESTS = {
+    1: "bbf1e3317fd7a40993b36bf6025ef23257ce465c687d52a79d13261568816901",
+    2: "b39bbc560a2f0b00016b76d8a0dc339c5e5df4a01aa8f3e05bf5976ebf9deab8",
+}
 
 
 def test_flu_cli_commands_pass_their_checks(tmp_path):
@@ -128,10 +155,11 @@ def test_flu_cli_commands_pass_their_checks(tmp_path):
     class SmallFluCli(workloads.FluCli):
         N_ROWS = 3000
 
-    problems = run_small(SmallFluCli(seed=1, workdir=str(tmp_path)))
+    problems, digest = run_small(SmallFluCli(seed=1, workdir=str(tmp_path)))
     assert problems == dict.fromkeys(
         ["select_supervised_s", "select_structural_s", "predict_s", "equiv_s"]
     )
+    assert digest == FLU_CLI_DIGEST
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -141,10 +169,12 @@ def test_wide_select_tasks_pass_their_checks(tmp_path, seed):
     class SmallWideSelect(workloads.WideSelect):
         N_ROWS = 3000
 
-    problems = run_small(SmallWideSelect(seed=seed, workdir=str(tmp_path)))
+    problems, digest = run_small(
+        SmallWideSelect(seed=seed, workdir=str(tmp_path)))
     assert problems == dict.fromkeys(
         ["select_supervised_s", "select_structural_s", "verify_basis_s"]
     )
+    assert digest == WIDE_SELECT_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -156,5 +186,7 @@ def test_boot_small_task_passes_its_check(tmp_path, seed):
         ITERATIONS = 50
         SAMPLE_SIZE = 200
 
-    problems = run_small(SmallBootSmall(seed=seed, workdir=str(tmp_path)))
+    problems, digest = run_small(
+        SmallBootSmall(seed=seed, workdir=str(tmp_path)))
     assert problems == {"bootstrap_s": None}
+    assert digest == BOOT_SMALL_DIGESTS[seed]

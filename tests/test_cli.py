@@ -179,6 +179,15 @@ class TestExitCodes:
         assert dispatch(["inspect", *flags, str(path)]) == 2
         assert capsys.readouterr() == ("", f"data error: {message}\n")
 
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_blank_line_before_the_header_is_skipped(self, capsys, tmp_path,
+                                                     quote):
+        path = tmp_path / "data.csv"
+        path.write_text(f"\nu,v\na,x\n{quote}b{quote},y\n", encoding="utf-8")
+        assert dispatch(["inspect", "--format", "structured", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "rows = 2\n" in out and "variables = 2\n" in out
+
     @pytest.mark.parametrize("flag", ["file", "--train", "--test", "--weights"])
     @pytest.mark.parametrize("problem", ["missing", "directory"])
     def test_unreadable_path_is_a_data_error(

@@ -164,6 +164,27 @@ class TestLoadDelimited:
             load_delimited(write(tmp_path, text), **kwargs)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("quote", ["", '"'])  # line path, record path
+    def test_blank_lines_before_the_header_are_skipped(self, tmp_path, quote):
+        path = write(tmp_path, f"\n\nu,v\na,x\n{quote}b{quote},y\n")
+        for ds in (load_delimited(path), _load_table(path)):
+            assert ds.names == ("u", "v")
+            assert ds.variable("u").levels == ("a", "b")
+            assert ds.codes[1].tolist() == [0, 1]
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    @pytest.mark.parametrize("text, line", [
+        ("\n\nu,v\na,x\n{q}b{q}\n", 5),
+        ("\n\nu,{q}u{q}\na,x\n", 3),
+    ])
+    def test_errors_after_blank_lines_name_their_physical_line(
+        self, tmp_path, quote, text, line
+    ):
+        path = write(tmp_path, text.format(q=quote))
+        with pytest.raises(ParseError, match=f"line {line}") as err:
+            load_delimited(path)
+        assert err.value.line == line
+
     def test_mass_column(self, tmp_path):
         path = write(tmp_path, "u,w\na,2\nb,0.5\n")
         ds = load_delimited(path, mass_column="w")
