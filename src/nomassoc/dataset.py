@@ -9,11 +9,12 @@ builds the joint mass table between a composite and a response.
 
 One kernel, :func:`_count`, counts every mass table: a composite's cell
 masses for :func:`compose` and :func:`compress`, a composite against a
-response for :func:`contingency`, selection's tables from scratch, the
-cell masses of a concentration, and the bootstrap's resamples.  Tables
-from the chosen set carried across greedy steps (:func:`_candidate_table`)
-are counted over a key with the response folded in before the candidate,
-and keep their positive rows with the same tail (:func:`_positive_rows`).
+response for :func:`contingency`, selection's tables from scratch and the
+cell masses of a concentration (both through :func:`_scratch_table`), and
+the bootstrap's resamples.  Tables from the chosen set carried across
+greedy steps (:func:`_candidate_table`) are counted over a key with the
+response folded in before the candidate, and keep their positive rows with
+the same tail (:func:`_positive_rows`).
 
 Composite codes come from a counting kernel, not a sort: each member is
 paired onto the codes so far in O(n) time, with the n-row int64 key, one
@@ -21,13 +22,19 @@ byte of occupancy and one int64 remap entry per key slot (see
 :func:`_joint_codes`); only key ranges too wide to count are sorted.
 Members of few levels are multiplied into a mixed-radix key while the
 tuples it can hold stay within the row count, and one pairing step then
-numbers them all at once.  Greedy selection carries the chosen set's
-codes across steps in pick order and folds the response into them once
-per step, ``key * levels + response``; each candidate then counts its
-table in one ``bincount`` over ``folded * card + code``, a ``(cell,
-level, code)`` array moved to one row per ``(cell, code)``, with no
-pairing step.  That table is the one a greedy step sorts, and only when
-its members are not in ascending order (:func:`_candidate_table`).
+numbers them all at once.  A key is ranked only where counting needs the
+ranks (:func:`_rank`): once a pairing leaves most rows in cells of their
+own, the remaining members are multiplied onto the key (:func:`_radix`)
+and it is ranked once, and a from-scratch table whose slots fit the dense
+count is counted over the unranked mixed-radix key itself.
+
+Greedy selection carries the chosen set's codes across steps in pick
+order and folds the response into them once per step, ``key * levels +
+response``; each candidate then counts its table in one ``bincount`` over
+``folded * card + code``, a ``(cell, level, code)`` array moved to one row
+per ``(cell, code)``, with no pairing step.  That table is the one a
+greedy step sorts, and only when its members are not in ascending order
+(:func:`_candidate_table`).
 
 All structures are immutable after construction; the underlying numpy
 arrays are marked read-only so datasets can be shared without copies.
@@ -38,6 +45,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -599,21 +607,16 @@ def _dense(slots: int, rows: int) -> bool:
     return slots <= _SLOTS_PER_ROW * rows + _SMALL_SLOTS
 
 
-def _pair(
-    key: np.ndarray, cells: int, codes: np.ndarray, card: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One pairing step: dense codes of the ``(key, codes)`` pairs.
+def _rank(key: np.ndarray, slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(codes, occupied)``: each row's rank among the occupied slots of
+    ``key`` (codes in ``[0, slots)``), so the codes keep the key's order,
+    and the occupied slots in ascending order.
 
-    ``key`` holds codes in ``[0, cells)``.  Each pair is a slot
-    ``key * card + code``; a boolean scatter marks the occupied slots and
-    one scatter over those numbers them in order, so the codes are
-    lexicographic over ``(key, code)`` with no sort, in O(n + slots).
-    Returns ``(codes, occupied)``, ``occupied`` listing the occupied slots
-    in ascending order.
+    Within the bound of :func:`_dense`, a boolean scatter marks the
+    occupied slots and one scatter over those numbers them, with no sort,
+    in O(n + slots); a wider key range is ranked by ``np.unique``, whose
+    memory follows the rows alone.
     """
-    key = key * card
-    key += codes
-    slots = cells * card
     if not _dense(slots, len(key)):
         occupied, key = np.unique(key, return_inverse=True)
         return key, occupied
@@ -623,6 +626,53 @@ def _pair(
     remap = np.empty(slots, dtype=np.int64)  # read at occupied slots only
     remap[occupied] = np.arange(len(occupied))
     return remap[key], occupied
+
+
+def _pair(
+    key: np.ndarray, cells: int, codes: np.ndarray, card: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One pairing step: :func:`_rank` of the slots ``key * card + code``
+    of the ``(key, codes)`` pairs, ``key`` holding codes in ``[0,
+    cells)``, so the codes are lexicographic over ``(key, code)``."""
+    key = key * card
+    key += codes
+    return _rank(key, cells * card)
+
+
+#: The largest key an int64 holds: :func:`_radix` ranks before a multiply
+#: that could pass it.
+_KEY_MAX = int(np.iinfo(np.int64).max)
+
+
+def _radix(
+    dataset: CategoricalDataset,
+    indices: Sequence[int],
+    key: np.ndarray,
+    cells: int,
+) -> tuple[np.ndarray, int]:
+    """``(key, cells)`` with the variables ``indices`` multiplied onto
+    ``key`` (codes in ``[0, cells)``) in turn, ``key * card + code``.
+
+    The key is a mixed-radix number of the tuple, lexicographic and
+    unranked: ``cells`` is its range, not the number of tuples taken.  A
+    multiply that could pass the largest int64 is preceded by a
+    :func:`_rank`, which keeps the order; if every row then has its own
+    tuple (``cells == n``), the key is a permutation of ``[0, n)`` that
+    later members cannot split, so the ranked key is returned as it is.
+    ``key`` is not written to; the key built from it is, in place.
+    """
+    given = key
+    for idx in indices:
+        card = dataset.variables[idx].cardinality
+        if cells * card - 1 > _KEY_MAX:
+            key, occupied = _rank(key, cells)
+            cells = len(occupied)
+            if cells == len(key):
+                break
+        key = np.multiply(key, card, out=None if key is given else key)
+        key += dataset.codes[idx]
+        cells *= card
+    return key, cells
 
 
 @dataclass(frozen=True)
@@ -682,7 +732,7 @@ def _joint_codes(
     after every pairing, so the key range stays below ``cells *
     cardinality`` (at most the row count for a multiplied member); memory
     is the n-row int64 key plus one byte of occupancy and one int64 remap
-    entry per key slot.
+    entry per key slot, or a sort's, above the dense bound.
 
     Pairing stops once a step leaves ``cells == n``: every row then has its
     own tuple, so ``key`` is a permutation of ``[0, n)``, and a later step,
@@ -690,19 +740,38 @@ def _joint_codes(
     again and keep ``cells``.  The result is the same to the bit.  The check
     comes only after a pairing: before it, ``cells`` is a key range, which
     ``n`` codes may reach without being distinct.
+
+    Once a pairing leaves more cells than half the rows (``2 * cells >
+    n``), most rows sit in cells of their own and compacting after every
+    member has little left to gain: the remaining members are multiplied
+    onto the key (:func:`_radix`) and the key is ranked once
+    (:func:`_rank`), by a sort when its range is too wide to count.
+    Ranking the lexicographic key numbers its tuples as pairing each
+    member would, so the result is again the same to the bit.  Up to that
+    point the stepwise pairing keeps a correlated composite, whose cells
+    stay few, within the dense count, with no sort.
     """
     key = dataset.codes[indices[0]]
     cells = dataset.variables[indices[0]].cardinality
     cards = [dataset.variables[idx].cardinality for idx in indices]
+    n = len(key)
     for i, idx in enumerate(indices[1:], 1):
-        if i + 1 < len(cards) and cells * cards[i] * cards[i + 1] <= len(key):
+        if i + 1 < len(cards) and cells * cards[i] * cards[i + 1] <= n:
             key = key * cards[i]
             key += dataset.codes[idx]
             cells *= cards[i]
             continue
         key, occupied = _pair(key, cells, dataset.codes[idx], cards[i])
         cells = len(occupied)
-        if cells == len(key):
+        if cells == n:
+            break
+        if 2 * cells > n and i + 1 < len(cards):
+            key, cells = _radix(dataset, indices[i + 1:], key, cells)
+            # a range within n is ranked: _radix stopped with every row
+            # apart, or every later member has one level
+            if cells > n:
+                key, occupied = _rank(key, cells)
+                cells = len(occupied)
             break
     return key, cells
 
@@ -735,9 +804,10 @@ def _count(
     One ``bincount`` over the dense key ``key * n_target + target`` adds
     ``weights`` (the row masses; ``None`` for unit masses, whose integer
     counts are exact in float64) in row order, so the table does not
-    depend on how the codes were built.  Above the bound of :func:`_pair`,
-    the key codes are first ranked among the distinct ones, so the table's
-    size follows the rows.  With a ``target``, a writeable ``key`` is
+    depend on how the codes were built.  Above the bound of :func:`_dense`,
+    the key codes are first ranked among the distinct ones (a
+    :func:`_pair` with no code, so :func:`_rank`), so the table's size
+    follows the rows.  With a ``target``, a writeable ``key`` is
     overwritten; a dataset's arrays and those :func:`compose` builds are
     read-only.
     """
@@ -752,6 +822,34 @@ def _count(
     table = np.bincount(key, weights=weights, minlength=slots * n_target)
     table, keys = _positive_rows(table.reshape(slots, n_target))
     return table, keys if occupied is None else occupied[keys]
+
+
+def _scratch_table(
+    dataset: CategoricalDataset,
+    indices: Sequence[int],
+    target: np.ndarray | None,
+    n_target: int,
+    weights: np.ndarray | None,
+) -> np.ndarray:
+    """The table of :func:`_count` for the composite over ``indices``
+    (sorted) against ``target``, built from scratch: its rows of positive
+    mass in lexicographic order over the member codes.
+
+    When ``n_target`` times the product of the cardinalities is within
+    :func:`_dense`, the table is counted over the unranked mixed-radix key
+    (:func:`_radix`), whose slots are in lexicographic order, with no
+    rank; otherwise over :func:`_joint_codes`.  Either way each positive
+    slot is one row, in ascending key order, and each is summed in row
+    order, so the table is the same to the bit.
+    """
+    first = indices[0]
+    slots = math.prod(dataset.variables[i].cardinality for i in indices)
+    if _dense(slots * n_target, dataset.n_rows):
+        key, slots = _radix(dataset, indices[1:], dataset.codes[first],
+                            dataset.variables[first].cardinality)
+    else:
+        key, slots = _joint_codes(dataset, indices)
+    return _count(key, slots, target, n_target, weights)[0]
 
 
 def _candidate_table(

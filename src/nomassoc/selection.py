@@ -33,6 +33,7 @@ from .dataset import (
     _extend,
     _joint_codes,
     _Occupied,
+    _scratch_table,
 )
 from .errors import DataError
 
@@ -118,8 +119,8 @@ def _measure(
 ) -> tuple[int, float]:
     """``(observed cells, objective value)`` of the composite over
     ``indices``, built from scratch."""
-    table = _count(*_joint_codes(dataset, sorted(indices)), score.target,
-                   score.levels, dataset.mass)[0]
+    table = _scratch_table(dataset, sorted(indices), score.target,
+                           score.levels, dataset.mass)
     return len(table), score.value(table)
 
 

@@ -504,9 +504,30 @@ REPEATED_FIRST_MEMBER = CategoricalDataset(
 )
 
 
+def binary_rows(n_rows, n_members, patterns, seed):
+    """``n_rows`` rows of ``n_members`` binary variables drawn from
+    ``patterns`` distinct random rows, with all members: so many that
+    their mixed-radix key overflows int64 after the switch to one rank."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 2, (patterns, n_members))
+    rows = rows[rng.permutation(np.arange(n_rows) % patterns)]
+    metas = [VariableMeta(f"B{v}", ("0", "1")) for v in range(n_members)]
+    return CategoricalDataset(metas, list(rows.T)), list(range(n_members))
+
+
+#: 200 distinct rows of 70 bits: the chunk rank before the multiply that
+#: would overflow int64 leaves every row apart, so it stops there.
+DISTINCT_BINARY = binary_rows(200, 70, 200, 31)
+#: 200 rows of 120 patterns of 70 bits: the chunk rank leaves 120 cells,
+#: so the later members are multiplied on and the key is ranked again.
+REPEATED_BINARY = binary_rows(200, 70, 120, 37)
+
+
 @given(nearly_distinct() | composites().map(lambda case: case[:2]))
 @example((REPEATED_FIRST_MEMBER, [0, 1]))
 @example((FOUR_MEMBERS, [0, 1, 2, 4]))
+@example(DISTINCT_BINARY)
+@example(REPEATED_BINARY)
 @settings(max_examples=300, deadline=None)
 def test_joint_codes_stop_matches_pairing_every_member(case):
     ds, members = case
@@ -550,6 +571,158 @@ def test_joint_codes_multiply_small_members_before_one_pairing():
     assert np.array_equal(key, want_key)
     assert key.dtype == want_key.dtype
     assert cells == want_cells < 24
+
+
+# -- ranking once, and from-scratch tables over the unranked key --------------
+
+
+def rank_calls(ds, members):
+    """``_joint_codes(ds, members)`` and each ``_rank`` it makes, as
+    ``(slots, rows, cells)``."""
+    calls = []
+    rank = dataset._rank
+
+    def recording(key, slots):
+        codes, occupied = rank(key, slots)
+        calls.append((slots, len(key), len(occupied)))
+        return codes, occupied
+
+    with mock.patch.object(dataset, "_rank", recording):
+        return _joint_codes(ds, members), calls
+
+
+@pytest.mark.parametrize("case, ranks_after_chunk", [
+    (DISTINCT_BINARY, 0), (REPEATED_BINARY, 1),
+])
+def test_joint_codes_rank_a_chunk_before_the_key_overflows(case,
+                                                          ranks_after_chunk):
+    ds, members = case
+    (key, cells), calls = rank_calls(ds, members)
+    chunks = [i for i, (slots, _, _) in enumerate(calls)
+              if slots > dataset._KEY_MAX // 2]
+    assert len(chunks) == 1  # the one rank before an overflowing multiply
+    _, rows, chunk_cells = calls[chunks[0]]
+    assert (chunk_cells == rows) == (ranks_after_chunk == 0)
+    assert len(calls) == chunks[0] + 1 + ranks_after_chunk
+    want_key, want_cells = pair_every_member(ds, members)
+    assert np.array_equal(key, want_key) and cells == want_cells
+
+
+def test_correlated_wide_members_are_never_sorted():
+    # three members of 1000 levels that take only 1000 tuples: ranked once,
+    # their 10^9 key slots would be sorted; paired step by step, each pair
+    # is counted over 10^6 slots, since the cells stay far below n / 2
+    n = 70_000
+    rng = np.random.default_rng(41)
+    tuples = rng.integers(0, 1000, (1000, 3))[rng.integers(0, 1000, n)]
+    metas = [VariableMeta(f"C{v}", tuple(str(c) for c in range(1000)))
+             for v in range(3)]
+    ds = CategoricalDataset(metas, list(tuples.T))
+    assert not dataset._dense(1000**3, n)
+    (key, cells), calls = rank_calls(ds, [0, 1, 2])
+    assert len(calls) == 2
+    assert all(dataset._dense(slots, rows) for slots, rows, _ in calls)
+    want_key, want_cells = pair_every_member(ds, [0, 1, 2])
+    assert np.array_equal(key, want_key) and cells == want_cells
+    assert cells == len(np.unique(tuples, axis=0))
+
+
+@st.composite
+def scratch_cases(draw, max_rows=40):
+    """A dataset whose variable 0 is a response, with unit, integer (some
+    zero) or fractional (some zero) masses, and a sorted member set whose
+    cardinality product, times the response's levels, falls on either side
+    of the dense bound (members of 80 or 600 levels make it wide)."""
+    n_rows = draw(st.integers(1, max_rows))
+    cards = [draw(st.integers(1, 4))] + draw(st.lists(
+        st.sampled_from([1, 2, 3, 5, 80, 600]), min_size=1, max_size=5))
+    columns = [draw(st.lists(st.integers(0, card - 1), min_size=n_rows,
+                             max_size=n_rows)) for card in cards]
+    kind = draw(st.sampled_from([(1.0,), (0.0, 1.0, 2.0, 5.0),
+                                 (0.0, 0.1, 0.5, 1.0, 3.0)]))
+    masses = draw(st.lists(st.sampled_from(kind), min_size=n_rows,
+                           max_size=n_rows))
+    masses[0] = kind[-1]  # total mass must be positive
+    metas = [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
+             for v, card in enumerate(cards)]
+    ds = CategoricalDataset(metas, [np.asarray(c) for c in columns],
+                            np.asarray(masses))
+    members = draw(st.lists(st.integers(1, len(cards) - 1), min_size=1,
+                            max_size=len(cards) - 1, unique=True))
+    return ds, sorted(members)
+
+
+@given(scratch_cases())
+@example((FOUR_MEMBERS, [1, 2, 3, 4]))
+@settings(max_examples=200, deadline=None)
+def test_scratch_tables_equal_ranked_tables_and_dict_oracle(case):
+    ds, members = case
+    slots = int(np.prod([ds.variables[i].cardinality for i in members]))
+    targets = [(ds.codes[0], ds.variables[0].cardinality, 0), (None, 1, None)]
+    for target, levels, y in targets:
+        event(f"dense: {dataset._dense(slots * levels, ds.n_rows)}")
+        got = dataset._scratch_table(ds, members, target, levels, ds.mass)
+        ranked = _count(*_joint_codes(ds, members), target, levels, ds.mass)[0]
+        assert got.dtype == ranked.dtype == np.float64
+        assert got.tolist() == ranked.tolist()
+        assert got.tolist() == oracle_table(ds, members, y)
+
+
+def test_dense_scratch_tables_are_never_ranked():
+    ds = FOUR_MEMBERS
+    with mock.patch.object(dataset, "_rank") as rank:
+        table = dataset._scratch_table(ds, [0, 1, 2, 3, 4], None, 1, ds.mass)
+    assert not rank.called
+    assert table.tolist() == oracle_table(ds, [0, 1, 2, 3, 4], None)
+
+
+def nearly_distinct_wide(n_rows=300, seed=43):
+    """``n_rows`` rows of 12 variables of 2 to 7 levels, a tenth of them
+    repeated and masses with zeros: after two pairings more than half the
+    rows sit in cells of their own, so the rest are ranked once."""
+    rng = np.random.default_rng(seed)
+    cards = [2 + v % 6 for v in range(12)]
+    codes = [rng.integers(0, card, n_rows) for card in cards]
+    copies = rng.integers(0, n_rows, n_rows // 10)
+    for c in codes:
+        c[: len(copies)] = c[copies]
+    metas = [VariableMeta(f"W{v}", tuple(f"w{c}" for c in range(card)))
+             for v, card in enumerate(cards)]
+    return CategoricalDataset(metas, codes,
+                              rng.choice([0.0, 1.0, 1.0, 3.0], n_rows))
+
+
+def test_nearly_distinct_wide_composites_match_dict_oracle(tmp_path):
+    ds = nearly_distinct_wide()
+    members = list(range(ds.n_variables))
+    with mock.patch.object(dataset, "_radix", wraps=dataset._radix) as radix:
+        check_against_oracle(ds, members, members[::-1])
+        packed = compress(ds)
+    assert radix.called
+    records = list(zip(*[c.tolist() for c in ds.codes]))
+    _, scenarios, masses = oracles.joint_codes(records, ds.mass.tolist(),
+                                               members)
+    assert list(zip(*[c.tolist() for c in packed.codes])) == scenarios
+    assert packed.mass.tolist() == masses
+
+    # the same rows as a file of unit-mass lines: its table counts lines
+    path = tmp_path / "wide.csv"
+    lines = [",".join(ds.names)] + [
+        ",".join(v.levels[c[r]] for v, c in zip(ds.variables, ds.codes))
+        for r in range(ds.n_rows) for _ in range(int(ds.mass[r]))
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(dataset, "_radix", wraps=dataset._radix) as radix:
+        table = dataset._load_table(path)
+    assert radix.called
+    names, levels, codes, _ = oracles.load_delimited(path)
+    rows = list(zip(*codes))
+    _, scenarios, masses = oracles.joint_codes(rows, [1.0] * len(rows),
+                                               members)
+    assert list(table.names) == names
+    assert [v.levels for v in table.variables] == levels
+    assert list(zip(*[c.tolist() for c in table.codes])) == scenarios
+    assert table.mass.tolist() == masses
 
 
 # -- greedy selection's fused candidate tables --------------------------------
@@ -850,6 +1023,39 @@ def test_ladder_on_overlapping_references_matches_dict_oracle(case):
             hierarchy_scan(ds, x1, x2, 0)
         except DataError:  # a tau the oracle has none for
             pass  # a HierarchyInconsistencyError is no DataError
+
+
+@st.composite
+def member_set_pairs(draw):
+    """A dataset with zero-mass rows and unobserved levels whose variable 0
+    is the response, and two member sets of the other variables: equal,
+    nested, overlapping or disjoint."""
+    ds, _, _ = draw(composites(max_vars=5).filter(
+        lambda case: case[0].n_variables >= 2))
+    others = st.lists(st.integers(1, ds.n_variables - 1), min_size=1,
+                      unique=True)
+    return ds, sorted(draw(others)), sorted(draw(others))
+
+
+@given(member_set_pairs())
+@settings(max_examples=200, deadline=None)
+def test_both_sides_of_a_comparison_keep_the_same_levels(case):
+    # E3 and E4 compare the two sides entry by entry: both tables hold the
+    # same rows against the same response, so they keep the same levels
+    ds, x1, x2 = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero-mass response levels
+        for measure in (association_matrix, association_vector):
+            sides = []
+            for x in (x1, x2):
+                try:
+                    sides.append(measure(contingency(ds, x, 0)).level_indices)
+                except DataError:  # a response of one level, on both sides
+                    sides.append(None)
+            assert sides[0] == sides[1]
+            if sides[0] is not None:
+                event(f"levels dropped: "
+                      f"{len(sides[0]) < ds.variables[0].cardinality}")
 
 
 def test_wide_contingency_is_ranked_and_matches_dict_oracle():
