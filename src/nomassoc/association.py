@@ -41,7 +41,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .dataset import CategoricalDataset, ContingencyTable, VarRef, contingency
-from .dataset import _scratch_table
+from .dataset import _count, _joint_codes
 from .errors import DataError, DroppedLevelsWarning
 
 #: Allowed floating-point drift outside [0, 1] before values are clamped.
@@ -703,6 +703,7 @@ def expected_concentration(
         raise DataError("expected_concentration requires at least one variable")
     if len(set(resolved)) != len(resolved):
         raise DataError("variables must be distinct")
-    table = _scratch_table(dataset, sorted(resolved), None, 1, dataset.mass)
+    table = _count(*_joint_codes(dataset, sorted(resolved)), None, 1,
+                   dataset.mass)[0]
     p = table[:, 0] / dataset.total_mass
     return float(np.sum(p * p))

@@ -9,30 +9,29 @@ builds the joint mass table between a composite and a response.
 
 One kernel, :func:`_count`, counts every mass table: a composite's cell
 masses for :func:`compose` and :func:`compress`, a composite against a
-response for :func:`contingency`, selection's tables from scratch and the
-cell masses of a concentration (both through :func:`_scratch_table`), and
-the bootstrap's resamples.  Tables from the chosen set carried across
-greedy steps (:func:`_candidate_table`) are counted over a key with the
-response folded in before the candidate, and keep their positive rows with
-the same tail (:func:`_positive_rows`).
+response for :func:`contingency`, selection's tables from scratch, the
+cell masses of a concentration, and the bootstrap's resamples.  Tables
+from the chosen set carried across greedy steps (:func:`_candidate_table`)
+are counted over a key with the response folded in before the candidate,
+and keep their positive rows with the same tail (:func:`_positive_rows`).
 
-Composite codes come from a counting kernel, not a sort: each member is
-paired onto the codes so far in O(n) time, with the n-row int64 key, one
-byte of occupancy and one int64 remap entry per key slot (see
-:func:`_joint_codes`); only key ranges too wide to count are sorted.
-Members of few levels are multiplied into a mixed-radix key while the
-tuples it can hold stay within the row count, and one pairing step then
-numbers them all at once.  A key is ranked only where counting needs the
-ranks (:func:`_rank`): once a pairing leaves most rows in cells of their
-own, the remaining members are multiplied onto the key (:func:`_radix`)
-and it is ranked once, and a from-scratch table whose slots fit the dense
-count is counted over the unranked mixed-radix key itself.
+One loop, :func:`_joint_codes`, builds the key of every composite built
+from scratch: each member is multiplied onto the key, ``key * card +
+code``, so the key is a mixed-radix number of the tuple, in lexicographic
+order, and the key is ranked (:func:`_rank`) only where counting needs
+the ranks: before a multiply that would take its range past the row
+count, until most rows sit in cells of their own, before one that could
+pass int64, and once at the end if the range is still wider than the row
+count.  A rank counts over the key slots in O(n) time, with one byte of
+occupancy and one int64 remap entry per slot; only key ranges too wide to
+count are sorted.  The key that results has a range of at most the row
+count, so its table is counted densely, with no further rank.
 
 Greedy selection carries the chosen set's codes across steps in pick
 order and folds the response into them once per step, ``key * levels +
 response``; each candidate then counts its table in one ``bincount`` over
 ``folded * card + code``, a ``(cell, level, code)`` array moved to one row
-per ``(cell, code)``, with no pairing step.  That table is the one a
+per ``(cell, code)``, with no rank.  That table is the one a
 greedy step sorts, and only when its members are not in ascending order
 (:func:`_candidate_table`).
 
@@ -45,7 +44,6 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -135,9 +133,12 @@ class CategoricalDataset:
                 raise DataError("row masses must be finite")
             if n and mass.min() < 0:
                 raise DataError("row masses must be non-negative")
-        total = float(mass.sum())
+        with np.errstate(over="ignore"):  # an overflowing total is refused
+            total = float(mass.sum())
         if validate and total <= 0:
             raise DataError("total mass must be positive")
+        if validate and total == np.inf:
+            raise DataError("total mass overflows float64")
         self.variables = variables
         self.codes = codes
         self.mass = mass
@@ -590,7 +591,7 @@ class CompositeVariable:
         return "(" + ",".join(self.member_names) + ")"
 
 
-#: A pairing step counts over a table of ``cells * cardinality`` key slots
+#: A rank (:func:`_rank`) counts over a table of one entry per key slot
 #: while that table has at most this many slots per row (plus
 #: ``_SMALL_SLOTS``); a wider key range, such as two high-cardinality
 #: variables, is ranked by a sort, whose memory follows the rows alone.
@@ -628,53 +629,6 @@ def _rank(key: np.ndarray, slots: int) -> tuple[np.ndarray, np.ndarray]:
     return remap[key], occupied
 
 
-def _pair(
-    key: np.ndarray, cells: int, codes: np.ndarray, card: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One pairing step: :func:`_rank` of the slots ``key * card + code``
-    of the ``(key, codes)`` pairs, ``key`` holding codes in ``[0,
-    cells)``, so the codes are lexicographic over ``(key, code)``."""
-    key = key * card
-    key += codes
-    return _rank(key, cells * card)
-
-
-#: The largest key an int64 holds: :func:`_radix` ranks before a multiply
-#: that could pass it.
-_KEY_MAX = int(np.iinfo(np.int64).max)
-
-
-def _radix(
-    dataset: CategoricalDataset,
-    indices: Sequence[int],
-    key: np.ndarray,
-    cells: int,
-) -> tuple[np.ndarray, int]:
-    """``(key, cells)`` with the variables ``indices`` multiplied onto
-    ``key`` (codes in ``[0, cells)``) in turn, ``key * card + code``.
-
-    The key is a mixed-radix number of the tuple, lexicographic and
-    unranked: ``cells`` is its range, not the number of tuples taken.  A
-    multiply that could pass the largest int64 is preceded by a
-    :func:`_rank`, which keeps the order; if every row then has its own
-    tuple (``cells == n``), the key is a permutation of ``[0, n)`` that
-    later members cannot split, so the ranked key is returned as it is.
-    ``key`` is not written to; the key built from it is, in place.
-    """
-    given = key
-    for idx in indices:
-        card = dataset.variables[idx].cardinality
-        if cells * card - 1 > _KEY_MAX:
-            key, occupied = _rank(key, cells)
-            cells = len(occupied)
-            if cells == len(key):
-                break
-        key = np.multiply(key, card, out=None if key is given else key)
-        key += dataset.codes[idx]
-        cells *= card
-    return key, cells
-
-
 @dataclass(frozen=True)
 class _Occupied:
     """The tuples a member set takes in some row, zero-mass ones included.
@@ -704,14 +658,21 @@ class _Occupied:
 
 
 def _extend(dataset: CategoricalDataset, base: _Occupied, idx: int) -> _Occupied:
-    """``base`` with variable ``idx`` added as its last member: one pairing
-    step numbers the tuples lexicographically in pick order, ``idx``
-    last."""
+    """``base`` with variable ``idx`` added as its last member: one
+    :func:`_rank` of ``key * card + code`` numbers the tuples
+    lexicographically in pick order, ``idx`` last."""
     card = dataset.variables[idx].cardinality
-    key, occupied = _pair(base.key, len(base.scenarios), dataset.codes[idx], card)
+    key = base.key * card
+    key += dataset.codes[idx]
+    key, occupied = _rank(key, len(base.scenarios) * card)
     parent, code = np.divmod(occupied, card)
     scenarios = np.column_stack((base.scenarios[parent], code))
     return _Occupied(base.members + (idx,), key, scenarios)
+
+
+#: The largest key an int64 holds: :func:`_joint_codes` ranks before a
+#: multiply that could pass it.
+_KEY_MAX = int(np.iinfo(np.int64).max)
 
 
 def _joint_codes(
@@ -719,60 +680,50 @@ def _joint_codes(
 ) -> tuple[np.ndarray, int]:
     """``(key, cells)``: ``key`` numbers each row's tuple of the variables
     ``indices`` (sorted) in ``[0, cells)``, lexicographically over member
-    codes in ascending member index.  Zero-mass tuples, and a single
-    member's unobserved levels, keep their codes.
+    codes in ascending member index, with ``cells`` at most the row count.
+    The key need not be ranked: ``cells`` is its range, in which tuples of
+    no row keep their slots, so ``_rank(key, cells)`` numbers the tuples
+    taken.
 
-    A member that has a next one is multiplied in, ``key * card + code``,
-    with no pairing step, while the key range times its cardinality and
-    the next member's is at most the row count: the key is then a
-    mixed-radix number of the tuple so far, in lexicographic order.  Every
-    other member after the first costs one O(n) pairing step
-    (:func:`_pair`), which numbers the occupied slots of the whole tuple so
-    far at once, as pairing every member would.  Codes are compacted
-    after every pairing, so the key range stays below ``cells *
-    cardinality`` (at most the row count for a multiplied member); memory
-    is the n-row int64 key plus one byte of occupancy and one int64 remap
-    entry per key slot, or a sort's, above the dense bound.
+    Each member after the first is multiplied onto the key, ``key * card +
+    code``, a mixed-radix number of the tuple so far.  Before a multiply
+    the key is ranked (:func:`_rank`), which keeps its order, in two cases:
 
-    Pairing stops once a step leaves ``cells == n``: every row then has its
-    own tuple, so ``key`` is a permutation of ``[0, n)``, and a later step,
-    which orders slots by key first, would number each row by its key
-    again and keep ``cells``.  The result is the same to the bit.  The check
-    comes only after a pairing: before it, ``cells`` is a key range, which
-    ``n`` codes may reach without being distinct.
+    - the multiply could pass the largest int64;
+    - it would take the range past the row count ``n``, the key is no
+      longer the first member's codes, and no rank so far has left more
+      than half the rows in cells of their own (``2 * cells > n``).  Up to
+      that point a correlated composite, whose tuples stay few, is ranked
+      within the dense count at every step, with no sort; after it, a rank
+      has little left to compact.
 
-    Once a pairing leaves more cells than half the rows (``2 * cells >
-    n``), most rows sit in cells of their own and compacting after every
-    member has little left to gain: the remaining members are multiplied
-    onto the key (:func:`_radix`) and the key is ranked once
-    (:func:`_rank`), by a sort when its range is too wide to count.
-    Ranking the lexicographic key numbers its tuples as pairing each
-    member would, so the result is again the same to the bit.  Up to that
-    point the stepwise pairing keeps a correlated composite, whose cells
-    stay few, within the dense count, with no sort.
+    A rank that leaves ``cells == n`` ends the loop: every row then has its
+    own tuple, which later members, ordered after the key, cannot split.  A
+    range still wider than ``n`` after the last member is ranked once, by a
+    sort when it is too wide to count.  Any rank numbers the tuples as
+    pairing every member in turn would, so a table counted over the key is
+    the same to the bit.  Memory is the n-row int64 key plus, for a rank,
+    one byte of occupancy and one int64 remap entry per key slot, or a
+    sort's.
     """
-    key = dataset.codes[indices[0]]
-    cells = dataset.variables[indices[0]].cardinality
-    cards = [dataset.variables[idx].cardinality for idx in indices]
-    n = len(key)
-    for i, idx in enumerate(indices[1:], 1):
-        if i + 1 < len(cards) and cells * cards[i] * cards[i + 1] <= n:
-            key = key * cards[i]
-            key += dataset.codes[idx]
-            cells *= cards[i]
-            continue
-        key, occupied = _pair(key, cells, dataset.codes[idx], cards[i])
+    first = dataset.codes[indices[0]]
+    key, cells, n = first, dataset.variables[indices[0]].cardinality, len(first)
+    apart = False  # a rank has left more than half the rows apart
+    for idx in indices[1:]:
+        card = dataset.variables[idx].cardinality
+        if cells * card - 1 > _KEY_MAX or (
+                cells * card > n and key is not first and not apart):
+            key, occupied = _rank(key, cells)
+            cells = len(occupied)
+            if cells == n:
+                return key, cells
+            apart = 2 * cells > n
+        key = np.multiply(key, card, out=None if key is first else key)
+        key += dataset.codes[idx]
+        cells *= card
+    if cells > n:
+        key, occupied = _rank(key, cells)
         cells = len(occupied)
-        if cells == n:
-            break
-        if 2 * cells > n and i + 1 < len(cards):
-            key, cells = _radix(dataset, indices[i + 1:], key, cells)
-            # a range within n is ranked: _radix stopped with every row
-            # apart, or every later member has one level
-            if cells > n:
-                key, occupied = _rank(key, cells)
-                cells = len(occupied)
-            break
     return key, cells
 
 
@@ -805,15 +756,14 @@ def _count(
     ``weights`` (the row masses; ``None`` for unit masses, whose integer
     counts are exact in float64) in row order, so the table does not
     depend on how the codes were built.  Above the bound of :func:`_dense`,
-    the key codes are first ranked among the distinct ones (a
-    :func:`_pair` with no code, so :func:`_rank`), so the table's size
-    follows the rows.  With a ``target``, a writeable ``key`` is
-    overwritten; a dataset's arrays and those :func:`compose` builds are
-    read-only.
+    the key codes are first ranked among the distinct ones (:func:`_rank`),
+    so the table's size follows the rows.  With a ``target``, a writeable
+    ``key`` is overwritten; a dataset's arrays and those :func:`compose`
+    builds are read-only.
     """
     occupied = None
     if not _dense(slots * n_target, len(key)):
-        key, occupied = _pair(key, slots, 0, 1)
+        key, occupied = _rank(key, slots)
         slots = len(occupied)
     if target is not None:  # in place: a freshly built key is not copied
         out = key if key.flags.writeable else None
@@ -822,34 +772,6 @@ def _count(
     table = np.bincount(key, weights=weights, minlength=slots * n_target)
     table, keys = _positive_rows(table.reshape(slots, n_target))
     return table, keys if occupied is None else occupied[keys]
-
-
-def _scratch_table(
-    dataset: CategoricalDataset,
-    indices: Sequence[int],
-    target: np.ndarray | None,
-    n_target: int,
-    weights: np.ndarray | None,
-) -> np.ndarray:
-    """The table of :func:`_count` for the composite over ``indices``
-    (sorted) against ``target``, built from scratch: its rows of positive
-    mass in lexicographic order over the member codes.
-
-    When ``n_target`` times the product of the cardinalities is within
-    :func:`_dense`, the table is counted over the unranked mixed-radix key
-    (:func:`_radix`), whose slots are in lexicographic order, with no
-    rank; otherwise over :func:`_joint_codes`.  Either way each positive
-    slot is one row, in ascending key order, and each is summed in row
-    order, so the table is the same to the bit.
-    """
-    first = indices[0]
-    slots = math.prod(dataset.variables[i].cardinality for i in indices)
-    if _dense(slots * n_target, dataset.n_rows):
-        key, slots = _radix(dataset, indices[1:], dataset.codes[first],
-                            dataset.variables[first].cardinality)
-    else:
-        key, slots = _joint_codes(dataset, indices)
-    return _count(key, slots, target, n_target, weights)[0]
 
 
 def _candidate_table(
@@ -862,7 +784,7 @@ def _candidate_table(
     weights: np.ndarray | None,
 ) -> np.ndarray:
     """:func:`_count` of ``base`` with variable ``idx`` added against
-    ``target``, with no pairing step.
+    ``target``, with no rank.
 
     ``folded`` is ``base.folded(target, n_target)``, folded once per
     greedy step for all its candidates.  One ``bincount`` over ``folded *
@@ -874,7 +796,7 @@ def _candidate_table(
     ascending, the table's rows, one per cell, are sorted by a lexsort of
     their member codes taken in ascending member index, the composite's own
     order.  The result equals the table of the composite built from
-    scratch, to the bit.
+    scratch over :func:`_joint_codes`, to the bit.
     """
     card = dataset.variables[idx].cardinality
     cells = len(base.scenarios)
@@ -1001,9 +923,12 @@ class ContingencyTable:
             raise DataError("contingency mass must be finite")
         if mass.size and mass.min() < 0:
             raise DataError("contingency mass must be non-negative")
-        total = float(mass.sum())
+        with np.errstate(over="ignore"):  # an overflowing total is refused
+            total = float(mass.sum())
         if total <= 0:
             raise DataError("contingency table is degenerate (total mass 0)")
+        if total == np.inf:
+            raise DataError("contingency total mass is not finite")
         self.mass = _readonly(mass)
         self.x_marginal = _readonly(mass.sum(axis=1))
         self.y_marginal = _readonly(mass.sum(axis=0))

@@ -59,8 +59,6 @@ def fit(
     rows = table.mass / table.x_marginal[:, None]
     for k, labels in enumerate(xc.scenario_labels):
         vec = rows[k] / rows[k].sum()
-        if not np.isfinite(vec).all():  # a scenario's masses overflow
-            raise DataError("stored conditional is not finite")
         vec.flags.writeable = False
         conditionals[labels] = vec
     fallback = marginal / marginal.sum()

@@ -58,7 +58,7 @@ import numpy as np
 from .association import (
     _ONE_LEVEL, WeightVector, _fit_vector, _known_scheme, _tau, _taus,
 )
-from .dataset import CategoricalDataset, VarRef, _count, _joint_codes
+from .dataset import CategoricalDataset, VarRef, _count, _joint_codes, _rank
 from .errors import DataError, NomassocError
 
 
@@ -305,8 +305,12 @@ class _ReductionStatistic:
         y = dataset.variables[y_idx]
         y_codes = dataset.codes[y_idx]
         mass = None if dataset.unit_mass else dataset.mass
-        sub_cells = _joint_codes(dataset, sub)
-        full_cells = _joint_codes(dataset, full)
+
+        def observed(members):  # ranked, so a block spans cells x resamples
+            key, occupied = _rank(*_joint_codes(dataset, members))
+            return key, len(occupied)
+
+        sub_cells, full_cells = observed(sub), observed(full)
 
         def table(cells: tuple[np.ndarray, int], picks: np.ndarray):
             # one resample per row of picks: resample r's cells from r * cells

@@ -33,7 +33,6 @@ from .dataset import (
     _extend,
     _joint_codes,
     _Occupied,
-    _scratch_table,
 )
 from .errors import DataError
 
@@ -42,9 +41,10 @@ from .errors import DataError
 class SelectionConfig:
     """Knobs shared by both selectors.
 
-    ``epsilon`` is the absolute gain tolerance: forward selection stops when
-    the best objective improvement is at most ``epsilon`` and backward
-    removal deletes variables whose absence changes the objective by at most
+    ``epsilon`` is the absolute gain tolerance, finite and non-negative (a
+    NaN would never stop a phase): forward selection stops when the best
+    objective improvement is at most ``epsilon`` and backward removal
+    deletes variables whose absence changes the objective by at most
     ``epsilon``.  Exact-equality stopping is recovered on exact tables by
     the tiny default.
     """
@@ -55,8 +55,8 @@ class SelectionConfig:
     max_cells: int | None = 10_000
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise DataError("epsilon must be non-negative")
+        if not 0 <= self.epsilon < np.inf:  # false for NaN too
+            raise DataError("epsilon must be finite and non-negative")
         if self.max_vars is not None and self.max_vars < 1:
             raise DataError("max_vars must be positive when given")
         if self.max_cells is not None and self.max_cells < 1:
@@ -119,8 +119,8 @@ def _measure(
 ) -> tuple[int, float]:
     """``(observed cells, objective value)`` of the composite over
     ``indices``, built from scratch."""
-    table = _scratch_table(dataset, sorted(indices), score.target,
-                           score.levels, dataset.mass)
+    table = _count(*_joint_codes(dataset, sorted(indices)), score.target,
+                   score.levels, dataset.mass)[0]
     return len(table), score.value(table)
 
 

@@ -101,6 +101,15 @@ class TestExitCodes:
             "one level of positive mass\n"
         }
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_is_a_data_error(self, capsys, screening_file,
+                                                epsilon):
+        code = dispatch(["select", "supervised", "--response", "Y",
+                         "--epsilon", epsilon, screening_file])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: epsilon must be finite and non-negative\n")
+
     def test_misconfigured_bootstrap_reports_the_cause(
         self, capsys, screening_file
     ):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,14 +71,13 @@ class TestFit:
 
     def test_overflowing_scenario_mass_is_refused(self):
         # every row mass is finite, but scenario a's two rows sum past the
-        # largest float: its conditional would be 0/0, a NaN that no
-        # "sums to 1" comparison sees
-        with np.errstate(over="ignore", invalid="ignore"):
-            ds = from_scenarios([(("a", "0"), 1e308), (("a", "1"), 1e308),
-                                 (("b", "0"), 1.0)], names=("X", "Y"))
-            with pytest.raises(DataError,
-                               match="stored conditional is not finite"):
-                fit(ds, "X", "Y")
+        # largest float: its conditional would be 0/0, so the dataset is
+        # refused when built, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="total mass overflows float64"):
+                from_scenarios([(("a", "0"), 1e308), (("a", "1"), 1e308),
+                                (("b", "0"), 1.0)], names=("X", "Y"))
 
     def test_unseen_scenario_uses_marginal_fallback(self):
         train = table_as_unit_dataset([[8, 2], [1, 9]])

@@ -2,8 +2,10 @@
 
 import hashlib
 import os
+import sys
 import tempfile
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -447,19 +449,33 @@ def test_wide_key_ranges_match_dict_oracle():
     check_against_oracle(ds, [0, 2], [2, 0])
 
 
-# -- pairing stops once every row is its own cell -----------------------------
+# -- one loop builds every from-scratch key -----------------------------------
 
 
 def pair_every_member(ds, members):
-    """``(key, cells)`` of ``_joint_codes`` with no stop: every member after
-    the first is paired onto the codes so far."""
-    key = ds.codes[members[0]]
-    cells = ds.variables[members[0]].cardinality
+    """``(key, cells)`` of ranking the first member's codes, then each
+    later member's ``key * card + code`` in turn: the codes of pairing
+    every member onto the codes so far."""
+    first = members[0]
+    key, occupied = dataset._rank(ds.codes[first],
+                                  ds.variables[first].cardinality)
     for idx in members[1:]:
-        key, occupied = dataset._pair(key, cells, ds.codes[idx],
-                                      ds.variables[idx].cardinality)
-        cells = len(occupied)
-    return key, cells
+        card = ds.variables[idx].cardinality
+        key, occupied = dataset._rank(key * card + ds.codes[idx],
+                                      len(occupied) * card)
+    return key, len(occupied)
+
+
+def check_pairing(ds, members, key, cells):
+    """``(key, cells)`` of ``_joint_codes(ds, members)`` has a range of at
+    most the row count, and ranked, it equals pairing every member."""
+    assert cells <= ds.n_rows
+    assert 0 <= key.min() and key.max() < cells
+    want_key, want_cells = pair_every_member(ds, members)
+    ranked, occupied = dataset._rank(key, cells)
+    assert np.array_equal(ranked, want_key)
+    assert ranked.dtype == want_key.dtype
+    assert len(occupied) == want_cells
 
 
 @st.composite
@@ -497,7 +513,7 @@ def nearly_distinct(draw, max_rows=30):
 
 
 #: A has 3 levels over 3 rows but repeats a code: a stop before the first
-#: pairing would keep A's codes and merge rows 0 and 1.
+#: rank would keep A's codes and merge rows 0 and 1.
 REPEATED_FIRST_MEMBER = CategoricalDataset(
     [VariableMeta("A", ("0", "1", "2")), VariableMeta("B", ("0", "1"))],
     [np.array([0, 0, 1]), np.array([1, 0, 0])],
@@ -507,7 +523,7 @@ REPEATED_FIRST_MEMBER = CategoricalDataset(
 def binary_rows(n_rows, n_members, patterns, seed):
     """``n_rows`` rows of ``n_members`` binary variables drawn from
     ``patterns`` distinct random rows, with all members: so many that
-    their mixed-radix key overflows int64 after the switch to one rank."""
+    their mixed-radix key overflows int64 once most rows are apart."""
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, 2, (patterns, n_members))
     rows = rows[rng.permutation(np.arange(n_rows) % patterns)]
@@ -531,54 +547,13 @@ REPEATED_BINARY = binary_rows(200, 70, 120, 37)
 @settings(max_examples=300, deadline=None)
 def test_joint_codes_stop_matches_pairing_every_member(case):
     ds, members = case
-    key, cells = _joint_codes(ds, members)
-    want_key, want_cells = pair_every_member(ds, members)
-    assert np.array_equal(key, want_key)
-    assert key.dtype == want_key.dtype
-    assert cells == want_cells
+    check_pairing(ds, members, *_joint_codes(ds, members))
 
 
-def test_joint_codes_stop_after_the_first_saturating_pair():
-    key, cells = _joint_codes(REPEATED_FIRST_MEMBER, [0, 1])
-    assert key.tolist() == [1, 0, 2] and cells == 3
-    # V0 and V1 pair into 6 distinct rows; V2 and V3 are never paired
-    ds = CategoricalDataset(
-        [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
-         for v, card in enumerate((2, 3, 2, 2))],
-        [np.array(c) for c in ([0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2],
-                               [0, 1, 0, 1, 0, 1], [1, 1, 0, 0, 1, 1])],
-    )
-    with mock.patch.object(dataset, "_pair", wraps=dataset._pair) as pair:
-        key, cells = _joint_codes(ds, [0, 1, 2, 3])
-    assert pair.call_count == 1
-    assert key.tolist() == list(range(6)) and cells == 6
-
-
-def test_joint_codes_multiply_small_members_before_one_pairing():
-    # 2 * 3 * 2 * 2 = 24 tuples fit in 40 rows: V0, V1 and V2 are
-    # multiplied into one mixed-radix key, and V3 pairs the whole tuple
-    rng = np.random.default_rng(5)
-    cards = (2, 3, 2, 2)
-    ds = CategoricalDataset(
-        [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
-         for v, card in enumerate(cards)],
-        [rng.integers(0, card, 40) for card in cards],
-    )
-    want_key, want_cells = pair_every_member(ds, [0, 1, 2, 3])
-    with mock.patch.object(dataset, "_pair", wraps=dataset._pair) as pair:
-        key, cells = _joint_codes(ds, [0, 1, 2, 3])
-    assert pair.call_count == 1
-    assert np.array_equal(key, want_key)
-    assert key.dtype == want_key.dtype
-    assert cells == want_cells < 24
-
-
-# -- ranking once, and from-scratch tables over the unranked key --------------
-
-
-def rank_calls(ds, members):
-    """``_joint_codes(ds, members)`` and each ``_rank`` it makes, as
-    ``(slots, rows, cells)``."""
+@contextmanager
+def recorded_ranks():
+    """Each ``dataset._rank`` call made while active, as ``(slots, rows,
+    cells)``."""
     calls = []
     rank = dataset._rank
 
@@ -588,7 +563,51 @@ def rank_calls(ds, members):
         return codes, occupied
 
     with mock.patch.object(dataset, "_rank", recording):
+        yield calls
+
+
+def rank_calls(ds, members):
+    """``_joint_codes(ds, members)`` and each ``_rank`` it makes."""
+    with recorded_ranks() as calls:
         return _joint_codes(ds, members), calls
+
+
+def test_joint_codes_stop_after_the_first_saturating_pair():
+    # A's range of 3 equals the row count, but rows 0 and 1 share its code:
+    # only a rank's cell count may stop the loop, so B still splits them
+    (key, cells), calls = rank_calls(REPEATED_FIRST_MEMBER, [0, 1])
+    assert key.tolist() == [1, 0, 2] and cells == 3
+    assert calls == [(6, 3, 3)]  # the range of 6 is ranked at the end
+    # V0 and V1 multiply into 6 distinct rows: the rank before V2 leaves
+    # every row apart, so V2 and V3 are never multiplied on
+    ds = CategoricalDataset(
+        [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
+         for v, card in enumerate((2, 3, 2, 2))],
+        [np.array(c) for c in ([0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2],
+                               [0, 1, 0, 1, 0, 1], [1, 1, 0, 0, 1, 1])],
+    )
+    (key, cells), calls = rank_calls(ds, [0, 1, 2, 3])
+    assert calls == [(6, 6, 6)]
+    assert key.tolist() == list(range(6)) and cells == 6
+
+
+def test_joint_codes_multiply_small_members_with_no_rank():
+    # 2 * 3 * 2 * 2 = 24 tuples fit in 40 rows: every member is multiplied
+    # into one mixed-radix key, which is returned unranked
+    rng = np.random.default_rng(5)
+    cards = (2, 3, 2, 2)
+    ds = CategoricalDataset(
+        [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
+         for v, card in enumerate(cards)],
+        [rng.integers(0, card, 40) for card in cards],
+    )
+    (key, cells), calls = rank_calls(ds, [0, 1, 2, 3])
+    assert calls == []
+    v0, v1, v2, v3 = ds.codes
+    assert key.tolist() == (((v0 * 3 + v1) * 2 + v2) * 2 + v3).tolist()
+    assert cells == 24
+    check_pairing(ds, [0, 1, 2, 3], key, cells)
+    assert len(np.unique(key)) < 24
 
 
 @pytest.mark.parametrize("case, ranks_after_chunk", [
@@ -604,14 +623,14 @@ def test_joint_codes_rank_a_chunk_before_the_key_overflows(case,
     _, rows, chunk_cells = calls[chunks[0]]
     assert (chunk_cells == rows) == (ranks_after_chunk == 0)
     assert len(calls) == chunks[0] + 1 + ranks_after_chunk
-    want_key, want_cells = pair_every_member(ds, members)
-    assert np.array_equal(key, want_key) and cells == want_cells
+    check_pairing(ds, members, key, cells)
 
 
 def test_correlated_wide_members_are_never_sorted():
     # three members of 1000 levels that take only 1000 tuples: ranked once,
-    # their 10^9 key slots would be sorted; paired step by step, each pair
-    # is counted over 10^6 slots, since the cells stay far below n / 2
+    # their 10^9 key slots would be sorted; ranked before the third member
+    # is multiplied on, and again at the end, each rank counts over 10^6
+    # slots, since the cells stay far below n / 2
     n = 70_000
     rng = np.random.default_rng(41)
     tuples = rng.integers(0, 1000, (1000, 3))[rng.integers(0, 1000, n)]
@@ -622,8 +641,7 @@ def test_correlated_wide_members_are_never_sorted():
     (key, cells), calls = rank_calls(ds, [0, 1, 2])
     assert len(calls) == 2
     assert all(dataset._dense(slots, rows) for slots, rows, _ in calls)
-    want_key, want_cells = pair_every_member(ds, [0, 1, 2])
-    assert np.array_equal(key, want_key) and cells == want_cells
+    check_pairing(ds, [0, 1, 2], key, cells)
     assert cells == len(np.unique(tuples, axis=0))
 
 
@@ -657,28 +675,43 @@ def scratch_cases(draw, max_rows=40):
 @settings(max_examples=200, deadline=None)
 def test_scratch_tables_equal_ranked_tables_and_dict_oracle(case):
     ds, members = case
-    slots = int(np.prod([ds.variables[i].cardinality for i in members]))
     targets = [(ds.codes[0], ds.variables[0].cardinality, 0), (None, 1, None)]
     for target, levels, y in targets:
-        event(f"dense: {dataset._dense(slots * levels, ds.n_rows)}")
-        got = dataset._scratch_table(ds, members, target, levels, ds.mass)
-        ranked = _count(*_joint_codes(ds, members), target, levels, ds.mass)[0]
+        with recorded_ranks() as calls:
+            got = _count(*_joint_codes(ds, members), target, levels,
+                         ds.mass)[0]
+        event(f"ranked: {bool(calls)}")
+        ranked = _count(*pair_every_member(ds, members), target, levels,
+                        ds.mass)[0]
         assert got.dtype == ranked.dtype == np.float64
         assert got.tolist() == ranked.tolist()
         assert got.tolist() == oracle_table(ds, members, y)
 
 
 def test_dense_scratch_tables_are_never_ranked():
-    ds = FOUR_MEMBERS
-    with mock.patch.object(dataset, "_rank") as rank:
-        table = dataset._scratch_table(ds, [0, 1, 2, 3, 4], None, 1, ds.mass)
-    assert not rank.called
-    assert table.tolist() == oracle_table(ds, [0, 1, 2, 3, 4], None)
+    # 3 * 4 * 2 * 5 = 120 tuples fit in 200 rows, and 120 tuples against 4
+    # response levels in the dense count: neither the key nor the table
+    # is ranked
+    rng = np.random.default_rng(47)
+    cards = (4, 3, 4, 2, 5)
+    ds = CategoricalDataset(
+        [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
+         for v, card in enumerate(cards)],
+        [rng.integers(0, card, 200) for card in cards],
+        rng.choice([0.0, 1.0, 2.5], 200),
+    )
+    members = [1, 2, 3, 4]
+    for target, levels, y in [(ds.codes[0], 4, 0), (None, 1, None)]:
+        with recorded_ranks() as calls:
+            table = _count(*_joint_codes(ds, members), target, levels,
+                           ds.mass)[0]
+        assert calls == []
+        assert table.tolist() == oracle_table(ds, members, y)
 
 
 def nearly_distinct_wide(n_rows=300, seed=43):
     """``n_rows`` rows of 12 variables of 2 to 7 levels, a tenth of them
-    repeated and masses with zeros: after two pairings more than half the
+    repeated and masses with zeros: after two ranks more than half the
     rows sit in cells of their own, so the rest are ranked once."""
     rng = np.random.default_rng(seed)
     cards = [2 + v % 6 for v in range(12)]
@@ -692,13 +725,20 @@ def nearly_distinct_wide(n_rows=300, seed=43):
                               rng.choice([0.0, 1.0, 1.0, 3.0], n_rows))
 
 
+def ranked_once_after_most_rows_apart(calls):
+    """Whether the ranks ``calls`` end with one rank after the first that
+    left more than half the rows in cells of their own."""
+    apart = [i for i, (_, rows, cells) in enumerate(calls) if 2 * cells > rows]
+    return bool(apart) and len(calls) == apart[0] + 2
+
+
 def test_nearly_distinct_wide_composites_match_dict_oracle(tmp_path):
     ds = nearly_distinct_wide()
     members = list(range(ds.n_variables))
-    with mock.patch.object(dataset, "_radix", wraps=dataset._radix) as radix:
-        check_against_oracle(ds, members, members[::-1])
+    check_against_oracle(ds, members, members[::-1])
+    with recorded_ranks() as calls:
         packed = compress(ds)
-    assert radix.called
+    assert ranked_once_after_most_rows_apart(calls)
     records = list(zip(*[c.tolist() for c in ds.codes]))
     _, scenarios, masses = oracles.joint_codes(records, ds.mass.tolist(),
                                                members)
@@ -712,9 +752,9 @@ def test_nearly_distinct_wide_composites_match_dict_oracle(tmp_path):
         for r in range(ds.n_rows) for _ in range(int(ds.mass[r]))
     ]
     path.write_text("\n".join(lines) + "\n")
-    with mock.patch.object(dataset, "_radix", wraps=dataset._radix) as radix:
+    with recorded_ranks() as calls:
         table = dataset._load_table(path)
-    assert radix.called
+    assert ranked_once_after_most_rows_apart(calls)
     names, levels, codes, _ = oracles.load_delimited(path)
     rows = list(zip(*codes))
     _, scenarios, masses = oracles.joint_codes(rows, [1.0] * len(rows),
@@ -784,19 +824,19 @@ def oracle_table(ds, x, y, rows=None):
 
 class PathCounter:
     """Counts, while active, the tables whose key codes are too wide to
-    count and are ranked first (a ``_pair(key, slots, 0, 1)`` call)."""
+    count and are ranked first (a ``_rank`` call made by ``_count``)."""
 
     def __init__(self):
         self.fallbacks = 0
 
     def __enter__(self):
-        pair = dataset._pair
+        rank = dataset._rank
 
-        def counting(key, cells, codes, card):
-            self.fallbacks += isinstance(codes, int)
-            return pair(key, cells, codes, card)
+        def counting(key, slots):
+            self.fallbacks += sys._getframe(1).f_code.co_name == "_count"
+            return rank(key, slots)
 
-        self._patch = mock.patch.object(dataset, "_pair", counting)
+        self._patch = mock.patch.object(dataset, "_rank", counting)
         self._patch.start()
         return self
 

@@ -3,6 +3,7 @@ not reach, each through a public call, with its exception type and message.
 """
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,24 @@ def from_pipe(data, **kwargs):
         return nm.load_delimited(read_end, **kwargs)  # closes read_end
 
     return load
+
+
+def each_input(call, *inputs):
+    """A call of ``call`` on every one of ``inputs``: it raises the first
+    input's error once each input has raised the same type and message,
+    and returns otherwise, so that the row fails."""
+    def run():
+        errors = []
+        for value in inputs:
+            try:
+                call(value)
+            except Exception as error:
+                errors.append(error)
+        if len(errors) == len(inputs) and len(
+                {(type(e), str(e)) for e in errors}) == 1:
+            raise errors[0]
+
+    return run
 
 
 def e3_without_e4():
@@ -63,9 +82,12 @@ CASES = {
             weights=nm.WeightVector.from_raw([1.0, 1.0, 0.0]))),
         nm.DataError, "supervised selection requires a regular weight vector",
     ),
+    # a NaN compares false with everything, so only a finiteness check
+    # refuses it
     "config-epsilon": (
-        lambda: nm.SelectionConfig(epsilon=-1e-9), nm.DataError,
-        "epsilon must be non-negative",
+        each_input(lambda eps: nm.SelectionConfig(epsilon=eps),
+                   -1e-9, np.nan, np.inf),
+        nm.DataError, "epsilon must be finite and non-negative",
     ),
     "config-max-cells": (
         lambda: nm.SelectionConfig(max_cells=0), nm.DataError,
@@ -131,6 +153,10 @@ CASES = {
         lambda: nm.ContingencyTable([[1.0, -1.0]]), nm.DataError,
         "contingency mass must be non-negative",
     ),
+    "table-total-overflow": (  # each entry is finite, their sum is not
+        lambda: nm.ContingencyTable([[1e308, 0.0], [0.0, 1e308]]),
+        nm.DataError, "contingency total mass is not finite",
+    ),
     "table-degenerate": (
         lambda: nm.ContingencyTable(np.zeros((2, 2))), nm.DataError,
         r"contingency table is degenerate \(total mass 0\)",
@@ -193,6 +219,10 @@ CASES = {
     "scenario-names": (
         lambda: nm.from_scenarios([(("a", "b"), 1.0)], names=["u"]),
         nm.DataError, "number of names does not match scenario arity",
+    ),
+    "mass-column-total-overflow": (
+        from_pipe(b"u,v,w\na,x,1e308\nb,y,1e308\n", mass_column="w"),
+        nm.DataError, "total mass overflows float64",
     ),
     "mass-column": (
         from_pipe(b"u,v\na,x\n", mass_column="w"), nm.DataError,
@@ -296,5 +326,7 @@ CASES = {
 
 @pytest.mark.parametrize("call, error, message", CASES.values(), ids=CASES)
 def test_refusal(call, error, message):
-    with pytest.raises(error, match=message):
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a refusal warns of nothing first
+        with pytest.raises(error, match=message):
+            call()
