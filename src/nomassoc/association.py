@@ -703,7 +703,12 @@ def expected_concentration(
         raise DataError("expected_concentration requires at least one variable")
     if len(set(resolved)) != len(resolved):
         raise DataError("variables must be distinct")
-    table = _count(*_joint_codes(dataset, sorted(resolved)), None, 1,
-                   dataset.mass)[0]
-    p = table[:, 0] / dataset.total_mass
+    return _concentration(_count(*_joint_codes(dataset, sorted(resolved)),
+                                 None, 1, dataset.mass)[0], dataset.total_mass)
+
+
+def _concentration(table: np.ndarray, total: float) -> float:
+    """``sum(p^2)`` over the cells of the one-column mass ``table``, with
+    ``p`` a cell's mass over ``total``."""
+    p = table[:, 0] / total
     return float(np.sum(p * p))

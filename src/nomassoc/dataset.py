@@ -382,73 +382,60 @@ def _blocks(data: bytes, start: int):
         start = cut
 
 
-def _scan_lines(data: bytes, delimiter, missing_token, drop, mass_column):
-    """``(index, ids)`` of the file ``data`` holds, keyed by the raw line:
-    the :class:`_RecordIndex` of its records and the record id of each
-    line after the header.  Only for data without the quote character:
-    then a line is one record, since ``bytes.splitlines`` splits at LF,
-    CR LF and a lone CR, exactly where ``csv`` ends a record, and keeps
-    ``\\x85``, ``\\x0b``, ``\\x0c`` and ``\\x1c``-``\\x1e`` in the value, as
-    ``csv`` does (``str.splitlines`` would split there).  Its errors need
-    not name their line: :func:`_scan` then runs the record path."""
-    bom = codecs.BOM_UTF8
-    lines = chain.from_iterable(map(
-        bytes.splitlines, _blocks(data, len(bom) if data.startswith(bom) else 0)
-    ))
-    first = next(lines, None)
-    if first is None:
+def _index(records, mass_column, missing_token, drop, reader=None,
+           parse=None):
+    """``(index, ids)`` of a file's ``records`` in order: the
+    :class:`_RecordIndex` built from the header, the first record that is
+    not blank, and the record id of each later record.  ``reader`` and
+    ``parse`` are the index's."""
+    header = next(records, None)
+    if header is None:
         raise ParseError("empty file")
-    if not first:  # blank lines before the header; all blank: a blank header
-        first = next(filter(None, lines), first)
-    parse = _line_parser(delimiter)
-    index = _RecordIndex(parse(first), mass_column, missing_token, drop,
-                         parse=parse)
-    ids = np.fromiter(map(index.__getitem__, lines), dtype=np.int64)
-    return index, ids
+    if not header:  # blank records before the header; all blank: a blank header
+        header = next(filter(None, records), header)
+    index = _RecordIndex(header if parse is None else parse(header),
+                         mass_column, missing_token, drop, reader, parse)
+    return index, np.fromiter(map(index.__getitem__, records), dtype=np.int64)
 
 
-def _scan_records(data: bytes, path, delimiter, missing_token, drop,
-                  mass_column):
-    """:func:`_scan_lines` by ``csv.reader`` over the text of ``data``, for
-    any file: a quoted field may span lines, and an error names the
-    physical line where its record starts, or for a ``csv`` error (such as
-    a field over ``csv.field_size_limit()``) the line it was found on."""
-    fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
-    with _decoding(path):
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-            if not header:  # as on the line path
-                header = next(filter(None, reader), header)
-            index = _RecordIndex(header, mass_column, missing_token, drop,
-                                 reader)
-            ids = np.fromiter(map(index.__getitem__, map(tuple, reader)),
-                              dtype=np.int64)
-        except StopIteration:
-            raise ParseError("empty file") from None
-        except csv.Error as exc:
-            raise ParseError(str(exc), line=reader.line_num) from None
-    return index, ids
-
-
-def _scan(path, delimiter, missing_token, missing_policy, mass_column):
+def _scan(path, delimiter=",", missing_token=MISSING_TOKEN,
+          missing_policy="own-category", mass_column=None):
     """``(index, ids)`` of the file at ``path`` (a path or a file
-    descriptor), read once: the line path when the bytes hold no quote
-    character, else, or when the line path finds a fault (a bad record,
-    bytes that are not UTF-8, a csv error), the record path over the same
-    bytes, so every error is the record path's."""
+    descriptor), read once: the :class:`_RecordIndex` of its records and
+    the record id of each record after the header.
+
+    When the bytes hold no quote character, the line path keys the index
+    by the raw line: then a line is one record, since ``bytes.splitlines``
+    splits at LF, CR LF and a lone CR, exactly where ``csv`` ends a
+    record, and keeps ``\\x85``, ``\\x0b``, ``\\x0c`` and
+    ``\\x1c``-``\\x1e`` in the value, as ``csv`` does (``str.splitlines``
+    would split there).  Its errors need not name their line: when it
+    finds a fault (a bad record, bytes that are not UTF-8, a csv error),
+    or when the bytes hold a quote, the record path runs ``csv.reader``
+    over the text of the same bytes, so every error is the record path's.
+    There a quoted field may span lines, and an error names the physical
+    line where its record starts, or for a ``csv`` error (such as a field
+    over ``csv.field_size_limit()``) the line it was found on."""
     if missing_policy not in ("own-category", "drop-row"):
         raise DataError(f"unknown missing policy {missing_policy!r}")
     with open(path, "rb") as fh:
         data = fh.read()
-    args = (delimiter, missing_token, missing_policy == "drop-row",
-            mass_column)
+    args = (mass_column, missing_token, missing_policy == "drop-row")
     if b'"' not in data:
+        bom = codecs.BOM_UTF8
+        lines = chain.from_iterable(map(bytes.splitlines, _blocks(
+            data, len(bom) if data.startswith(bom) else 0)))
         try:
-            return _scan_lines(data, *args)
+            return _index(lines, *args, parse=_line_parser(delimiter))
         except (NomassocError, UnicodeDecodeError, csv.Error):
             pass
-    return _scan_records(data, path, *args)
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    with _decoding(path):
+        reader = csv.reader(text, delimiter=delimiter)
+        try:
+            return _index(map(tuple, reader), *args, reader=reader)
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def load_delimited(
@@ -489,24 +476,14 @@ def load_delimited(
     return index.dataset(ids, mass)
 
 
-def _load_table(
-    path,
-    *,
-    delimiter: str = ",",
-    missing_token: str = MISSING_TOKEN,
-    missing_policy: str = "own-category",
-    mass_column: str | None = None,
-) -> CategoricalDataset:
-    """``compress(load_delimited(path, ...))``, from the same scan: each
-    distinct kept record is one row, with the number of its lines as its
-    integer mass, so the rows are never gathered.  With a mass column,
+def _load_table(path, **options) -> CategoricalDataset:
+    """``compress(load_delimited(path, **options))``, from the same scan:
+    each distinct kept record is one row, with the number of its lines as
+    its integer mass, so the rows are never gathered.  With a mass column,
     whose values need not be integers, it is that expression itself."""
-    if mass_column is not None:
-        return compress(load_delimited(
-            path, delimiter=delimiter, missing_token=missing_token,
-            missing_policy=missing_policy, mass_column=mass_column,
-        ))
-    index, ids = _scan(path, delimiter, missing_token, missing_policy, None)
+    if options.get("mass_column") is not None:
+        return compress(load_delimited(path, **options))
+    index, ids = _scan(path, **options)
     rows = np.flatnonzero(index.kept())
     lines = np.bincount(ids, minlength=len(index.values))
     return compress(index.dataset(rows, lines[rows]))
@@ -536,6 +513,8 @@ def from_scenarios(
         if not np.isfinite(mass) or mass <= 0:
             raise DataError(f"scenario mass {mass!r} must be positive")
         merged[labels] = merged.get(labels, 0.0) + mass
+        if merged[labels] == np.inf:
+            raise DataError("total mass overflows float64")
     if not merged:
         raise DataError("no scenarios given")
     if names is None:

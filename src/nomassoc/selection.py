@@ -25,6 +25,7 @@ from typing import Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .association import MarginalStats, WeightVector, _tau, resolve_weights
+from .association import _concentration
 from .dataset import (
     CategoricalDataset,
     VarRef,
@@ -57,10 +58,12 @@ class SelectionConfig:
     def __post_init__(self):
         if not 0 <= self.epsilon < np.inf:  # false for NaN too
             raise DataError("epsilon must be finite and non-negative")
-        if self.max_vars is not None and self.max_vars < 1:
-            raise DataError("max_vars must be positive when given")
-        if self.max_cells is not None and self.max_cells < 1:
-            raise DataError("max_cells must be positive when given")
+        for name in ("max_vars", "max_cells"):
+            limit = getattr(self, name)
+            if limit is not None and not limit >= 1:  # true for NaN too
+                raise DataError(f"{name} must be positive when given")
+            if limit is not None and limit % 1:  # inf % 1 is NaN
+                raise DataError(f"{name} must be a whole number")
 
 
 @dataclass(frozen=True)
@@ -267,11 +270,8 @@ def _tau_score(
 
 
 def _concentration_score(dataset: CategoricalDataset) -> _Score:
-    def value(table: np.ndarray) -> float:
-        p = table[:, 0] / dataset.total_mass
-        return float(np.sum(p * p))
-
-    return _Score(None, 1, value)
+    total = dataset.total_mass
+    return _Score(None, 1, lambda table: _concentration(table, total))
 
 
 def _resolve_candidates(

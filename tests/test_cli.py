@@ -348,6 +348,21 @@ class TestSubcommands:
         assert code == 0
         assert "basis: X1,X2" in out and "terminated_by: no-gain" in out
 
+    @pytest.mark.parametrize("argv, skipped", [
+        (["supervised", "--response", "Y"], "X2,R3,R4"),
+        (["structural"], "X1,X2,R3,R4,S5"),
+    ])
+    def test_select_reports_candidates_skipped_by_max_cells(
+            self, capsys, tmp_path, argv, skipped):
+        path = str(tmp_path / "flu.csv")
+        run(capsys, "simulate", "flu", "-n", "2000", "--seed", "3", "-o", path)
+        code, out = run(capsys, "select", *argv, "--max-cells", "3",
+                        "--format", "structured", path)
+        assert code == 0
+        lines = out.splitlines()
+        assert f"skipped_max_cells = {skipped}" in lines
+        assert "terminated_by = max_cells" in lines
+
     def test_error_names_offending_flag(self, capsys, screening_file):
         code = dispatch(
             ["tau", "--response", "Y", "--given", "Bogus", screening_file]

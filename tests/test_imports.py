@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and the
+package's ``__all__`` lists exactly the names its ``__init__.py`` imports.
 
 Each ``src/nomassoc/*.py`` module but the package's ``__init__.py``, whose
 imports are its public names, is parsed with :mod:`ast`.  A name bound by
@@ -60,3 +61,14 @@ def test_the_check_finds_an_unused_import():
                      "from typing import Sequence\n"
                      "def f(x: 'Sequence[int]'):\n    return np.sum(x)\n")
     assert set(imported_names(tree)) - used_names(tree) == {"math"}
+
+
+def test_all_lists_the_package_imports_in_order():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) == "__all__"
+    )
+    assert set(exported) == set(imported_names(tree))
+    assert exported == sorted(exported)

@@ -1545,8 +1545,8 @@ def test_line_path_equals_record_path_and_oracle(block, case):
         with open(path, "wb") as fh:
             fh.write(data)
         got = loaded_with(path, kwargs, block)
-        by_records = loaded_with(path, kwargs, block, _scan_lines=refuse)
-        by_lines = loaded_with(path, kwargs, block, _scan_records=fall_back)
+        by_records = loaded_with(path, kwargs, block, _line_parser=refuse)
+        by_lines = loaded_with(path, kwargs, block, _decoding=fall_back)
         expected = oracle_outcome(path, **kwargs)
     assert got == by_records
     if expected[0] is ParseError:  # the oracle knows the line alone

@@ -90,8 +90,24 @@ CASES = {
         nm.DataError, "epsilon must be finite and non-negative",
     ),
     "config-max-cells": (
-        lambda: nm.SelectionConfig(max_cells=0), nm.DataError,
-        "max_cells must be positive when given",
+        each_input(lambda cells: nm.SelectionConfig(max_cells=cells),
+                   0, np.nan),
+        nm.DataError, "max_cells must be positive when given",
+    ),
+    "config-max-vars": (
+        each_input(lambda count: nm.SelectionConfig(max_vars=count),
+                   0, np.nan),
+        nm.DataError, "max_vars must be positive when given",
+    ),
+    "config-max-cells-whole": (
+        each_input(lambda cells: nm.SelectionConfig(max_cells=cells),
+                   2.5, np.inf),
+        nm.DataError, "max_cells must be a whole number",
+    ),
+    "config-max-vars-whole": (
+        each_input(lambda count: nm.SelectionConfig(max_vars=count),
+                   2.5, np.inf),
+        nm.DataError, "max_vars must be a whole number",
     ),
     "bootstrap-iterations": (
         lambda: nm.bootstrap(flu(), nm.make_reduction_statistic(
@@ -164,6 +180,10 @@ CASES = {
     "scenario-mass": (
         lambda: nm.from_scenarios([(("a",), 0.0)]), nm.DataError,
         "scenario mass 0.0 must be positive",
+    ),
+    "scenario-merged-overflow": (  # each mass is finite, their sum is not
+        lambda: nm.from_scenarios([(("a",), 1e308), (("a",), 1e308)]),
+        nm.DataError, "total mass overflows float64",
     ),
     "scenarios-none": (
         lambda: nm.from_scenarios([]), nm.DataError, "no scenarios given",
