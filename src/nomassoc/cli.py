@@ -36,7 +36,7 @@ from .association import (
 )
 from .dataset import CategoricalDataset, compress, contingency, load_delimited
 from .dataset import _load_table, _open_text
-from .equivalence import EquivalenceLevel, check, hierarchy_scan
+from .equivalence import LEVEL_NAMES, EquivalenceLevel, check, hierarchy_scan
 from .errors import DataError, NomassocError
 from .prediction import fit, predict_and_score
 from .resampling import bootstrap, make_reduction_statistic
@@ -113,6 +113,16 @@ def _delimiter(text: str) -> str:
     if len(text) != 1:
         raise argparse.ArgumentTypeError(f"must be one character, got {text!r}")
     return text
+
+
+def _level(text: str) -> str:
+    """``--level``: a level as its help lists it (``3``, ``2prime``) or by
+    its name (``E3``), as the name."""
+    name = text if text.startswith("E") else f"E{text}"
+    if name not in LEVEL_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"unknown level {text!r}; expected 1|2|2prime|3|4|5")
+    return name
 
 
 def _command(p: _Parser, handler, reads: str | None) -> None:
@@ -278,9 +288,8 @@ def _cmd_equiv(ds, pr, args) -> int:
     x2 = _resolve(ds, _names(args.x2, "--x2"), "--x2")
     _resolve(ds, args.response, "--response")
     if args.level:
-        name = args.level if args.level.startswith("E") else f"E{args.level}"
-        report = check(ds, x1, x2, args.response,
-                       EquivalenceLevel(name, tolerance=args.tol, alpha=alpha))
+        report = check(ds, x1, x2, args.response, EquivalenceLevel(
+            args.level, tolerance=args.tol, alpha=alpha))
         pr.kv(f"equivalent.{report.level}", str(report.holds).lower())
         if report.witness is not None:
             pr.kv("witness", str(report.witness))
@@ -400,7 +409,7 @@ def build_parser() -> _Parser:
     p.add_argument("--x1", required=True)
     p.add_argument("--x2", required=True)
     p.add_argument("--response", required=True)
-    p.add_argument("--level", default=None,
+    p.add_argument("--level", type=_level, default=None,
                    help="1|2|2prime|3|4|5 (default: scan the hierarchy)")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--weights", default=None)

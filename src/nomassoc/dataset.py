@@ -44,6 +44,8 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -239,6 +241,7 @@ class _RecordIndex(dict):
         self.mass_idx = mass_idx
         self.missing_token = missing_token
         self.drop = drop
+        self.dropped = False  # whether a record was dropped
         self.values: list[tuple[str, ...] | None] = []
         self.masses: list[float] = []
 
@@ -274,6 +277,7 @@ class _RecordIndex(dict):
         if self.drop and any(
             values[i] == self.missing_token for i in self.var_positions
         ):
+            self.dropped = True
             return None, 0.0
         if self.mass_idx is None:
             return values, 1.0
@@ -299,6 +303,10 @@ class _RecordIndex(dict):
         row masses ``mass`` (``None`` for 1.0)."""
         if not self.var_positions:  # a blank header, or only the mass column
             raise ParseError("header names no variable column")
+        if not len(rows) and self.dropped:
+            raise ParseError(
+                "missing_policy 'drop-row' drops every data row: each holds "
+                f"the missing token {self.missing_token!r}")
         if not len(rows):
             raise ParseError("file contains a header but no data rows")
         return _encode([self.header[i] for i in self.var_positions],
@@ -359,7 +367,8 @@ def _open_text(path):
 
 
 #: The line path splits at most about this many bytes into lines at once,
-#: so the lines alive at one time are one block's, not the file's.
+#: and :func:`_fixed_width` scans rows of about this many bytes at once,
+#: so the lines or keys alive at one time are one block's, not the file's.
 _BLOCK = 1 << 20
 
 
@@ -398,6 +407,97 @@ def _index(records, mass_column, missing_token, drop, reader=None,
     return index, np.fromiter(map(index.__getitem__, records), dtype=np.int64)
 
 
+#: Blank lines, then the header, the first line that is not blank, and
+#: its line end.
+_HEADER = re.compile(rb"[\r\n]*([^\r\n]+)(?:\r\n?|\n)")
+_LF, _CR = b"\n\r"
+
+
+def _fixed_width(data, start, mass_column, missing_token, drop, parse):
+    """:func:`_index` of the lines of ``data[start:]``, numbered as byte
+    columns, or ``None`` when the body is not of that shape.
+
+    The body is every line after the header, the first line that is not
+    blank.  It has that shape when each of its lines, but a last one with
+    no line end, has the same byte width, no CR or LF in it, and the same
+    line end: LF on every line, or CR LF on every line.  Then the body is
+    an ``(n, stride)`` byte array, read in place, and the line of each row
+    is numbered by an exact key: the bytes of the columns that vary, as a
+    mixed-radix number over each column's range.  A key range that
+    :func:`_dense` would not count, such as that of mostly distinct lines,
+    is declined too.  Each distinct line is passed to the
+    :class:`_RecordIndex`, with ``parse``, in order of first appearance,
+    so the index sees the keys the line path would, in the same order, and
+    each row's id is gathered from its key.  The rows are scanned in blocks
+    of about ``_BLOCK`` bytes, so the memory beyond ``data`` is the ids,
+    one block and one table entry per key slot.
+    """
+    header = _HEADER.match(data, start)
+    if header is None:  # no line after the header
+        return None
+    body = header.end()
+    lf = data.find(b"\n", body)
+    if lf <= body:  # no line end, or a blank first line
+        return None
+    ends = [_CR, _LF] if data[lf - 1] == _CR else [_LF]
+    stride = lf + 1 - body
+    width = stride - len(ends)
+    n = (len(data) - body) // stride
+    tail = data[body + n * stride:]
+    if width < 1 or b"\r" in tail or b"\n" in tail:
+        return None
+    rows = np.frombuffer(data, np.uint8, n * stride, body).reshape(n, stride)
+    step = max(1, _BLOCK // stride)
+    lo = np.full(stride, 255, dtype=np.uint8)
+    hi = np.zeros(stride, dtype=np.uint8)
+    for s in range(0, n, step):
+        block = np.ascontiguousarray(rows[s:s + step].T)
+        np.minimum(lo, block.min(axis=1), out=lo)
+        np.maximum(hi, block.max(axis=1), out=hi)
+    if lo[width:].tolist() != ends or hi[width:].tolist() != ends:
+        return None
+    if any(((rows[:, c] == _LF) | (rows[:, c] == _CR)).any()
+           for c in range(width) if lo[c] <= _CR and hi[c] >= _LF):
+        return None
+    varying = np.flatnonzero(lo[:width] < hi[:width]).tolist()
+    radix = [int(hi[c]) - int(lo[c]) + 1 for c in varying]
+    cells = math.prod(radix)
+    if not _dense(cells, n):
+        return None
+    base = 0  # the key of the smallest bytes, subtracted from every key
+    for c, r in zip(varying, radix):
+        base = base * r + int(lo[c])
+    index = _RecordIndex(parse(header[1]), mass_column, missing_token, drop,
+                         parse=parse)
+    # each key's record id; -1 until its first row, which a key new in a
+    # block finds as the least of its rows' marks, row - n - 1 (below -1)
+    number = np.full(cells, -1, dtype=np.int64)
+    ids = np.empty(n + bool(tail), dtype=np.int64)
+    for s in range(0, n, step):
+        block = rows[s:s + step]
+        key = np.zeros(len(block), dtype=np.int64)
+        for c, r in zip(varying, radix):
+            key *= r
+            key += block[:, c]
+        key -= base
+        got = number[key]
+        new = np.flatnonzero(got < 0)
+        if len(new):
+            fresh = key[new]
+            mark = new + (s - n - 1)
+            np.minimum.at(number, fresh, mark)
+            new = new[number[fresh] == mark]  # each new key's first row
+            number[key[new]] = np.fromiter(
+                (index[data[at:at + width]]
+                 for at in (body + stride * (s + new)).tolist()),
+                dtype=np.int64, count=len(new))
+            got = number[key]
+        ids[s:s + len(block)] = got
+    if tail:
+        ids[n] = index[tail]
+    return index, ids
+
+
 def _scan(path, delimiter=",", missing_token=MISSING_TOKEN,
           missing_policy="own-category", mass_column=None):
     """``(index, ids)`` of the file at ``path`` (a path or a file
@@ -409,10 +509,14 @@ def _scan(path, delimiter=",", missing_token=MISSING_TOKEN,
     splits at LF, CR LF and a lone CR, exactly where ``csv`` ends a
     record, and keeps ``\\x85``, ``\\x0b``, ``\\x0c`` and
     ``\\x1c``-``\\x1e`` in the value, as ``csv`` does (``str.splitlines``
-    would split there).  Its errors need not name their line: when it
-    finds a fault (a bad record, bytes that are not UTF-8, a csv error),
-    or when the bytes hold a quote, the record path runs ``csv.reader``
-    over the text of the same bytes, so every error is the record path's.
+    would split there).  A body of lines of one byte width and one line
+    end is numbered by its byte columns (:func:`_fixed_width`), which
+    passes the index the same lines in the same order; any other body is
+    split into lines, a block at a time.  The line path's errors need not
+    name their line: when it finds a fault (a bad record, bytes that are
+    not UTF-8, a csv error), or when the bytes hold a quote, the record
+    path runs ``csv.reader`` over the text of the same bytes, so every
+    error is the record path's.
     There a quoted field may span lines, and an error names the physical
     line where its record starts, or for a ``csv`` error (such as a field
     over ``csv.field_size_limit()``) the line it was found on."""
@@ -423,10 +527,15 @@ def _scan(path, delimiter=",", missing_token=MISSING_TOKEN,
     args = (mass_column, missing_token, missing_policy == "drop-row")
     if b'"' not in data:
         bom = codecs.BOM_UTF8
-        lines = chain.from_iterable(map(bytes.splitlines, _blocks(
-            data, len(bom) if data.startswith(bom) else 0)))
+        start = len(bom) if data.startswith(bom) else 0
         try:
-            return _index(lines, *args, parse=_line_parser(delimiter))
+            parse = _line_parser(delimiter)
+            scanned = _fixed_width(data, start, *args, parse)
+            if scanned is not None:
+                return scanned
+            lines = chain.from_iterable(map(bytes.splitlines,
+                                            _blocks(data, start)))
+            return _index(lines, *args, parse=parse)
         except (NomassocError, UnicodeDecodeError, csv.Error):
             pass
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
@@ -460,9 +569,13 @@ def load_delimited(
 
     The file is read once, as bytes.  When they hold no quote character
     ``"``, each line is one record, so the lines are numbered as raw bytes
-    and each distinct line is decoded, parsed, checked and encoded once;
-    a repeated line costs one dictionary lookup.  When they hold one, a
-    quoted field may span lines, so ``csv.reader`` parses the whole text;
+    and each distinct line is decoded, parsed, checked and encoded once.
+    When the lines after the header share one byte width and one line end
+    (LF, or CR LF), as short category codes written by ``csv.writer`` do,
+    they are numbered by array passes over their byte columns; otherwise
+    a repeated line costs one dictionary lookup.  When the bytes hold a
+    quote, a quoted field may span lines, so ``csv.reader`` parses the
+    whole text;
     and when the line path finds a fault, that record path runs over the
     same bytes, so every error, with its physical line, is the same on
     both.  The rows are one gather of the distinct records' codes.

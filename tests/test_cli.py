@@ -412,6 +412,27 @@ class TestSubcommands:
         assert code == 0
         assert out == expected
 
+    @pytest.mark.parametrize("level", ["e3", "9"])
+    def test_unknown_equiv_level_is_a_usage_error(self, capsys,
+                                                  screening_file, level):
+        code = dispatch(["equiv", "--x1", "X1", "--x2", "X2", "--response",
+                         "Y", "--level", level, screening_file])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--level" in err
+        assert f"unknown level {level!r}" in err
+
+    @pytest.mark.parametrize("command", [["inspect"], ["select", "structural"]])
+    def test_drop_row_that_drops_every_row_says_so(self, capsys, tmp_path,
+                                                   command):
+        path = tmp_path / "missing.csv"
+        path.write_text("a,b\n__NA__,x\ny,__NA__\n")
+        code = dispatch([*command, "--missing-policy", "drop-row", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: missing_policy 'drop-row' drops every data row: "
+            "each holds the missing token '__NA__'\n")
+
     def test_predict(self, capsys, screening_file, tmp_path):
         code, out = run(
             capsys, "predict", "--train", screening_file, "--test",

@@ -20,6 +20,8 @@ from nomassoc import (
     load_delimited,
     split,
 )
+from nomassoc import dataset
+from nomassoc.cli import dispatch
 from nomassoc.dataset import _load_table
 from nomassoc.reference import fixture_e5_without_e4, retail_dataset, retail_table
 
@@ -246,6 +248,71 @@ class TestLoadTable:
                 load_delimited(path)
             assert (str(table.value), table.value.line) == (
                 str(rows.value), rows.value.line)
+
+
+class PerLine(Exception):
+    """The per-line path was asked for."""
+
+
+def fixed_width_returns(path):
+    """Whether ``dataset._fixed_width`` numbered ``path`` in one ``_scan``,
+    one entry per call; the per-line path, which a declined file goes on
+    to, raises :class:`PerLine` instead of running."""
+    taken = []
+    fixed_width = dataset._fixed_width
+
+    def count(*args):
+        scan = fixed_width(*args)
+        taken.append(scan is not None)
+        return scan
+
+    def per_line(*args, **kwargs):
+        raise PerLine
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_fixed_width", count)
+        mp.setattr(dataset, "_index", per_line)
+        try:
+            dataset._scan(path)
+        except PerLine:
+            pass
+    return taken
+
+
+class TestFixedWidthPath:
+    """Files of one line width take the fixed-width path; a change to its
+    shape check that sent them to the per-line path would give the same
+    results, only slower, so no other test would fail."""
+
+    def test_simulated_files_are_numbered_as_byte_columns(self, tmp_path):
+        crlf = tmp_path / "flu.csv"
+        assert dispatch(["simulate", "flu", "-n", "20000", "--seed", "1",
+                         "-o", str(crlf)]) == 0
+        data = crlf.read_bytes()
+        assert data.endswith(b"\r\n")  # csv.writer ends lines with CR LF
+        lf = tmp_path / "lf.csv"
+        lf.write_bytes(data.replace(b"\r\n", b"\n"))
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + data)
+        tables = []
+        for path in (crlf, lf, bom):
+            assert fixed_width_returns(path) == [True]
+            table = _load_table(path)
+            tables.append((table.variables, [c.tolist() for c in table.codes],
+                           table.mass.tolist()))
+        assert tables[0] == tables[1] == tables[2]
+
+    def test_nearly_distinct_lines_are_declined(self, tmp_path):
+        # 200k rows of 30 variables of 2 to 7 levels, written as digits
+        rows, cards = 200_000, 2 + np.arange(30) % 6
+        codes = np.random.default_rng(1).random((rows, 30)) * cards
+        lines = np.full((rows, 61), ord(","), dtype=np.uint8)
+        lines[:, 0:59:2] = codes.astype(np.uint8) + ord("0")
+        lines[:, 59:] = (ord("\r"), ord("\n"))
+        path = tmp_path / "wide.csv"
+        header = ",".join(f"V{j}" for j in range(30)).encode() + b"\r\n"
+        path.write_bytes(header + lines.tobytes())
+        assert fixed_width_returns(path) == [False]
 
 
 class TestFromScenarios:

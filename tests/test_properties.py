@@ -1589,6 +1589,124 @@ def test_blocks_split_where_the_whole_does(data, start, block):
         data[start:].splitlines())
 
 
+#: Values of each byte width, multi-byte UTF-8 included, for files whose
+#: lines have one width: ``NA`` is the missing token, and ``"NA "`` strips
+#: to it; ``-1`` and ``nan`` are bad masses.
+WIDTH_VALUES = {1: ("a", "b", " "), 2: ("ab", "ba", "\u00e9", "NA", " a"),
+                3: ("abc", "\u20ac", "a\u00e9", "NA ", "x\x85")}
+WIDTH_MASSES = {1: ("1", "2", "0"), 2: ("10", " 3", "-1"),
+                3: ("0.5", "1e0", "nan")}
+
+
+@st.composite
+def fixed_width_files(draw):
+    """``(data, mass_column, missing_policy)``: the bytes of an unquoted
+    file whose field values each have one byte width per column, so most
+    of its lines have one width, with one line end on every line or mixed
+    ends, sometimes a BOM, blank lines before the header or no final line
+    end, and sometimes one odd line: blank, with a CR inside, of another
+    width, or not UTF-8."""
+    n_cols = draw(st.integers(1, 3))
+    mass_pos = draw(st.none() | st.integers(0, n_cols - 1))
+    widths = [draw(st.integers(1, 3)) for _ in range(n_cols)]
+    fields = st.tuples(*[
+        st.sampled_from((WIDTH_MASSES if j == mass_pos else WIDTH_VALUES)[w])
+        for j, w in enumerate(widths)
+    ])
+    records = draw(st.lists(fields, min_size=1, max_size=4))
+    pool = [",".join(r).encode() for r in records]
+    lines = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    odd = draw(st.none() | st.sampled_from((
+        b"", pool[0][:1] + b"\r" + pool[0][2:], pool[0] + b"z",
+        b"\xff" + pool[0][1:])))
+    if odd is not None:
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    header = ",".join(f"c{j}" for j in range(n_cols)).encode()
+    if draw(st.booleans()) and draw(st.booleans()):
+        ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines) + 1,
+                             max_size=len(lines) + 1))
+    else:
+        ends = [draw(st.sampled_from(LINE_ENDS[:2]))] * (len(lines) + 1)
+    data = b"".join(line + end for line, end in zip([header] + lines, ends))
+    if draw(st.booleans()):  # no final line end
+        data = data[:-len(ends[-1])]
+    if draw(st.booleans()):
+        data = b"\n\r\n" + data
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    mass_column = None if mass_pos is None else f"c{mass_pos}"
+    policy = draw(st.sampled_from(("own-category", "drop-row")))
+    return data, mass_column, policy
+
+
+def scanned(path, kwargs, block, **patches):
+    """``dataset._scan(path, **kwargs)`` with the block size ``block``
+    (``None``: unchanged) and the module functions ``patches`` replaced:
+    the index's keys, values, masses, header, mass column and whether it
+    dropped a record, and the ids; or the error as ``(type, message,
+    line)``."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(dataset, "_BLOCK", block)
+        for name, replacement in patches.items():
+            mp.setattr(dataset, name, replacement)
+        try:
+            index, ids = dataset._scan(path, **kwargs)
+        except DataError as exc:
+            return type(exc), str(exc), getattr(exc, "line", None)
+    return (list(index.items()), index.values, index.masses, index.header,
+            index.mass_idx, index.dropped, ids.dtype, ids.tolist())
+
+
+def counting(taken):
+    """:func:`dataset._fixed_width` appending to ``taken`` whether it
+    numbered the file, when it returns."""
+    fixed_width = dataset._fixed_width
+
+    def count(*args):
+        scan = fixed_width(*args)
+        taken.append(scan is not None)
+        return scan
+
+    return count
+
+
+@pytest.mark.parametrize("block", [None, 3])  # 3: one row per block
+@given(fixed_width_files())
+@example((b"u\nab\r\nabc\nab\r\n", None, "own-category"))  # CR LF, LF
+@example((b"u\nabc\nab\r\nabc\n", None, "own-category"))
+@example((b"u\r\nab\rab\r\nab\rab\r\n", None, "own-category"))  # lone CR
+@example((b"u\na\rb\nabc\n", None, "own-category"))  # a CR inside a line
+@example((b"u\nab\n\nab\n", None, "own-category"))  # a blank line
+@example((b"u\na\n\r\na\n", None, "own-category"))  # blank, of equal width
+@example((b"u\n\n\n\n", None, "own-category"))  # an all-blank body
+@example((b"u\r\n\r\n\r\n", None, "own-category"))
+@example((b"u,w\nab,1\ncd,2\nab,1", "w", "own-category"))  # no final end
+@example((b"u\nab\ncd\nx", None, "own-category"))
+@example((b"\xef\xbb\xbf\n\r\nu,v\r\nab,c\r\nNA,c\r\nab,c\r\n", None,
+          "drop-row"))  # a BOM and blank lines before the header
+@example((b"u,v\na,b\n\xff,b\na,b\n", None, "own-category"))  # not UTF-8
+@example((b"u,v\nab,c\nabcd\nab,c\n", None, "own-category"))  # 1 field of 2
+@example((b"u,w\nab,1\nab,1\nab,1\n", "w", "own-category"))  # one line
+@example((b"a,b\n__NA__,x\ny,__NA__\n", None, "drop-row"))
+@settings(max_examples=300, deadline=None)
+def test_fixed_width_path_equals_line_path(block, case):
+    data, mass_column, policy = case
+    kwargs = dict(mass_column=mass_column, missing_policy=policy,
+                  missing_token="NA")
+    taken = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        got = scanned(path, kwargs, block, _fixed_width=counting(taken))
+        declined = scanned(path, kwargs, block,
+                           _fixed_width=lambda *args: None)
+    event("fixed width: " + ("numbered" if taken == [True] else
+                             "declined" if taken else "raised"))
+    assert got == declined
+
+
 # -- compression ---------------------------------------------------------------
 
 

@@ -244,6 +244,14 @@ CASES = {
         from_pipe(b"u,v,w\na,x,1e308\nb,y,1e308\n", mass_column="w"),
         nm.DataError, "total mass overflows float64",
     ),
+    "drop-row-drops-every-row": (  # fixed width, record path, per-line path
+        each_input(lambda data: from_pipe(data, missing_policy="drop-row")(),
+                   b"a,b\n__NA__,x\ny,__NA__\n",
+                   b'a,b\n"__NA__",x\ny,__NA__\n',
+                   b"a,b\n__NA__,x\n\ny,__NA__\n"),
+        nm.ParseError, "missing_policy 'drop-row' drops every data row: "
+        "each holds the missing token '__NA__'",
+    ),
     "mass-column": (
         from_pipe(b"u,v\na,x\n", mass_column="w"), nm.DataError,
         r"mass column 'w' not in header: \['u', 'v'\]",
