@@ -367,9 +367,23 @@ def _open_text(path):
 
 
 #: The line path splits at most about this many bytes into lines at once,
-#: and :func:`_fixed_width` scans rows of about this many bytes at once,
+#: and :func:`_fixed_width` numbers rows of about this many bytes at once,
 #: so the lines or keys alive at one time are one block's, not the file's.
 _BLOCK = 1 << 20
+#: :func:`_fixed_width` reduces its rows this many to a row, and numbers
+#: this many rows in its first block, where most keys are new.
+_FOLD = 256
+
+
+def _row_blocks(rows):
+    """``(start, rows[start:start + size])`` over ``rows``: ``_FOLD`` rows
+    first, then blocks that double up to about ``_BLOCK`` bytes."""
+    step = max(1, _BLOCK // rows.shape[1])
+    start, size = 0, min(_FOLD, step)
+    while start < len(rows):
+        yield start, rows[start:start + size]
+        start += size
+        size = min(2 * size, step)
 
 
 def _blocks(data: bytes, start: int):
@@ -421,16 +435,19 @@ def _fixed_width(data, start, mass_column, missing_token, drop, parse):
     blank.  It has that shape when each of its lines, but a last one with
     no line end, has the same byte width, no CR or LF in it, and the same
     line end: LF on every line, or CR LF on every line.  Then the body is
-    an ``(n, stride)`` byte array, read in place, and the line of each row
-    is numbered by an exact key: the bytes of the columns that vary, as a
-    mixed-radix number over each column's range.  A key range that
-    :func:`_dense` would not count, such as that of mostly distinct lines,
-    is declined too.  Each distinct line is passed to the
+    an ``(n, stride)`` byte array, read in place, whose column ranges come
+    from one reduction over its rows folded ``_FOLD`` to a row (a view).
+    The line of each row is numbered by an exact key: the bytes of the
+    columns that vary, as a mixed-radix number over each column's range,
+    in the narrowest type that holds the key of the greatest bytes.  A key
+    range whose table of ids, one per slot, would take more bytes than the
+    body (plus ``_SMALL_SLOTS``), such as that of mostly distinct lines, is
+    declined too.  Each distinct line is passed to the
     :class:`_RecordIndex`, with ``parse``, in order of first appearance,
     so the index sees the keys the line path would, in the same order, and
-    each row's id is gathered from its key.  The rows are scanned in blocks
-    of about ``_BLOCK`` bytes, so the memory beyond ``data`` is the ids,
-    one block and one table entry per key slot.
+    each row's id is gathered from its key.  The rows are numbered a block
+    at a time (:func:`_row_blocks`), so the memory beyond ``data`` is the
+    ids, one block's keys and the table, which is no larger than the body.
     """
     header = _HEADER.match(data, start)
     if header is None:  # no line after the header
@@ -447,36 +464,38 @@ def _fixed_width(data, start, mass_column, missing_token, drop, parse):
     if width < 1 or b"\r" in tail or b"\n" in tail:
         return None
     rows = np.frombuffer(data, np.uint8, n * stride, body).reshape(n, stride)
-    step = max(1, _BLOCK // stride)
-    lo = np.full(stride, 255, dtype=np.uint8)
-    hi = np.zeros(stride, dtype=np.uint8)
-    for s in range(0, n, step):
-        block = np.ascontiguousarray(rows[s:s + step].T)
-        np.minimum(lo, block.min(axis=1), out=lo)
-        np.maximum(hi, block.max(axis=1), out=hi)
+    fold = min(_FOLD, n)
+    m = n - n % fold
+    folded = rows[:m].reshape(-1, fold * stride)  # a view, fold rows a row
+    lo = np.minimum(folded.min(0).reshape(fold, stride).min(0),
+                    rows[m:].min(0, initial=255))
+    hi = np.maximum(folded.max(0).reshape(fold, stride).max(0),
+                    rows[m:].max(0, initial=0))
     if lo[width:].tolist() != ends or hi[width:].tolist() != ends:
         return None
     if any(((rows[:, c] == _LF) | (rows[:, c] == _CR)).any()
            for c in range(width) if lo[c] <= _CR and hi[c] >= _LF):
         return None
-    varying = np.flatnonzero(lo[:width] < hi[:width]).tolist()
+    varying = np.flatnonzero(lo[:width] < hi[:width]).tolist() or [0]
     radix = [int(hi[c]) - int(lo[c]) + 1 for c in varying]
     cells = math.prod(radix)
-    if not _dense(cells, n):
+    id_type = np.min_scalar_type(-n - 1)  # holds the ids and row marks
+    if cells * id_type.itemsize > n * stride + _SMALL_SLOTS:
         return None
-    base = 0  # the key of the smallest bytes, subtracted from every key
+    base = top = 0  # the keys of the smallest and of the largest bytes
     for c, r in zip(varying, radix):
         base = base * r + int(lo[c])
+        top = top * r + int(hi[c])
+    kind = np.min_scalar_type(top)
     index = _RecordIndex(parse(header[1]), mass_column, missing_token, drop,
                          parse=parse)
     # each key's record id; -1 until its first row, which a key new in a
     # block finds as the least of its rows' marks, row - n - 1 (below -1)
-    number = np.full(cells, -1, dtype=np.int64)
+    number = np.full(cells, -1, dtype=id_type)
     ids = np.empty(n + bool(tail), dtype=np.int64)
-    for s in range(0, n, step):
-        block = rows[s:s + step]
-        key = np.zeros(len(block), dtype=np.int64)
-        for c, r in zip(varying, radix):
+    for s, block in _row_blocks(rows):
+        key = block[:, varying[0]].astype(kind)
+        for c, r in zip(varying[1:], radix[1:]):
             key *= r
             key += block[:, c]
         key -= base

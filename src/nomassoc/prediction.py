@@ -137,17 +137,19 @@ def predict_and_score(
     rng = np.random.default_rng(predictor.seed)
     uniforms = rng.random(n)  # value r is fixed by (seed, r)
 
-    # one conditional CDF per observed test scenario, then a vectorised
-    # inverse-CDF draw per row
+    # one conditional CDF per observed test scenario, then an inverse-CDF
+    # draw per row: the number of CDF entries at or below its uniform,
+    # added one level at a time to the row's confusion cell; a CDF never
+    # falls, so leaving out its last entry caps the draw at the last level
     cdf = np.empty((xc.observed_cardinality, n_levels))
     for k, labels in enumerate(xc.scenario_labels):
         key = tuple(labels[j] for j in order)
         cdf[k] = np.cumsum(predictor.conditionals.get(key, predictor.fallback))
-    predicted = np.minimum(
-        (cdf[xc.row_codes] <= uniforms[:, None]).sum(axis=1), n_levels - 1
-    )
-    counts = np.zeros((n_levels, n_levels), dtype=np.int64)
-    np.add.at(counts, (true_codes, predicted), 1)
+    cell = true_codes * n_levels  # true * n_levels + predicted
+    for level in cdf[:, :-1].T:
+        cell += level[xc.row_codes] <= uniforms
+    counts = np.bincount(cell, minlength=n_levels * n_levels)
+    counts = counts.reshape(n_levels, n_levels)
     counts.flags.writeable = False
     return ConfusionMatrix(counts=counts, labels=predictor.response_levels)
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,26 @@ class TestFixedWidthPath:
         header = ",".join(f"V{j}" for j in range(30)).encode() + b"\r\n"
         path.write_bytes(header + lines.tobytes())
         assert fixed_width_returns(path) == [False]
+
+    def test_a_sparse_key_range_costs_no_more_than_the_line_path(self,
+                                                                 tmp_path):
+        # two distinct lines over 3 * 10**6 key slots, 15 per line: a table
+        # of one id per slot would take 7 times the body's bytes
+        path = tmp_path / "sparse.csv"
+        path.write_bytes(b"c\n" + b"0000000\n2999999\n" * 100_000)
+        assert fixed_width_returns(path) == [False]
+        peaks = []
+        for fixed_width in (dataset._fixed_width, lambda *args: None):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dataset, "_fixed_width", fixed_width)
+                tracemalloc.start()
+                try:
+                    table = _load_table(path)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert table.mass.tolist() == [100_000.0, 100_000.0]
+        assert peaks[0] <= 1.1 * peaks[1]
 
 
 class TestFromScenarios:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -123,7 +124,52 @@ def test_fit_on_table_equals_fit_on_rows(tmp_path, masses, kwargs):
     assert np.array_equal(got.fallback, want.fallback)
 
 
+def level_matrix_counts(predictor, test):
+    """The confusion counts of ``predict_and_score`` by its former formula,
+    kept as the oracle: an ``(n, levels)`` matrix of each row's CDF
+    compared with its uniform, summed, capped at the last level and tallied
+    by ``np.add.at``."""
+    x_levels = test.variable("X").levels
+    cdf = np.array([np.cumsum(predictor.conditionals.get((lv,),
+                                                         predictor.fallback))
+                    for lv in x_levels])
+    uniforms = np.random.default_rng(predictor.seed).random(test.n_rows)
+    n_levels = len(predictor.response_levels)
+    predicted = np.minimum(
+        (cdf[test.codes[test.index_of("X")]] <= uniforms[:, None]).sum(axis=1),
+        n_levels - 1)
+    true = np.asarray([predictor.response_levels.index(lv)
+                       for lv in test.variable("Y").levels])
+    counts = np.zeros((n_levels, n_levels), dtype=np.int64)
+    np.add.at(counts, (true[test.codes[test.index_of("Y")]], predicted), 1)
+    return counts
+
+
 class TestPredictAndScore:
+    def test_counts_equal_the_level_matrix_formula(self):
+        train = table_as_unit_dataset([[30, 10, 5], [5, 25, 10], [2, 3, 40]])
+        test = expand_to_unit_rows(from_scenarios(
+            [((x, y), 60.0) for x in ("x0", "x1", "x2", "x9")
+             for y in ("y0", "y1", "y2")], names=("X", "Y")))
+        predictor = fit(train, "X", "Y", seed=7)
+        uniforms = np.random.default_rng(7).random(test.n_rows)
+        x = np.asarray(test.variable("X").levels)[
+            test.codes[test.index_of("X")]]
+        capped = "x1" if x[0] != "x1" else "x2"
+        predictor = dataclasses.replace(predictor, conditionals={
+            # row 0's uniform equals a CDF entry, repeated by a zero level
+            (x[0],): np.array([uniforms[0], 0.0, 1.0 - uniforms[0]]),
+            # a CDF that ends below 1: a draw above it is capped
+            (capped,): np.array([0.25, 0.25, 0.25]),
+        }, fallback=np.array([0.5, 0.0, 0.5]))  # for x9 and the third x
+        assert np.cumsum(predictor.conditionals[(x[0],)])[1] == uniforms[0]
+        assert (uniforms[x == capped] > 0.75).any()
+        cm = predict_and_score(predictor, test)
+        want = level_matrix_counts(predictor, test)
+        assert cm.counts.dtype == want.dtype
+        assert cm.counts.tolist() == want.tolist()
+        assert cm.total == test.n_rows
+
     def test_deterministic_predictor_identity(self):
         ds = table_as_unit_dataset([[50, 0], [0, 30]])
         predictor = fit(ds, "X", "Y")

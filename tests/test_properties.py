@@ -1589,6 +1589,29 @@ def test_blocks_split_where_the_whole_does(data, start, block):
         data[start:].splitlines())
 
 
+@given(st.integers(0, 100), st.integers(1, 20), st.integers(1, 5),
+       st.integers(1, 200))
+@settings(max_examples=300, deadline=None)
+def test_row_blocks_double_from_fold_rows_up_to_a_block(n, stride, fold,
+                                                        block):
+    rows = np.zeros((n, stride), dtype=np.uint8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_FOLD", fold)
+        mp.setattr(dataset, "_BLOCK", block)
+        blocks = list(dataset._row_blocks(rows))
+    step = max(1, block // stride)
+    assert [start for start, _ in blocks] == (
+        np.cumsum([0] + [len(b) for _, b in blocks])[:-1].tolist())
+    assert sum(len(b) for _, b in blocks) == n
+    assert all(np.shares_memory(b, rows) for _, b in blocks)
+    sizes = [len(b) for _, b in blocks[:-1]]  # the last may be cut short
+    assert sizes[:1] in ([], [min(fold, step)])
+    assert all(b == min(2 * a, step) for a, b in zip(sizes, sizes[1:]))
+    if blocks:
+        assert 0 < len(blocks[-1][1]) <= min(fold * 2 ** (len(blocks) - 1),
+                                             step)
+
+
 #: Values of each byte width, multi-byte UTF-8 included, for files whose
 #: lines have one width: ``NA`` is the missing token, and ``"NA "`` strips
 #: to it; ``-1`` and ``nan`` are bad masses.
@@ -1671,7 +1694,11 @@ def counting(taken):
     return count
 
 
-@pytest.mark.parametrize("block", [None, 3])  # 3: one row per block
+# block 3: one row per block; fold 2 or 3: the range pass folds the rows
+# 2 or 3 to a row, and the numbering blocks double from 2 or 3 rows
+@pytest.mark.parametrize("block, fold", [
+    pytest.param(None, None, id="None"), pytest.param(3, None, id="3"),
+    pytest.param(None, 2, id="fold2"), pytest.param(None, 3, id="fold3")])
 @given(fixed_width_files())
 @example((b"u\nab\r\nabc\nab\r\n", None, "own-category"))  # CR LF, LF
 @example((b"u\nabc\nab\r\nabc\n", None, "own-category"))
@@ -1689,17 +1716,30 @@ def counting(taken):
 @example((b"u,v\nab,c\nabcd\nab,c\n", None, "own-category"))  # 1 field of 2
 @example((b"u,w\nab,1\nab,1\nab,1\n", "w", "own-category"))  # one line
 @example((b"a,b\n__NA__,x\ny,__NA__\n", None, "drop-row"))
+# the least or greatest byte of a column only in the rows left over after
+# folding: 5 rows, 1 or 2 past a multiple of 2 or 3
+@example((b"u\nbb\nbb\nbb\nbb\nac\n", None, "own-category"))
+@example((b"u\nb\nb\nb\nb\nc\n", None, "own-category"))
+@example((b"u\na\nb\na\nb\na\nb\n", None, "own-category"))  # 6 rows
+@example((b"u\nb\n", None, "own-category"))  # 1 row
+# a key first seen at row 16, in the fourth block when they double from 2
+@example((b"u\n" + b"a\n" * 16 + b"b\na\nc\n", None, "own-category"))
+# keys above 255 and above 65535 (4 and 1024 slots)
+@example((b"u\nab\nba\nab\n", None, "own-category"))
+@example((b"u\naaaaaaaaaa\nbbbbbbbbbb\nababababab\n", None, "own-category"))
 @settings(max_examples=300, deadline=None)
-def test_fixed_width_path_equals_line_path(block, case):
+def test_fixed_width_path_equals_line_path(block, fold, case):
     data, mass_column, policy = case
     kwargs = dict(mass_column=mass_column, missing_policy=policy,
                   missing_token="NA")
+    patches = {} if fold is None else {"_FOLD": fold}
     taken = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
         with open(path, "wb") as fh:
             fh.write(data)
-        got = scanned(path, kwargs, block, _fixed_width=counting(taken))
+        got = scanned(path, kwargs, block, _fixed_width=counting(taken),
+                      **patches)
         declined = scanned(path, kwargs, block,
                            _fixed_width=lambda *args: None)
     event("fixed width: " + ("numbered" if taken == [True] else
