@@ -375,7 +375,9 @@ def _lifts(kept: np.ndarray, x_mass: np.ndarray, total: float):
     y_mass = kept.sum(axis=0)
     p = y_mass / total
     col = _column_sums(kept.T, x_mass)
-    definable = (p < 1.0).nonzero()[0]
+    # a sole level of positive mass has marginal 1, even where its column
+    # sum rounds below the table's total
+    definable = ((p < 1.0) & (len(p) > 1)).nonzero()[0]
     if len(definable) < len(p):
         p, col, y_mass = p[definable], col[definable], y_mass[definable]
     q, lift, alt = _lift_forms(col, y_mass, p, total)

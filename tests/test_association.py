@@ -133,6 +133,18 @@ class TestAssociationVector:
         v = association_vector(ContingencyTable(mass))
         assert np.max(np.abs(v.components)) <= 1e-12
 
+    def test_sole_positive_level_is_excluded_whatever_its_rounding(self):
+        # the column sum 0.6 + 3.0 + 0.7 + 0.1 rounds just below the total
+        # 4.4: the one level of positive mass still has marginal 1
+        mass = np.array([[0.6, 0.0], [3.0, 0.0], [0.7, 0.0], [0.1, 0.0]])
+        with pytest.warns(DroppedLevelsWarning):
+            v = association_vector(ContingencyTable(mass))
+        assert v.level_indices == ()
+        assert v.excluded_levels == (0, 1)
+        with pytest.warns(DroppedLevelsWarning), \
+                pytest.raises(DataError, match="one level of positive mass"):
+            _tau(mass, "gk", "Y", ("0", "1"))
+
     def test_loan_values_match_published(self):
         for response, per_x in LOAN_EXPECTED.items():
             for x_name, (_, lift, _) in per_x.items():
