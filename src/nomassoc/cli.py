@@ -34,8 +34,8 @@ from .association import (
     association_matrix,
     association_vector,
 )
-from .dataset import CategoricalDataset, compress, contingency, load_delimited
-from .dataset import _load_table, _open_text
+from .dataset import MISSING_TOKEN, CategoricalDataset, compress, contingency
+from .dataset import _load_table, _open_text, load_delimited
 from .equivalence import LEVEL_NAMES, EquivalenceLevel, check, hierarchy_scan
 from .errors import DataError, NomassocError
 from .prediction import fit, predict_and_score
@@ -82,9 +82,11 @@ class Printer:
                     print(f"{key}.{rl}.{cl} = {self.num(rows[r, c])}")
             return
         if self.mode == "delimited":
-            print(self.delimiter.join([key] + list(col_labels)))
-            for r, rl in enumerate(row_labels):
-                print(self.delimiter.join([rl] + [self.num(v) for v in rows[r]]))
+            out = csv.writer(sys.stdout, delimiter=self.delimiter,
+                             lineterminator="\n")
+            out.writerow([key, *col_labels])
+            out.writerows([rl, *map(self.num, rows[r])]
+                          for r, rl in enumerate(row_labels))
             return
         width = max(
             [len(str(l)) for l in col_labels]
@@ -101,8 +103,9 @@ class Printer:
             for lab, v in zip(labels, values):
                 print(f"{key}.{lab} = {self.num(v)}")
         elif self.mode == "delimited":
-            print(self.delimiter.join([key] + list(labels)))
-            print(self.delimiter.join([""] + [self.num(v) for v in values]))
+            out = csv.writer(sys.stdout, delimiter=self.delimiter,
+                             lineterminator="\n")
+            out.writerows([[key, *labels], ["", *map(self.num, values)]])
         else:
             body = "  ".join(f"{lab}={self.num(v)}" for lab, v in zip(labels, values))
             print(f"{key}: {body}")
@@ -134,7 +137,7 @@ def _command(p: _Parser, handler, reads: str | None) -> None:
         p.add_argument("file", help="delimited input file")
     p.add_argument("--delimiter", type=_delimiter, default=",",
                    help="field delimiter (default ,)")
-    p.add_argument("--missing-token", default="__NA__")
+    p.add_argument("--missing-token", default=MISSING_TOKEN)
     p.add_argument(
         "--missing-policy", choices=("own-category", "drop-row"),
         default="own-category",

@@ -405,19 +405,17 @@ def _blocks(data: bytes, start: int):
         start = cut
 
 
-def _index(records, mass_column, missing_token, drop, reader=None,
-           parse=None):
-    """``(index, ids)`` of a file's ``records`` in order: the
-    :class:`_RecordIndex` built from the header, the first record that is
-    not blank, and the record id of each later record.  ``reader`` and
-    ``parse`` are the index's."""
+def _index(reader, mass_column, missing_token, drop):
+    """``(index, ids)`` of the records ``reader``, a ``csv.reader``, reads
+    in order: the :class:`_RecordIndex` built from the header, the first
+    record that is not blank, and the record id of each later record."""
+    records = map(tuple, reader)
     header = next(records, None)
     if header is None:
         raise ParseError("empty file")
     if not header:  # blank records before the header; all blank: a blank header
         header = next(filter(None, records), header)
-    index = _RecordIndex(header if parse is None else parse(header),
-                         mass_column, missing_token, drop, reader, parse)
+    index = _RecordIndex(header, mass_column, missing_token, drop, reader)
     return index, np.fromiter(map(index.__getitem__, records), dtype=np.int64)
 
 
@@ -427,9 +425,10 @@ _HEADER = re.compile(rb"[\r\n]*([^\r\n]+)(?:\r\n?|\n)")
 _LF, _CR = b"\n\r"
 
 
-def _fixed_width(data, start, mass_column, missing_token, drop, parse):
-    """:func:`_index` of the lines of ``data[start:]``, numbered as byte
-    columns, or ``None`` when the body is not of that shape.
+def _fixed_width(data, body, index):
+    """The record id in ``index`` of each line of ``data[body:]``,
+    numbered as byte columns, or ``None``, with no line passed to
+    ``index``, when the body is not of that shape.
 
     The body is every line after the header, the first line that is not
     blank.  It has that shape when each of its lines, but a last one with
@@ -442,17 +441,13 @@ def _fixed_width(data, start, mass_column, missing_token, drop, parse):
     in the narrowest type that holds the key of the greatest bytes.  A key
     range whose table of ids, one per slot, would take more bytes than the
     body (plus ``_SMALL_SLOTS``), such as that of mostly distinct lines, is
-    declined too.  Each distinct line is passed to the
-    :class:`_RecordIndex`, with ``parse``, in order of first appearance,
+    declined too.  Each distinct line is passed to ``index``, the
+    :class:`_RecordIndex` keyed by lines, in order of first appearance,
     so the index sees the keys the line path would, in the same order, and
     each row's id is gathered from its key.  The rows are numbered a block
     at a time (:func:`_row_blocks`), so the memory beyond ``data`` is the
     ids, one block's keys and the table, which is no larger than the body.
     """
-    header = _HEADER.match(data, start)
-    if header is None:  # no line after the header
-        return None
-    body = header.end()
     lf = data.find(b"\n", body)
     if lf <= body:  # no line end, or a blank first line
         return None
@@ -487,8 +482,6 @@ def _fixed_width(data, start, mass_column, missing_token, drop, parse):
         base = base * r + int(lo[c])
         top = top * r + int(hi[c])
     kind = np.min_scalar_type(top)
-    index = _RecordIndex(parse(header[1]), mass_column, missing_token, drop,
-                         parse=parse)
     # each key's record id; -1 until its first row, which a key new in a
     # block finds as the least of its rows' marks, row - n - 1 (below -1)
     number = np.full(cells, -1, dtype=id_type)
@@ -514,7 +507,7 @@ def _fixed_width(data, start, mass_column, missing_token, drop, parse):
         ids[s:s + len(block)] = got
     if tail:
         ids[n] = index[tail]
-    return index, ids
+    return ids
 
 
 def _scan(path, delimiter=",", missing_token=MISSING_TOKEN,
@@ -523,19 +516,23 @@ def _scan(path, delimiter=",", missing_token=MISSING_TOKEN,
     descriptor), read once: the :class:`_RecordIndex` of its records and
     the record id of each record after the header.
 
-    When the bytes hold no quote character, the line path keys the index
-    by the raw line: then a line is one record, since ``bytes.splitlines``
-    splits at LF, CR LF and a lone CR, exactly where ``csv`` ends a
-    record, and keeps ``\\x85``, ``\\x0b``, ``\\x0c`` and
+    When the bytes hold no quote character and the header, the first line
+    that is not blank past a byte-order mark (``_HEADER``), has a line end,
+    the line path reads the header once and builds the one index, keyed by
+    the raw lines of the body: then a line is one record, since
+    ``bytes.splitlines`` splits at LF, CR LF and a lone CR, exactly where
+    ``csv`` ends a record, and keeps ``\\x85``, ``\\x0b``, ``\\x0c`` and
     ``\\x1c``-``\\x1e`` in the value, as ``csv`` does (``str.splitlines``
     would split there).  A body of lines of one byte width and one line
     end is numbered by its byte columns (:func:`_fixed_width`), which
-    passes the index the same lines in the same order; any other body is
-    split into lines, a block at a time.  The line path's errors need not
-    name their line: when it finds a fault (a bad record, bytes that are
-    not UTF-8, a csv error), or when the bytes hold a quote, the record
-    path runs ``csv.reader`` over the text of the same bytes, so every
-    error is the record path's.
+    passes the index the same lines in the same order; when it declines,
+    the body is split into lines, a block at a time, for the same index.
+    The line path's errors need not name their line: when it finds a
+    fault (a bad record, bytes that are not UTF-8, a csv error), or when
+    the bytes hold a quote or no header with a line end (an empty or blank
+    file, or a header alone: each an error), the record path runs
+    ``csv.reader`` over the text of the same bytes, so every error is the
+    record path's.
     There a quoted field may span lines, and an error names the physical
     line where its record starts, or for a ``csv`` error (such as a field
     over ``csv.field_size_limit()``) the line it was found on."""
@@ -544,24 +541,25 @@ def _scan(path, delimiter=",", missing_token=MISSING_TOKEN,
     with open(path, "rb") as fh:
         data = fh.read()
     args = (mass_column, missing_token, missing_policy == "drop-row")
-    if b'"' not in data:
-        bom = codecs.BOM_UTF8
-        start = len(bom) if data.startswith(bom) else 0
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    header = b'"' not in data and _HEADER.match(data, start)
+    if header:
         try:
             parse = _line_parser(delimiter)
-            scanned = _fixed_width(data, start, *args, parse)
-            if scanned is not None:
-                return scanned
-            lines = chain.from_iterable(map(bytes.splitlines,
-                                            _blocks(data, start)))
-            return _index(lines, *args, parse=parse)
+            index = _RecordIndex(parse(header[1]), *args, parse=parse)
+            ids = _fixed_width(data, header.end(), index)
+            if ids is None:
+                lines = chain.from_iterable(map(bytes.splitlines,
+                                                _blocks(data, header.end())))
+                ids = np.fromiter(map(index.__getitem__, lines), np.int64)
+            return index, ids
         except (NomassocError, UnicodeDecodeError, csv.Error):
             pass
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     with _decoding(path):
         reader = csv.reader(text, delimiter=delimiter)
         try:
-            return _index(map(tuple, reader), *args, reader=reader)
+            return _index(reader, *args)
         except csv.Error as exc:
             raise ParseError(str(exc), line=reader.line_num) from None
 
@@ -587,17 +585,18 @@ def load_delimited(
     at the first line where it occurs.
 
     The file is read once, as bytes.  When they hold no quote character
-    ``"``, each line is one record, so the lines are numbered as raw bytes
-    and each distinct line is decoded, parsed, checked and encoded once.
-    When the lines after the header share one byte width and one line end
-    (LF, or CR LF), as short category codes written by ``csv.writer`` do,
-    they are numbered by array passes over their byte columns; otherwise
-    a repeated line costs one dictionary lookup.  When the bytes hold a
-    quote, a quoted field may span lines, so ``csv.reader`` parses the
-    whole text;
-    and when the line path finds a fault, that record path runs over the
-    same bytes, so every error, with its physical line, is the same on
-    both.  The rows are one gather of the distinct records' codes.
+    ``"``, each line is one record: the header line is read once, and the
+    lines after it are numbered as raw bytes into one index of records,
+    so each distinct line is decoded, parsed, checked and encoded once.
+    When those lines share one byte width and one line end (LF, or CR
+    LF), as short category codes written by ``csv.writer`` do, they are
+    numbered by array passes over their byte columns; otherwise a repeated
+    line costs one dictionary lookup.  When the bytes hold a quote, a
+    quoted field may span lines, so ``csv.reader`` parses the whole text;
+    and when the line path finds a fault, or no header with a line end,
+    that record path runs over the same bytes, so every error, with its
+    physical line, is the same on both.  The rows are one gather of the
+    distinct records' codes.
     """
     index, ids = _scan(path, delimiter, missing_token, missing_policy,
                        mass_column)

@@ -34,12 +34,15 @@ bootstrapping a row statistic built from
 :func:`~nomassoc.association.tau_for`.
 
 The bootstrap evaluates that body over blocks of iterations, about
-``_BLOCK_ROWS`` drawn rows each, so its memory does not grow with the
-iteration count.  A block's resamples are drawn as one at a time would
-draw them, each from its own seed.  Each set's tables of the whole block
-come from one ``_count`` over the key ``resample * cells + cell``, which
-lists them resample by resample (a key too wide to count densely is
-ranked first, as for one resample), and their taus from one
+``_BLOCK_ROWS`` drawn rows each, so beyond one float per iteration for
+the summary its memory does not grow with the iteration count.  A
+block's resamples are drawn as one at a time would draw them, each from
+its own seed; the block's seeds are spawned from the root seed as it is
+drawn, and successive spawns give the seeds one spawn of every iteration
+would.  Each set's tables of the whole block come from one ``_count``
+over the key ``resample * cells + cell``, which lists them resample by
+resample (a key too wide to count densely is ranked first, as for one
+resample), and their taus from one
 :func:`~nomassoc.association._taus` pass, equal to one tau at a time to
 the bit.  That pass settles only what needs no warning, no error and no
 clamp; every iteration it leaves unsettled runs as an iteration alone
@@ -170,7 +173,7 @@ def bootstrap(
         def estimate() -> float:
             return statistic(dataset)
 
-    children = np.random.SeedSequence(seed).spawn(iterations)
+    root = np.random.SeedSequence(seed)
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         picks = [
@@ -196,7 +199,7 @@ def bootstrap(
     values = []
     step = max(1, _BLOCK_ROWS // sample_size)
     for start in range(0, iterations, step):
-        block = children[start:start + step]
+        block = root.spawn(min(step, iterations - start))
         picks = np.stack([draw(np.random.default_rng(c)) for c in block])
         for child, rows, value in zip(block, picks, settle(picks)):
             # NaN: not settled by the block, so run as one iteration

@@ -122,8 +122,9 @@ def _measure(
 ) -> tuple[int, float]:
     """``(observed cells, objective value)`` of the composite over
     ``indices``, built from scratch."""
+    weights = None if dataset.unit_mass else dataset.mass
     table = _count(*_joint_codes(dataset, sorted(indices)), score.target,
-                   score.levels, dataset.mass)[0]
+                   score.levels, weights)[0]
     return len(table), score.value(table)
 
 

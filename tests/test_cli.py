@@ -340,6 +340,19 @@ class TestSubcommands:
             ";0.1111;0.2000;0.0000\n"
         ))
 
+    def test_delimited_rows_quote_labels_that_need_it(self, capsys, tmp_path):
+        # levels holding the delimiter and a quote; read back, each row of
+        # a 3 x 3 matrix and of its vector has 1 + 3 fields
+        path = tmp_path / "quoted.csv"
+        path.write_text('Y,X\n"a,b",p\n"a,b",q\nc,q\n"say ""hi""",p\n')
+        for command, n_rows in (("matrix", 4), ("vector", 2)):
+            code, out = run(capsys, command, "--response", "Y", "--given",
+                            "X", "--format", "delimited", str(path))
+            assert code == 0
+            rows = list(csv.reader(io.StringIO(out)))
+            assert [len(row) for row in rows] == [4] * n_rows
+            assert rows[0] == [command, "a,b", "c", 'say "hi"']
+
     def test_select_supervised(self, capsys, screening_file):
         code, out = run(
             capsys, "select", "supervised", "--response", "Y",

@@ -216,6 +216,22 @@ class TestLoadDelimited:
         assert ds.names == ("Y", "X")
         assert ds.variable("Y").levels == ("a", "b")
 
+    @pytest.mark.parametrize("data, message", [
+        (b"\xef\xbb\xbf", "empty file"),
+        (b"\xef\xbb\xbf\n", "header names no variable column"),
+        (b"\xef\xbb\xbf\n\r\n", "header names no variable column"),
+    ])
+    def test_a_byte_order_mark_alone_is_not_a_header(self, tmp_path, data,
+                                                      message):
+        # as after no mark: a header search that could take the mark's
+        # bytes for a line would report a header with no data rows
+        path = tmp_path / "bom.csv"
+        path.write_bytes(data)
+        for load in (load_delimited, _load_table):
+            with pytest.raises(ParseError) as err:
+                load(path)
+            assert str(err.value) == message
+
 
 class TestLoadTable:
     """``_load_table`` is ``compress(load_delimited(...))``, field by field."""

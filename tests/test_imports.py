@@ -1,10 +1,14 @@
-"""Every name a library module imports is used in that module, and the
-package's ``__all__`` lists exactly the names its ``__init__.py`` imports.
+"""Every name a library module imports is used in that module, every
+private helper a module defines is read in the package, and the package's
+``__all__`` lists exactly the names its ``__init__.py`` imports.
 
 Each ``src/nomassoc/*.py`` module but the package's ``__init__.py``, whose
 imports are its public names, is parsed with :mod:`ast`.  A name bound by
 an import must appear elsewhere in the module as a name, the base of an
-attribute, or inside a string annotation.
+attribute, or inside a string annotation.  A module-level private name (a
+function, class or constant whose name starts with one ``_``) must be read
+by some other statement of some package module: as a name, an attribute,
+or an import from a module.
 """
 
 import ast
@@ -61,6 +65,64 @@ def test_the_check_finds_an_unused_import():
                      "from typing import Sequence\n"
                      "def f(x: 'Sequence[int]'):\n    return np.sum(x)\n")
     assert set(imported_names(tree)) - used_names(tree) == {"math"}
+
+
+def private_definitions(tree):
+    """``{name: statement}`` of the module-level private names ``tree``
+    defines with a ``def``, a ``class`` or an assignment."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [name.id for target in targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+        else:
+            continue
+        defined.update((name, node) for name in names
+                       if name.startswith("_") and not name.startswith("__"))
+    return defined
+
+
+def read_names(node):
+    """The names ``node`` reads as a name, an attribute or an import from
+    a module."""
+    read = used_names(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            read.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            read.update(alias.name for alias in sub.names)
+    return read
+
+
+def orphaned(trees):
+    """The private names the module ``trees`` define that no other
+    top-level statement of theirs reads."""
+    statements = [node for tree in trees for node in tree.body]
+    reads = [read_names(node) for node in statements]
+    return {name for tree in trees
+            for name, definition in private_definitions(tree).items()
+            if not any(name in read for node, read in zip(statements, reads)
+                       if node is not definition)}
+
+
+def test_every_private_helper_is_read():
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    unread = orphaned(trees)
+    assert not unread, f"defined but never read in the package: {unread}"
+
+
+def test_the_check_finds_an_orphaned_helper():
+    trees = [ast.parse("_LIMIT, _SPARE = 3, 4\n"
+                       "def _used():\n    return _LIMIT\n"
+                       "def _orphan(n):\n    return _orphan(n - 1)\n"
+                       "class _Unread:\n    pass\n"),
+             ast.parse("from .a import _used\nprint(_used())\n")]
+    assert orphaned(trees) == {"_SPARE", "_orphan", "_Unread"}
 
 
 def test_all_lists_the_package_imports_in_order():

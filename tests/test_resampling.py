@@ -372,11 +372,17 @@ class TestCellCounts:
     ):
         stat = make_reduction_statistic("Y", ["X1"], FULL)
         kwargs = dict(iterations=iterations, sample_size=6, seed=seed)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(resampling, "_BLOCK_ROWS", 60)  # 10 resamples of 6
-            mp.setattr(CategoricalDataset, "take", None)  # no row resamples
-            cells = outcome_and_warnings(
-                lambda: bootstrap(screening_500, stat, **kwargs))
+        blocks = []
+        # blocks of 10 resamples of 6, then of 7, which divides no count
+        # here, so the seeds are spawned in other runs; no row resamples
+        for block_rows in (60, 42):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(resampling, "_BLOCK_ROWS", block_rows)
+                mp.setattr(CategoricalDataset, "take", None)
+                blocks.append(outcome_and_warnings(
+                    lambda: bootstrap(screening_500, stat, **kwargs)))
+        cells = blocks[0]
+        assert blocks[1] == cells
         oracle = row_oracle("Y", ["X1"], FULL)
         raised = []
 
