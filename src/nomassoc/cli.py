@@ -2,9 +2,9 @@
 
 Subcommands: inspect, matrix, vector, tau, select, equiv, predict,
 bootstrap, simulate.  Exit codes: 0 success, 1 usage error (including a
-``--delimiter`` that is not one character), 2 data error (including a file
-that cannot be read or written, and a field longer than the csv module's
-limit, with its line).
+``--delimiter`` that is not one character, or is ``"``, CR or LF), 2 data
+error (including a file that cannot be read or written, and a field longer
+than the csv module's limit, with its line).
 
 Output formats (``--format``): ``human`` prints aligned tables,
 ``delimited`` prints delimiter-separated rows, ``structured`` prints
@@ -56,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
 class Printer:
     """Renders results in one of the three output modes."""
 
-    def __init__(self, mode: str, precision: int, delimiter: str = ","):
+    def __init__(self, mode: str, precision: int, delimiter: str):
         self.mode = mode
         self.precision = max(1, precision)
         self.delimiter = delimiter
@@ -112,9 +112,11 @@ class Printer:
 
 
 def _delimiter(text: str) -> str:
-    """``--delimiter``: one character, as ``csv`` requires."""
-    if len(text) != 1:
-        raise argparse.ArgumentTypeError(f"must be one character, got {text!r}")
+    """``--delimiter``: one character, as ``csv`` requires, and one it can
+    split on: not the quote character ``"``, CR or LF."""
+    if len(text) != 1 or text in '"\r\n':
+        raise argparse.ArgumentTypeError(
+            f"must be one character but a quote or line break, got {text!r}")
     return text
 
 

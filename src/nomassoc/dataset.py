@@ -377,13 +377,13 @@ _FOLD = 256
 
 def _row_blocks(rows):
     """``(start, rows[start:start + size])`` over ``rows``: ``_FOLD`` rows
-    first, then blocks that double up to about ``_BLOCK`` bytes."""
+    first, then blocks of about ``_BLOCK`` bytes."""
     step = max(1, _BLOCK // rows.shape[1])
     start, size = 0, min(_FOLD, step)
     while start < len(rows):
         yield start, rows[start:start + size]
         start += size
-        size = min(2 * size, step)
+        size = step
 
 
 def _blocks(data: bytes, start: int):
@@ -403,20 +403,6 @@ def _blocks(data: bytes, start: int):
                 cut = lf + 1 if lf >= 0 else end
         yield data[start:cut]
         start = cut
-
-
-def _index(reader, mass_column, missing_token, drop):
-    """``(index, ids)`` of the records ``reader``, a ``csv.reader``, reads
-    in order: the :class:`_RecordIndex` built from the header, the first
-    record that is not blank, and the record id of each later record."""
-    records = map(tuple, reader)
-    header = next(records, None)
-    if header is None:
-        raise ParseError("empty file")
-    if not header:  # blank records before the header; all blank: a blank header
-        header = next(filter(None, records), header)
-    index = _RecordIndex(header, mass_column, missing_token, drop, reader)
-    return index, np.fromiter(map(index.__getitem__, records), dtype=np.int64)
 
 
 #: Blank lines, then the header, the first line that is not blank, and
@@ -442,11 +428,13 @@ def _fixed_width(data, body, index):
     range whose table of ids, one per slot, would take more bytes than the
     body (plus ``_SMALL_SLOTS``), such as that of mostly distinct lines, is
     declined too.  Each distinct line is passed to ``index``, the
-    :class:`_RecordIndex` keyed by lines, in order of first appearance,
-    so the index sees the keys the line path would, in the same order, and
-    each row's id is gathered from its key.  The rows are numbered a block
-    at a time (:func:`_row_blocks`), so the memory beyond ``data`` is the
-    ids, one block's keys and the table, which is no larger than the body.
+    :class:`_RecordIndex` keyed by lines, in order of first appearance
+    (a block's new keys sorted by the first row ``np.unique`` finds for
+    each), so the index sees the keys the line path would, in the same
+    order, and each row's id is gathered from its key.  The rows are
+    numbered a block at a time (:func:`_row_blocks`), so the memory beyond
+    ``data`` is the ids, one block's keys and the table, which is no
+    larger than the body.
     """
     lf = data.find(b"\n", body)
     if lf <= body:  # no line end, or a blank first line
@@ -474,7 +462,7 @@ def _fixed_width(data, body, index):
     varying = np.flatnonzero(lo[:width] < hi[:width]).tolist() or [0]
     radix = [int(hi[c]) - int(lo[c]) + 1 for c in varying]
     cells = math.prod(radix)
-    id_type = np.min_scalar_type(-n - 1)  # holds the ids and row marks
+    id_type = np.min_scalar_type(-n - 1)  # signed, for -1, and holds every id
     if cells * id_type.itemsize > n * stride + _SMALL_SLOTS:
         return None
     base = top = 0  # the keys of the smallest and of the largest bytes
@@ -482,9 +470,7 @@ def _fixed_width(data, body, index):
         base = base * r + int(lo[c])
         top = top * r + int(hi[c])
     kind = np.min_scalar_type(top)
-    # each key's record id; -1 until its first row, which a key new in a
-    # block finds as the least of its rows' marks, row - n - 1 (below -1)
-    number = np.full(cells, -1, dtype=id_type)
+    number = np.full(cells, -1, dtype=id_type)  # each key's id; -1: unseen
     ids = np.empty(n + bool(tail), dtype=np.int64)
     for s, block in _row_blocks(rows):
         key = block[:, varying[0]].astype(kind)
@@ -494,11 +480,8 @@ def _fixed_width(data, body, index):
         key -= base
         got = number[key]
         new = np.flatnonzero(got < 0)
-        if len(new):
-            fresh = key[new]
-            mark = new + (s - n - 1)
-            np.minimum.at(number, fresh, mark)
-            new = new[number[fresh] == mark]  # each new key's first row
+        if len(new):  # each new key's first row, in row order
+            new = new[np.sort(np.unique(key[new], return_index=True)[1])]
             number[key[new]] = np.fromiter(
                 (index[data[at:at + width]]
                  for at in (body + stride * (s + new)).tolist()),
@@ -558,8 +541,15 @@ def _scan(path, delimiter=",", missing_token=MISSING_TOKEN,
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     with _decoding(path):
         reader = csv.reader(text, delimiter=delimiter)
+        records = map(tuple, reader)
         try:
-            return _index(reader, *args)
+            header = next(records, None)
+            if header is None:
+                raise ParseError("empty file")
+            if not header:  # blank records first; all blank: a blank header
+                header = next(filter(None, records), header)
+            index = _RecordIndex(header, *args, reader)
+            return index, np.fromiter(map(index.__getitem__, records), np.int64)
         except csv.Error as exc:
             raise ParseError(str(exc), line=reader.line_num) from None
 

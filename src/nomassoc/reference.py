@@ -151,13 +151,12 @@ def fixture_e5_without_e4() -> CategoricalDataset:
     return from_scenarios(rows, names=("Y", "X1", "X2"))
 
 
-def fixture_relabeled_pair(seed_labels: tuple[str, ...] = ("a", "b", "c")) -> CategoricalDataset:
+def fixture_relabeled_pair() -> CategoricalDataset:
     """A variable, a relabelled copy, and a response depending on both only
     through the first: mutual determinism (E2prime) holds by construction."""
-    permuted = tuple(reversed(seed_labels))
-    rows = []
-    masses = (0.3, 0.5, 0.2)
-    y_of = ("0", "1", "1")
-    for label, perm, m, y in zip(seed_labels, permuted, masses, y_of):
-        rows.append(((y, label, perm), m))
+    rows = [
+        (("0", "a", "c"), 0.3),
+        (("1", "b", "b"), 0.5),
+        (("1", "c", "a"), 0.2),
+    ]
     return from_scenarios(rows, names=("Y", "X1", "X2"))

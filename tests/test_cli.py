@@ -126,14 +126,14 @@ class TestExitCodes:
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
 
-    @pytest.mark.parametrize("value", [",,", ""])
+    @pytest.mark.parametrize("value", [",,", "", '"', "\n", "\r"])
     def test_bad_delimiter_is_a_usage_error(self, capsys, screening_file, value):
         code = dispatch(["inspect", "--delimiter", value, screening_file])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and "--delimiter" in err
 
-    @pytest.mark.parametrize("value", [",,", ""])
+    @pytest.mark.parametrize("value", [",,", "", '"', "\n", "\r"])
     def test_bad_simulate_delimiter_is_a_usage_error(self, capsys, tmp_path, value):
         out = tmp_path / "flu.csv"
         code = dispatch(["simulate", "flu", "-n", "10", "--seed", "1",

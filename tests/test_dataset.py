@@ -274,7 +274,8 @@ class PerLine(Exception):
 def fixed_width_returns(path):
     """Whether ``dataset._fixed_width`` numbered ``path`` in one ``_scan``,
     one entry per call; the per-line path, which a declined file goes on
-    to, raises :class:`PerLine` instead of running."""
+    to, raises :class:`PerLine` from ``dataset._blocks`` instead of
+    splitting the body."""
     taken = []
     fixed_width = dataset._fixed_width
 
@@ -288,7 +289,7 @@ def fixed_width_returns(path):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "_fixed_width", count)
-        mp.setattr(dataset, "_index", per_line)
+        mp.setattr(dataset, "_blocks", per_line)
         try:
             dataset._scan(path)
         except PerLine:

@@ -8,13 +8,15 @@ an import must appear elsewhere in the module as a name, the base of an
 attribute, or inside a string annotation.  A module-level private name (a
 function, class or constant whose name starts with one ``_``) must be read
 by some other statement of some package module: as a name, an attribute,
-or an import from a module.
+or an import from a module.  The code-line counter, ``code_lines.py``,
+is checked on a planted snippet.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+from code_lines import code_lines
 
 PACKAGE = Path(__file__).parent.parent / "src" / "nomassoc"
 SOURCES = sorted(path for path in PACKAGE.glob("*.py")
@@ -134,3 +136,23 @@ def test_all_lists_the_package_imports_in_order():
     )
     assert set(exported) == set(imported_names(tree))
     assert exported == sorted(exported)
+
+
+def test_the_counter_counts_only_code_lines():
+    source = ('"""A module\ndocstring."""\n'
+              "\n"
+              "# a comment\n"
+              "import math  # a trailing comment\n"
+              "\n\n"
+              "class Box:\n"
+              '    """A class docstring."""\n'
+              "    size = math.prod([2,\n"
+              "                      3])\n"
+              "\n"
+              "    def area(self):\n"
+              "        'A function docstring.'\n"
+              '        text = """a string\n'
+              '        of two lines"""\n'
+              "        return text\n")
+    # import, class, size (2 lines), def, text (2 lines), return
+    assert code_lines(source) == 8

@@ -1592,8 +1592,8 @@ def test_blocks_split_where_the_whole_does(data, start, block):
 @given(st.integers(0, 100), st.integers(1, 20), st.integers(1, 5),
        st.integers(1, 200))
 @settings(max_examples=300, deadline=None)
-def test_row_blocks_double_from_fold_rows_up_to_a_block(n, stride, fold,
-                                                        block):
+def test_row_blocks_take_fold_rows_then_fixed_blocks(n, stride, fold,
+                                                      block):
     rows = np.zeros((n, stride), dtype=np.uint8)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "_FOLD", fold)
@@ -1606,10 +1606,9 @@ def test_row_blocks_double_from_fold_rows_up_to_a_block(n, stride, fold,
     assert all(np.shares_memory(b, rows) for _, b in blocks)
     sizes = [len(b) for _, b in blocks[:-1]]  # the last may be cut short
     assert sizes[:1] in ([], [min(fold, step)])
-    assert all(b == min(2 * a, step) for a, b in zip(sizes, sizes[1:]))
+    assert all(size == step for size in sizes[1:])
     if blocks:
-        assert 0 < len(blocks[-1][1]) <= min(fold * 2 ** (len(blocks) - 1),
-                                             step)
+        assert 0 < len(blocks[-1][1]) <= (step if sizes else min(fold, step))
 
 
 #: Values of each byte width, multi-byte UTF-8 included, for files whose
@@ -1695,7 +1694,7 @@ def counting(taken):
 
 
 # block 3: one row per block; fold 2 or 3: the range pass folds the rows
-# 2 or 3 to a row, and the numbering blocks double from 2 or 3 rows
+# 2 or 3 to a row, and the first numbering block holds 2 or 3 rows
 @pytest.mark.parametrize("block, fold", [
     pytest.param(None, None, id="None"), pytest.param(3, None, id="3"),
     pytest.param(None, 2, id="fold2"), pytest.param(None, 3, id="fold3")])
@@ -1722,8 +1721,10 @@ def counting(taken):
 @example((b"u\nb\nb\nb\nb\nc\n", None, "own-category"))
 @example((b"u\na\nb\na\nb\na\nb\n", None, "own-category"))  # 6 rows
 @example((b"u\nb\n", None, "own-category"))  # 1 row
-# a key first seen at row 16, in the fourth block when they double from 2
+# a key first seen at row 16, past a first block of 2 or 3 rows
 @example((b"u\n" + b"a\n" * 16 + b"b\na\nc\n", None, "own-category"))
+# two new keys in descending key order in the first block, each twice
+@example((b"u\nb\na\nb\na\n", None, "own-category"))
 # keys above 255 and above 65535 (4 and 1024 slots)
 @example((b"u\nab\nba\nab\n", None, "own-category"))
 @example((b"u\naaaaaaaaaa\nbbbbbbbbbb\nababababab\n", None, "own-category"))
