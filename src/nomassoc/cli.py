@@ -2,9 +2,10 @@
 
 Subcommands: inspect, matrix, vector, tau, select, equiv, predict,
 bootstrap, simulate.  Exit codes: 0 success, 1 usage error (including a
-``--delimiter`` that is not one character, or is ``"``, CR or LF), 2 data
-error (including a file that cannot be read or written, and a field longer
-than the csv module's limit, with its line).
+``--delimiter`` that is not one character, or is ``"``, CR or LF, and a
+``--seed`` that is not a non-negative integer), 2 data error (including a
+file that cannot be read or written, and a field longer than the csv
+module's limit, with its line).
 
 Output formats (``--format``): ``human`` prints aligned tables,
 ``delimited`` prints delimiter-separated rows, ``structured`` prints
@@ -118,6 +119,15 @@ def _delimiter(text: str) -> str:
         raise argparse.ArgumentTypeError(
             f"must be one character but a quote or line break, got {text!r}")
     return text
+
+
+def _seed(text: str) -> int:
+    """``--seed``: a non-negative integer in decimal digits, as numpy's
+    seeding requires."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _level(text: str) -> str:
@@ -426,7 +436,7 @@ def build_parser() -> _Parser:
     _command(p, _cmd_predict, None)
     p.add_argument("--response", required=True)
     p.add_argument("--given", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("bootstrap", help="stratified bootstrap of a statistic")
     _command(p, _cmd_bootstrap, "rows")
@@ -437,7 +447,7 @@ def build_parser() -> _Parser:
     p.add_argument("--weights", default="gk")
     p.add_argument("-B", "--iterations", type=int, default=1000)
     p.add_argument("-n", "--sample-size", type=int, default=500)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--confidence", type=float, default=0.95)
     p.add_argument("--stratify-by", default=None,
                    help="stratum variable (default: the response)")
@@ -445,7 +455,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="write a synthetic scenario file")
     p.add_argument("scenario", help="scenario name (flu)")
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--delimiter", type=_delimiter, default=",")
     p.add_argument("--flip-prob", type=float, default=0.10)

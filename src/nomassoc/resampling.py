@@ -2,9 +2,14 @@
 
 Each iteration draws ``sample_size`` rows with replacement while preserving
 per-stratum proportions (largest-remainder rounding of stratum sizes), then
-evaluates the statistic on the resample.  Iteration seeds are spawned from
-one root seed, so results are deterministic and iterations could run in any
-order or concurrently without changing the summary.
+evaluates the statistic on the resample.  The rows are held in one order,
+stratum by stratum, and a resample is one ``integers`` call that draws
+each row's place within its stratum (below the stratum's size), offset by
+where that stratum starts in the order: numpy draws the same values, and
+leaves the generator in the same state, as one call per stratum would.
+Iteration seeds are spawned from one root seed, so results are
+deterministic and iterations could run in any order or concurrently
+without changing the summary.
 
 A statistic is any callable mapping a dataset to a float; a plain callable
 receives each resample as a row dataset.  The association reduction
@@ -124,30 +129,35 @@ def bootstrap(
     It is evaluated on the resamples' cell counts, a block of resamples at
     a time (see the module docstring).
     """
-    if iterations < 1:
-        raise DataError("iterations must be positive")
-    if sample_size < 1:
-        raise DataError("sample size must be positive")
+    for name, count in (("iterations", iterations),
+                        ("sample size", sample_size)):
+        if not count >= 1:  # true for NaN too
+            raise DataError(f"{name} must be positive")
+        if count % 1:  # inf % 1 is NaN
+            raise DataError(f"{name} must be a whole number")
+    iterations, sample_size = int(iterations), int(sample_size)
     if not 0 < confidence < 1:
         raise DataError("confidence must be in (0, 1)")
     if not dataset.unit_mass:
         raise DataError(
             "bootstrap requires unit-mass rows; use expand_to_unit_rows() first"
         )
-    if stratify_by is None:
-        strata_rows = [np.arange(dataset.n_rows)]
+    if stratify_by is None:  # one stratum of every row
+        codes = np.zeros(dataset.n_rows, dtype=np.int64)
         strat_name = None
     else:
         idx = dataset.index_of(stratify_by)
         codes = dataset.codes[idx]
-        strata_rows = [
-            np.flatnonzero(codes == level)
-            for level in range(dataset.variables[idx].cardinality)
-        ]
-        strata_rows = [rows for rows in strata_rows if len(rows)]
         strat_name = dataset.variables[idx].name
-    counts = np.asarray([len(rows) for rows in strata_rows])
+    # the rows stratum by stratum, each in row order, and the strata sizes
+    counts = np.bincount(codes)
+    levels = np.flatnonzero(counts)
+    order = np.concatenate([np.flatnonzero(codes == k) for k in levels])
+    counts = counts[levels]
+    # each drawn row's stratum: where it starts in ``order``, and its size
     sizes = _stratum_sizes(counts, sample_size)
+    low = np.repeat(np.cumsum(counts) - counts, sizes)
+    high = np.repeat(counts, sizes)
 
     if isinstance(statistic, _ReductionStatistic):
         evaluate = statistic.on_cells(dataset)
@@ -176,12 +186,7 @@ def bootstrap(
     root = np.random.SeedSequence(seed)
 
     def draw(rng: np.random.Generator) -> np.ndarray:
-        picks = [
-            rows[rng.integers(0, len(rows), size)]
-            for rows, size in zip(strata_rows, sizes)
-            if size
-        ]
-        return np.concatenate(picks)
+        return order[low + rng.integers(0, high)]
 
     def iteration(child: np.random.SeedSequence, picks: np.ndarray):
         """The statistic on the resample ``picks`` drawn from ``child``,

@@ -62,8 +62,10 @@ class FluScenarioConfig:
     one_sided_noise: bool = True
 
     def __post_init__(self):
-        if self.n < 1:
+        if not self.n >= 1:  # true for NaN too
             raise DataError("sample count must be at least 1")
+        if self.n % 1:  # inf % 1 is NaN
+            raise DataError("sample count must be a whole number")
         if not 0 <= self.flip_prob <= 1:
             raise DataError("flip_prob must be in [0, 1]")
         if not 0 <= self.s5_prob <= 1:
@@ -84,7 +86,7 @@ def generate_flu(config: FluScenarioConfig) -> CategoricalDataset:
     draw sequence.
     """
     rng = np.random.default_rng(config.seed)
-    n = config.n
+    n = int(config.n)
     u = np.empty(n)  # one buffer takes every uniform draw in turn
     x1 = rng.random(out=u) < 0.25
     x2 = rng.random(out=u) < 0.25

@@ -34,6 +34,7 @@ from nomassoc import (
     tau_for,
     weighted_tau,
 )
+from nomassoc import association
 from nomassoc.association import _tau
 from nomassoc.reference import (
     fixture_e4_without_e3,
@@ -144,6 +145,23 @@ class TestAssociationVector:
         with pytest.warns(DroppedLevelsWarning), \
                 pytest.raises(DataError, match="one level of positive mass"):
             _tau(mass, "gk", "Y", ("0", "1"))
+
+    def test_disagreeing_formulas_are_a_data_error(self, monkeypatch):
+        # the two lift forms agree to rounding on every table the other
+        # tests build, so the second form is set 1e-6 off on a
+        # well-conditioned one
+        forms = association._lift_forms
+
+        def off(*args):
+            q, lift, alt = forms(*args)
+            return q, lift, alt + 1e-6
+
+        monkeypatch.setattr(association, "_lift_forms", off)
+        ds = generate_flu(FluScenarioConfig(n=300, seed=4))
+        with pytest.raises(DataError, match="formulas disagree"):
+            association_vector(contingency(ds, "X1", "Y"))
+        with pytest.raises(DataError, match="formulas disagree"):
+            tau_for(ds, "Y", ["X1"])
 
     def test_loan_values_match_published(self):
         for response, per_x in LOAN_EXPECTED.items():

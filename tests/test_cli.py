@@ -143,6 +143,23 @@ class TestExitCodes:
         assert err.startswith("usage error: ") and "--delimiter" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["bootstrap", "--response", "Y", "--subset", "X", "FILE"],
+        ["predict", "--train", "FILE", "--test", "FILE", "--response", "Y",
+         "--given", "X"],
+        ["simulate", "flu", "-n", "10", "-o", "OUT"],
+    ])
+    def test_negative_seed_is_a_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "small.csv"
+        path.write_text(SMALL)
+        out = tmp_path / "out.csv"
+        argv = [{"FILE": str(path), "OUT": str(out)}.get(a, a) for a in argv]
+        assert dispatch(argv + ["--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--seed" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["select", "supervised", "FILE"],
          "select supervised requires --response"),

@@ -16,6 +16,14 @@ def flu():
     return nm.generate_flu(nm.FluScenarioConfig(n=300, seed=4))
 
 
+def flu_bootstrap(**kwargs):
+    """A reduction bootstrap over ``flu()``: 10 resamples of 50 rows unless
+    ``kwargs`` say otherwise."""
+    arguments = {"iterations": 10, "sample_size": 50, "seed": 1} | kwargs
+    return nm.bootstrap(flu(), nm.make_reduction_statistic(
+        "Y", ["X1"], ["X1", "X2"]), **arguments)
+
+
 def two_variables(**kwargs):
     metas = [nm.VariableMeta("u", ("a", "b")), nm.VariableMeta("v", ("x", "y"))]
     arguments = {"variables": metas, "codes": [[0, 1], [1, 0]]} | kwargs
@@ -110,19 +118,24 @@ CASES = {
         nm.DataError, "max_vars must be a whole number",
     ),
     "bootstrap-iterations": (
-        lambda: nm.bootstrap(flu(), nm.make_reduction_statistic(
-            "Y", ["X1"], ["X1", "X2"]), iterations=0, sample_size=50, seed=1),
+        each_input(lambda count: flu_bootstrap(iterations=count), 0, np.nan),
         nm.DataError, "iterations must be positive",
     ),
     "bootstrap-sample-size": (
-        lambda: nm.bootstrap(flu(), nm.make_reduction_statistic(
-            "Y", ["X1"], ["X1", "X2"]), iterations=10, sample_size=0, seed=1),
+        each_input(lambda size: flu_bootstrap(sample_size=size), 0, np.nan),
         nm.DataError, "sample size must be positive",
     ),
+    "bootstrap-iterations-whole": (
+        each_input(lambda count: flu_bootstrap(iterations=count),
+                   2.5, np.inf),
+        nm.DataError, "iterations must be a whole number",
+    ),
+    "bootstrap-sample-size-whole": (
+        each_input(lambda size: flu_bootstrap(sample_size=size), 2.5, np.inf),
+        nm.DataError, "sample size must be a whole number",
+    ),
     "bootstrap-confidence": (
-        lambda: nm.bootstrap(flu(), nm.make_reduction_statistic(
-            "Y", ["X1"], ["X1", "X2"]), iterations=10, sample_size=50, seed=1,
-            confidence=1.0),
+        lambda: flu_bootstrap(confidence=1.0),
         nm.DataError, r"confidence must be in \(0, 1\)",
     ),
     "dataset-duplicate-names": (
@@ -211,6 +224,14 @@ CASES = {
     "concentration-repeated-variable": (
         lambda: nm.expected_concentration(flu(), ["X1", 1]), nm.DataError,
         "variables must be distinct",
+    ),
+    "flu-sample-count": (
+        each_input(lambda n: nm.FluScenarioConfig(n=n, seed=1), 0, np.nan),
+        nm.DataError, "sample count must be at least 1",
+    ),
+    "flu-sample-count-whole": (
+        each_input(lambda n: nm.FluScenarioConfig(n=n, seed=1), 2.5, np.inf),
+        nm.DataError, "sample count must be a whole number",
     ),
     "flu-flip-prob": (
         lambda: nm.FluScenarioConfig(n=10, seed=1, flip_prob=1.5),

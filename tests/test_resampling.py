@@ -127,6 +127,16 @@ class TestBootstrap:
             with pytest.raises(DataError, match=message):
                 stat(ds)
 
+    def test_whole_float_counts_are_their_ints(self, screening_500):
+        stat = make_reduction_statistic("Y", ["X1", "X2"], FULL)
+        kwargs = dict(seed=5, stratify_by="Y")
+        floats = bootstrap(screening_500, stat, iterations=20.0,
+                           sample_size=100.0, **kwargs)
+        ints = bootstrap(screening_500, stat, iterations=20, sample_size=100,
+                         **kwargs)
+        assert floats == ints
+        assert type(floats.sample_size) is int
+
     def test_weighted_dataset_rejected(self):
         ds = from_scenarios([(("a", "x"), 2.5), (("b", "y"), 1.0)])
         with pytest.raises(DataError, match="unit-mass"):
@@ -466,3 +476,77 @@ class TestCellCounts:
         with pytest.raises(DataError, match="unknown weight scheme"):
             bootstrap(screening_500, stat, iterations=50, sample_size=100,
                       seed=0, stratify_by="Y")
+
+
+@st.composite
+def stratified_draws(draw):
+    """Stratum codes over up to 4 levels, some of them unobserved, with a
+    sample size, an iteration count, a block size, a seed and the calls
+    of the statistic that raise."""
+    levels = draw(st.integers(1, 4))
+    strata = draw(st.lists(st.integers(0, levels - 1), min_size=1,
+                           max_size=30))
+    iterations = draw(st.integers(1, 12))
+    return (
+        strata, levels, draw(st.booleans()), draw(st.integers(1, 20)),
+        iterations, draw(st.integers(1, 40)), draw(st.integers(0, 2**32)),
+        draw(st.sets(st.integers(0, 2 * iterations))),
+    )
+
+
+@given(stratified_draws())
+@example(  # level 1 unobserved, levels 2 and 3 apportioned 0 draws
+    ([0] * 10 + [2, 3], 4, True, 2, 5, 4, 7, {1, 2}))
+@example(([0, 1, 1, 0, 1], 2, False, 3, 6, 7, 3, {0, 4}))  # unstratified
+@settings(max_examples=100, deadline=None)
+def test_resamples_follow_one_call_per_stratum(case):
+    """Each resample's rows, read back through a row-id variable, are those
+    of one ``integers(0, len(rows), size)`` call per stratum with a draw,
+    in stratum order, from the iteration's seed, and a redraw's are those
+    of the seed's first spawn."""
+    strata, levels, stratified, sample_size, iterations, block_rows, seed, \
+        raising = case
+    n = len(strata)
+    ds = CategoricalDataset(
+        [VariableMeta("id", tuple(map(str, range(n)))),
+         VariableMeta("S", tuple(map(str, range(levels))))],
+        [np.arange(n), strata],
+    )
+    codes = np.asarray(strata) if stratified else np.zeros(n, dtype=int)
+    stratum_rows = [np.flatnonzero(codes == k) for k in range(levels)]
+    stratum_rows = [rows for rows in stratum_rows if len(rows)]
+    sizes = resampling._stratum_sizes(
+        np.asarray([len(rows) for rows in stratum_rows]), sample_size)
+
+    def oracle(child):
+        rng = np.random.default_rng(child)
+        return np.concatenate([
+            rows[rng.integers(0, len(rows), size)]
+            for rows, size in zip(stratum_rows, sizes) if size
+        ])
+
+    expected, failures = [], 0
+    for child in np.random.SeedSequence(seed).spawn(iterations):
+        expected.append(oracle(child))
+        if len(expected) - 1 in raising:
+            expected.append(oracle(child.spawn(1)[0]))
+            failures += len(expected) - 1 in raising
+    if failures <= 0.05 * iterations:  # the point estimate, on every row
+        expected.append(np.arange(n))
+
+    calls = []
+
+    def spy(sample):
+        calls.append(sample.codes[0])
+        if len(calls) - 1 in raising:
+            raise DataError("chosen to fail")
+        return 0.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resampling, "_BLOCK_ROWS", block_rows)
+        try:
+            bootstrap(ds, spy, iterations=iterations, sample_size=sample_size,
+                      seed=seed, stratify_by="S" if stratified else None)
+        except DataError:
+            pass
+    assert [c.tolist() for c in calls] == [e.tolist() for e in expected]

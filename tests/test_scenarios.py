@@ -49,6 +49,12 @@ class TestGenerate:
         b = generate_flu(FluScenarioConfig(n=500, seed=3))
         assert all(np.array_equal(x, y) for x, y in zip(a.codes, b.codes))
 
+    def test_whole_float_count_is_its_int(self):
+        a = generate_flu(FluScenarioConfig(n=1e3, seed=3))
+        b = generate_flu(FluScenarioConfig(n=1000, seed=3))
+        assert a.n_rows == 1000
+        assert all(np.array_equal(x, y) for x, y in zip(a.codes, b.codes))
+
     @pytest.mark.parametrize("seed, one_sided, digest", [
         (1, True, "9023bdf0ab3d04a4709f8ddfa15edd19cb27704ab682cf4c783333cee2fb3c76"),
         (1, False, "f1e30d8e5f379890138b48a25897873d79a4ce660970f8e114d887846eaeed66"),
