@@ -2,8 +2,9 @@
 
 Subcommands: inspect, matrix, vector, tau, select, equiv, predict,
 bootstrap, simulate.  Exit codes: 0 success, 1 usage error (including a
-``--delimiter`` that is not one character, or is ``"``, CR or LF, and a
-``--seed`` that is not a non-negative integer), 2 data error (including a
+``--delimiter`` that is not one character, or is ``"``, CR or LF, a
+``--seed`` that is not a non-negative integer, and a count, ``-B`` or
+``-n``, that is not a positive integer), 2 data error (including a
 file that cannot be read or written, and a field longer than the csv
 module's limit, with its line).
 
@@ -65,13 +66,19 @@ class Printer:
     def num(self, value) -> str:
         return f"{float(value):.{self.precision}f}"
 
+    def _rows(self, rows) -> None:
+        """Prints ``rows`` as delimited lines; ``csv`` quotes a field that
+        holds the delimiter, a quote or a line break."""
+        csv.writer(sys.stdout, delimiter=self.delimiter,
+                   lineterminator="\n").writerows(rows)
+
     def kv(self, key: str, value) -> None:
         if isinstance(value, (float, np.floating)):
             value = self.num(value)
         if self.mode == "structured":
             print(f"{key} = {value}")
         elif self.mode == "delimited":
-            print(f"{key}{self.delimiter}{value}")
+            self._rows([[key, str(value)]])
         else:
             print(f"{key}: {value}")
 
@@ -83,11 +90,9 @@ class Printer:
                     print(f"{key}.{rl}.{cl} = {self.num(rows[r, c])}")
             return
         if self.mode == "delimited":
-            out = csv.writer(sys.stdout, delimiter=self.delimiter,
-                             lineterminator="\n")
-            out.writerow([key, *col_labels])
-            out.writerows([rl, *map(self.num, rows[r])]
-                          for r, rl in enumerate(row_labels))
+            self._rows([[key, *col_labels]] + [
+                [rl, *map(self.num, rows[r])]
+                for r, rl in enumerate(row_labels)])
             return
         width = max(
             [len(str(l)) for l in col_labels]
@@ -104,9 +109,7 @@ class Printer:
             for lab, v in zip(labels, values):
                 print(f"{key}.{lab} = {self.num(v)}")
         elif self.mode == "delimited":
-            out = csv.writer(sys.stdout, delimiter=self.delimiter,
-                             lineterminator="\n")
-            out.writerows([[key, *labels], ["", *map(self.num, values)]])
+            self._rows([[key, *labels], ["", *map(self.num, values)]])
         else:
             body = "  ".join(f"{lab}={self.num(v)}" for lab, v in zip(labels, values))
             print(f"{key}: {body}")
@@ -121,13 +124,20 @@ def _delimiter(text: str) -> str:
     return text
 
 
-def _seed(text: str) -> int:
-    """``--seed``: a non-negative integer in decimal digits, as numpy's
-    seeding requires."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {text!r}")
-    return int(text)
+def _integer(least: int):
+    """An argparse type: an integer in decimal digits, at least ``least``
+    (0 for ``--seed``, as numpy's seeding requires; 1 for a count)."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer of at least {least}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
+_seed, _count = _integer(0), _integer(1)
 
 
 def _level(text: str) -> str:
@@ -445,8 +455,8 @@ def build_parser() -> _Parser:
     p.add_argument("--subset", required=True)
     p.add_argument("--full", default=None)
     p.add_argument("--weights", default="gk")
-    p.add_argument("-B", "--iterations", type=int, default=1000)
-    p.add_argument("-n", "--sample-size", type=int, default=500)
+    p.add_argument("-B", "--iterations", type=_count, default=1000)
+    p.add_argument("-n", "--sample-size", type=_count, default=500)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--confidence", type=float, default=0.95)
     p.add_argument("--stratify-by", default=None,
@@ -454,7 +464,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="write a synthetic scenario file")
     p.add_argument("scenario", help="scenario name (flu)")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_count, required=True)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--delimiter", type=_delimiter, default=",")

@@ -205,22 +205,19 @@ class _RecordIndex(dict):
 
     Built from the header record: ``header`` holds the stripped names,
     ``mass_idx`` the mass column's position (or ``None``) and
-    ``var_positions`` the positions of the variables.  Indexing with a raw
-    key returns its record's id.  The key is the record tuple, or with
-    ``parse`` (from :func:`_line_parser`) a line's bytes, which ``parse``
-    turns into the record; without the quote character a distinct line is
-    a distinct record, so the ids are the same.  :meth:`__missing__` runs
-    once per distinct key, so the per-record work below, parsing included,
-    is paid once however often the record repeats.  For each id it keeps the record's
-    stripped values (``None`` for a blank or dropped record) and its mass.
-    A malformed record raises :class:`ParseError` at its first occurrence,
-    which is the bad record that occurs first; the error names its
-    physical line when ``reader``, the ``csv.reader`` the records come
-    from, is given.
+    ``var_positions`` the positions of the variables.  Indexing with a
+    record tuple returns its id.  :meth:`__missing__` runs once per
+    distinct record, so the per-record work below (:meth:`add`) is paid
+    once however often the record repeats; records known to be distinct
+    go to :meth:`add` alone, unkeyed.  For each id it keeps the record's
+    stripped values (``None`` for a blank or dropped record) and its
+    mass.  A malformed record raises :class:`ParseError` at its first
+    occurrence, which is the bad record that occurs first, naming the
+    physical line where ``reader``, the ``csv.reader`` the records come
+    from, read it.
     """
 
-    def __init__(self, header, mass_column, missing_token, drop, reader=None,
-                 parse=None):
+    def __init__(self, header, mass_column, missing_token, drop, reader):
         super().__init__()
         self.reader = reader
         names = [h.strip() for h in header]
@@ -235,7 +232,6 @@ class _RecordIndex(dict):
                 )
             mass_idx = header.index(mass_column)
         self.header = header
-        self.parse = parse
         self.width = len(header)
         self.var_positions = [i for i in range(len(header)) if i != mass_idx]
         self.mass_idx = mass_idx
@@ -245,20 +241,22 @@ class _RecordIndex(dict):
         self.values: list[tuple[str, ...] | None] = []
         self.masses: list[float] = []
 
-    def __missing__(self, key) -> int:
-        rid = self[key] = len(self)
-        values, mass = self._check(key if self.parse is None
-                                   else self.parse(key))
+    def __missing__(self, record: tuple[str, ...]) -> int:
+        rid = self[record] = self.add(record)
+        return rid
+
+    def add(self, record: tuple[str, ...]) -> int:
+        """The id of ``record``, known to be new, checked and kept as the
+        next record without being keyed."""
+        values, mass = self._check(record)
         self.values.append(values)
         self.masses.append(mass)
-        return rid
+        return len(self.values) - 1
 
     def _bad(self, record: tuple[str, ...], problem: str) -> ParseError:
         """``problem`` at the physical line where ``record``, just read,
         starts: the reader's line count less the line breaks that quoted
         fields of the record hold."""
-        if self.reader is None:
-            return ParseError(problem)
         breaks = sum(
             v.count("\n") + v.count("\r") - v.count("\r\n") for v in record
         )
@@ -333,17 +331,36 @@ def _encode(names, positions, records, rows, mass) -> CategoricalDataset:
     return CategoricalDataset(variables, codes, mass)
 
 
-def _line_parser(delimiter: str):
-    """``parse(line)``: the record of one line holding no line break
-    (``()`` when blank), from one ``csv.reader`` fed a line at a time."""
-    feed: list[str] = []
-    reader = csv.reader(iter(feed.pop, None), delimiter=delimiter)
+class _Numbering(dict):
+    """Numbers each distinct key in order of first appearance: a new key
+    takes the next id."""
 
-    def parse(line: bytes) -> tuple[str, ...]:
-        feed.append(line.decode("utf-8"))
-        return tuple(next(reader))
+    def __missing__(self, key) -> int:
+        number = self[key] = len(self)
+        return number
 
-    return parse
+
+def _records(lines, delimiter, args, distinct=False):
+    """``(index, ids)`` of the records ``csv.reader`` reads from ``lines``
+    (an iterable of strings): the :class:`_RecordIndex` built from the
+    header, the first record that is not blank, with ``args``, and the id
+    of each record after it.  With ``distinct``, those records are known
+    to be distinct, so each is added to the index without being keyed.  A
+    ``csv`` error (such as a field over ``csv.field_size_limit()``) is a
+    :class:`ParseError` naming the line it was found on."""
+    reader = csv.reader(lines, delimiter=delimiter)
+    records = map(tuple, reader)
+    try:
+        header = next(records, None)
+        if header is None:
+            raise ParseError("empty file")
+        if not header:  # blank records first; all blank: a blank header
+            header = next(filter(None, records), header)
+        index = _RecordIndex(header, *args, reader)
+        number = index.add if distinct else index.__getitem__
+        return index, np.fromiter(map(number, records), np.int64)
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
 
 
 @contextmanager
@@ -411,10 +428,10 @@ _HEADER = re.compile(rb"[\r\n]*([^\r\n]+)(?:\r\n?|\n)")
 _LF, _CR = b"\n\r"
 
 
-def _fixed_width(data, body, index):
-    """The record id in ``index`` of each line of ``data[body:]``,
-    numbered as byte columns, or ``None``, with no line passed to
-    ``index``, when the body is not of that shape.
+def _fixed_width(data, body, lines):
+    """The number in ``lines``, a :class:`_Numbering`, of each line of
+    ``data[body:]``, numbered as byte columns, or ``None``, with no line
+    numbered, when the body is not of that shape.
 
     The body is every line after the header, the first line that is not
     blank.  It has that shape when each of its lines, but a last one with
@@ -427,11 +444,11 @@ def _fixed_width(data, body, index):
     in the narrowest type that holds the key of the greatest bytes.  A key
     range whose table of ids, one per slot, would take more bytes than the
     body (plus ``_SMALL_SLOTS``), such as that of mostly distinct lines, is
-    declined too.  Each distinct line is passed to ``index``, the
-    :class:`_RecordIndex` keyed by lines, in order of first appearance
-    (a block's new keys sorted by the first row ``np.unique`` finds for
-    each), so the index sees the keys the line path would, in the same
-    order, and each row's id is gathered from its key.  The rows are
+    declined too.  Each distinct line is numbered in ``lines`` in order of
+    first appearance (a block's new keys sorted by the first row
+    ``np.unique`` finds for each), so ``lines`` holds the lines the
+    per-line split would number, in the same order, and each row's number
+    is gathered from its key.  The rows are
     numbered a block at a time (:func:`_row_blocks`), so the memory beyond
     ``data`` is the ids, one block's keys and the table, which is no
     larger than the body.
@@ -483,13 +500,13 @@ def _fixed_width(data, body, index):
         if len(new):  # each new key's first row, in row order
             new = new[np.sort(np.unique(key[new], return_index=True)[1])]
             number[key[new]] = np.fromiter(
-                (index[data[at:at + width]]
+                (lines[data[at:at + width]]
                  for at in (body + stride * (s + new)).tolist()),
                 dtype=np.int64, count=len(new))
             got = number[key]
         ids[s:s + len(block)] = got
     if tail:
-        ids[n] = index[tail]
+        ids[n] = lines[tail]
     return ids
 
 
@@ -497,28 +514,30 @@ def _scan(path, delimiter=",", missing_token=MISSING_TOKEN,
           missing_policy="own-category", mass_column=None):
     """``(index, ids)`` of the file at ``path`` (a path or a file
     descriptor), read once: the :class:`_RecordIndex` of its records and
-    the record id of each record after the header.
+    the record id of each record after the header.  One helper,
+    :func:`_records`, parses records on both paths below.
 
     When the bytes hold no quote character and the header, the first line
     that is not blank past a byte-order mark (``_HEADER``), has a line end,
-    the line path reads the header once and builds the one index, keyed by
-    the raw lines of the body: then a line is one record, since
+    the line path numbers the distinct raw lines of the body in one
+    :class:`_Numbering`: then a line is one record, since
     ``bytes.splitlines`` splits at LF, CR LF and a lone CR, exactly where
     ``csv`` ends a record, and keeps ``\\x85``, ``\\x0b``, ``\\x0c`` and
     ``\\x1c``-``\\x1e`` in the value, as ``csv`` does (``str.splitlines``
     would split there).  A body of lines of one byte width and one line
     end is numbered by its byte columns (:func:`_fixed_width`), which
-    passes the index the same lines in the same order; when it declines,
-    the body is split into lines, a block at a time, for the same index.
+    numbers the same lines in the same order; when it declines, the body
+    is split into lines, a block at a time, for the same numbering.  Then
+    the header line and the distinct lines, decoded, are parsed once each
+    and added to the index unkeyed: the line numbers are the record ids.
     The line path's errors need not name their line: when it finds a
     fault (a bad record, bytes that are not UTF-8, a csv error), or when
     the bytes hold a quote or no header with a line end (an empty or blank
-    file, or a header alone: each an error), the record path runs
-    ``csv.reader`` over the text of the same bytes, so every error is the
-    record path's.
-    There a quoted field may span lines, and an error names the physical
-    line where its record starts, or for a ``csv`` error (such as a field
-    over ``csv.field_size_limit()``) the line it was found on."""
+    file, or a header alone: each an error), the record path parses the
+    text of the same bytes, so every error is the record path's.  There a
+    quoted field may span lines, and an error names the physical line
+    where its record starts, or for a ``csv`` error the line it was found
+    on."""
     if missing_policy not in ("own-category", "drop-row"):
         raise DataError(f"unknown missing policy {missing_policy!r}")
     with open(path, "rb") as fh:
@@ -528,30 +547,24 @@ def _scan(path, delimiter=",", missing_token=MISSING_TOKEN,
     header = b'"' not in data and _HEADER.match(data, start)
     if header:
         try:
-            parse = _line_parser(delimiter)
-            index = _RecordIndex(parse(header[1]), *args, parse=parse)
-            ids = _fixed_width(data, header.end(), index)
+            lines = _Numbering()
+            ids = _fixed_width(data, header.end(), lines)
             if ids is None:
-                lines = chain.from_iterable(map(bytes.splitlines,
-                                                _blocks(data, header.end())))
-                ids = np.fromiter(map(index.__getitem__, lines), np.int64)
-            return index, ids
-        except (NomassocError, UnicodeDecodeError, csv.Error):
+                body = chain.from_iterable(map(bytes.splitlines,
+                                               _blocks(data, header.end())))
+                ids = np.fromiter(map(lines.__getitem__, body), np.int64)
+            # With no quote character, the record of a line holding no CR
+            # or LF is line.split(delimiter) ([] when blank), which is one
+            # to one, so the k-th distinct line is the k-th distinct
+            # record, added without a second key, and a line's number is
+            # its record id.
+            return _records(map(bytes.decode, chain((header[1],), lines)),
+                            delimiter, args, distinct=True)[0], ids
+        except (NomassocError, UnicodeDecodeError):
             pass
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     with _decoding(path):
-        reader = csv.reader(text, delimiter=delimiter)
-        records = map(tuple, reader)
-        try:
-            header = next(records, None)
-            if header is None:
-                raise ParseError("empty file")
-            if not header:  # blank records first; all blank: a blank header
-                header = next(filter(None, records), header)
-            index = _RecordIndex(header, *args, reader)
-            return index, np.fromiter(map(index.__getitem__, records), np.int64)
-        except csv.Error as exc:
-            raise ParseError(str(exc), line=reader.line_num) from None
+        return _records(text, delimiter, args)
 
 
 def load_delimited(
@@ -575,9 +588,9 @@ def load_delimited(
     at the first line where it occurs.
 
     The file is read once, as bytes.  When they hold no quote character
-    ``"``, each line is one record: the header line is read once, and the
-    lines after it are numbered as raw bytes into one index of records,
-    so each distinct line is decoded, parsed, checked and encoded once.
+    ``"``, each line is one record: the lines after the header are
+    numbered as raw bytes, and only the header and the distinct lines are
+    decoded, parsed, checked and encoded, once each.
     When those lines share one byte width and one line end (LF, or CR
     LF), as short category codes written by ``csv.writer`` do, they are
     numbered by array passes over their byte columns; otherwise a repeated

@@ -117,6 +117,16 @@ class BadLine(Exception):
         self.line = line
 
 
+def _read(reader):
+    """The records of ``reader``; a ``csv`` error (such as a field over
+    ``csv.field_size_limit()``) as a :class:`BadLine` at the line where
+    the reader found it."""
+    try:
+        yield from reader
+    except csv.Error:
+        raise BadLine(reader.line_num) from None
+
+
 def load_delimited(path, delimiter=",", missing_token="__NA__",
                    missing_policy="own-category", mass_column=None):
     """Read a delimited file cell by cell: ``(names, levels, codes, masses)``.
@@ -124,10 +134,11 @@ def load_delimited(path, delimiter=",", missing_token="__NA__",
     ``levels[v]`` lists variable ``v``'s labels in first-appearance order,
     ``codes[v]`` its per-row codes, ``masses`` the per-row masses (``None``
     without a mass column).  Values are stripped before the missing-token
-    comparison.  Raises :class:`BadLine` at the first bad record.
+    comparison.  Raises :class:`BadLine` at the first bad record or
+    ``csv`` error.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = _read(csv.reader(fh, delimiter=delimiter))
         header = [h.strip() for h in next(reader)]
         mass_idx = header.index(mass_column) if mass_column is not None else None
         positions = [i for i in range(len(header)) if i != mass_idx]

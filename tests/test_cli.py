@@ -160,6 +160,26 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["bootstrap", "--response", "Y", "--subset", "X", "--seed", "1",
+          "FILE", "-B"], "--iterations"),
+        (["bootstrap", "--response", "Y", "--subset", "X", "--seed", "1",
+          "FILE", "-n"], "--sample-size"),
+        (["simulate", "flu", "--seed", "1", "-o", "OUT", "-n"], "-n"),
+    ])
+    def test_count_that_is_not_positive_is_a_usage_error(
+            self, capsys, tmp_path, argv, flag, value):
+        path = tmp_path / "small.csv"
+        path.write_text(SMALL)
+        out = tmp_path / "out.csv"
+        argv = [{"FILE": str(path), "OUT": str(out)}.get(a, a) for a in argv]
+        assert dispatch(argv + [value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and flag in err
+        assert "must be an integer of at least 1" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["select", "supervised", "FILE"],
          "select supervised requires --response"),
@@ -370,6 +390,21 @@ class TestSubcommands:
             assert [len(row) for row in rows] == [4] * n_rows
             assert rows[0] == [command, "a,b", "c", 'say "hi"']
 
+    def test_delimited_key_value_rows_read_back_as_two_fields(
+            self, capsys, screening_file):
+        # a basis or subset of several names holds the delimiter
+        for argv in (["select", "supervised", "--response", "Y",
+                      "--epsilon", "0.005"],
+                     ["bootstrap", "--response", "Y", "--subset", "X1,X2",
+                      "--seed", "1", "-B", "20", "-n", "50"]):
+            code, out = run(capsys, *argv, "--format", "delimited",
+                            screening_file)
+            assert code == 0
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows and [len(row) for row in rows] == [2] * len(rows)
+            keys = dict(rows)
+            assert keys.get("basis", keys.get("subset")) == "X1,X2"
+
     def test_select_supervised(self, capsys, screening_file):
         code, out = run(
             capsys, "select", "supervised", "--response", "Y",
@@ -574,8 +609,8 @@ class TestSubcommands:
          "931958f54523a04d2e2499ba3b8470334626c8bc08b24838536777f221af0f4a"),
         ("human",
          "3fa30cfbc275e63f23c6f16159e7735555d6597f1ddbc54d5d50338e78772660"),
-        ("delimited",
-         "969c2b4c005a0490e56b5400608a781632d9ce06aa996d9fb1a7350121cd285e"),
+        ("delimited",  # its subset and full_set rows quoted by csv.writer
+         "6e2367bcfdae3a36c9e68f32a0a20ac9085bba4e41c168801b7cb723b80b08d9"),
     ])
     def test_bootstrap_output_is_unchanged(self, capsys, flu_file, fmt, digest):
         code, out = run(capsys, "bootstrap", flu_file, "--response", "Y",

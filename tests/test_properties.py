@@ -1,5 +1,6 @@
 """Property-based checks of the core identities on generated tables."""
 
+import csv
 import hashlib
 import os
 import sys
@@ -1536,6 +1537,15 @@ def oracle_outcome(path, **kwargs):
 @example((b"u,v\ra,x\rb\x85,y", None, "own-category"))
 @example((b"u,w\na,1\n\xffb,1\na,1\n\xffb,1\n", "w", "own-category"))
 @example((b'u,w\na,1\n"b",zz\na,1\n', "w", "own-category"))
+@example((b"u,v\na\x00b,x\nc,y\na\x00b,x\n", None, "own-category"))  # NUL
+@example((b"u,v\na\x0bb,x\x1c\nc,y\na\x0bb,x\x1c\n", None, "own-category"))
+@example((b"u,v\na ,x\na,x\na ,x\n", None, "own-category"))  # one record
+# a field over csv.field_size_limit(): in a body of one width (numbered as
+# byte columns) and in one of two widths
+@example((b"u\n" + (b"w" * (csv.field_size_limit() + 1) + b"\n") * 2, None,
+          "own-category"))
+@example((b"u,v\na,x\n" + b"w" * (csv.field_size_limit() + 1) + b",y\n",
+          None, "own-category"))
 @settings(max_examples=300, deadline=None)
 def test_line_path_equals_record_path_and_oracle(block, case):
     data, mass_column, policy = case
@@ -1545,7 +1555,7 @@ def test_line_path_equals_record_path_and_oracle(block, case):
         with open(path, "wb") as fh:
             fh.write(data)
         got = loaded_with(path, kwargs, block)
-        by_records = loaded_with(path, kwargs, block, _line_parser=refuse)
+        by_records = loaded_with(path, kwargs, block, _Numbering=refuse)
         by_lines = loaded_with(path, kwargs, block, _decoding=fall_back)
         expected = oracle_outcome(path, **kwargs)
     assert got == by_records
