@@ -3,10 +3,12 @@
 Subcommands: inspect, matrix, vector, tau, select, equiv, predict,
 bootstrap, simulate.  Exit codes: 0 success, 1 usage error (including a
 ``--delimiter`` that is not one character, or is ``"``, CR or LF, a
-``--seed`` that is not a non-negative integer, and a count, ``-B`` or
-``-n``, that is not a positive integer), 2 data error (including a
-file that cannot be read or written, and a field longer than the csv
-module's limit, with its line).
+``--seed`` that is not a non-negative integer, and a count, ``-B``,
+``-n``, ``--max-vars`` or ``--max-cells``, that is not a positive
+integer), 2 data error (including a file that cannot be read or written,
+and a field longer than the csv module's limit, with its line).  Flag
+defaults are the library's own (``SelectionConfig``, ``DEFAULT_TOLERANCE``
+and ``FluScenarioConfig``).
 
 Output formats (``--format``): ``human`` prints aligned tables,
 ``delimited`` prints delimiter-separated rows, ``structured`` prints
@@ -38,7 +40,8 @@ from .association import (
 )
 from .dataset import MISSING_TOKEN, CategoricalDataset, compress, contingency
 from .dataset import _load_table, _open_text, load_delimited
-from .equivalence import LEVEL_NAMES, EquivalenceLevel, check, hierarchy_scan
+from .equivalence import DEFAULT_TOLERANCE, LEVEL_NAMES, EquivalenceLevel
+from .equivalence import check, hierarchy_scan
 from .errors import DataError, NomassocError
 from .prediction import fit, predict_and_score
 from .resampling import bootstrap, make_reduction_statistic
@@ -425,9 +428,9 @@ def build_parser() -> _Parser:
     p.add_argument("--candidates", default=None,
                    help="comma-separated candidates (default: all)")
     p.add_argument("--weights", default="gk")
-    p.add_argument("--epsilon", type=float, default=1e-9)
-    p.add_argument("--max-vars", type=int, default=None)
-    p.add_argument("--max-cells", type=int, default=10_000)
+    p.add_argument("--epsilon", type=float, default=SelectionConfig.epsilon)
+    p.add_argument("--max-vars", type=_count, default=None)
+    p.add_argument("--max-cells", type=_count, default=SelectionConfig.max_cells)
 
     p = sub.add_parser("equiv", help="pairwise equivalence of two variables")
     _command(p, _cmd_equiv, "table")
@@ -436,7 +439,7 @@ def build_parser() -> _Parser:
     p.add_argument("--response", required=True)
     p.add_argument("--level", type=_level, default=None,
                    help="1|2|2prime|3|4|5 (default: scan the hierarchy)")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--weights", default=None)
 
     p = sub.add_parser("predict",
@@ -468,8 +471,9 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--delimiter", type=_delimiter, default=",")
-    p.add_argument("--flip-prob", type=float, default=0.10)
-    p.add_argument("--s5-prob", type=float, default=0.8)
+    p.add_argument("--flip-prob", type=float,
+                   default=FluScenarioConfig.flip_prob)
+    p.add_argument("--s5-prob", type=float, default=FluScenarioConfig.s5_prob)
     p.add_argument("--symmetric-noise", action="store_true",
                    help="also corrupt negative results")
     # no output flags: its printer, built like every command's, goes unused
@@ -480,21 +484,19 @@ def build_parser() -> _Parser:
 
 
 def dispatch(argv) -> int:
-    """Run one CLI invocation; returns the process exit code."""
+    """Run one CLI invocation; returns the process exit code.  Parsing,
+    loading the file argument and the handler share one ``try``: a usage
+    error from any of them exits 1, a data error or an unreadable file 2."""
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help/--version
-        return int(exc.code or 0)
-    try:
         ds = _load(args, args.file, args.reads) if args.reads else None
         printer = Printer(args.out_format, args.precision, args.delimiter)
         return args.func(ds, printer, args) or 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except SystemExit as exc:  # --help/--version
+        return int(exc.code or 0)
     except (NomassocError, OSError) as exc:  # OSError: an unreadable file
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -403,28 +403,25 @@ def _row_blocks(rows):
         size = step
 
 
+#: A line end: CR LF, a lone CR or LF, as ``bytes.splitlines`` and ``csv``
+#: end a line.
+_BREAK = re.compile(rb"\r\n?|\n")
+
+
 def _blocks(data: bytes, start: int):
     """``data[start:]`` in pieces of about ``_BLOCK`` bytes, each cut just
-    after a line break (a CR LF pair is never cut) or at the end."""
-    end = len(data)
-    while start < end:
-        cut = start + _BLOCK
-        if cut >= end:
-            cut = end
-        else:  # the first LF or CR at or after cut
-            lf = data.find(b"\n", cut)
-            cr = data.find(b"\r", cut, lf if lf >= 0 else end)
-            if cr >= 0:
-                cut = cr + 2 if data[cr + 1:cr + 2] == b"\n" else cr + 1
-            else:
-                cut = lf + 1 if lf >= 0 else end
-        yield data[start:cut]
-        start = cut
+    after the first line break (``_BREAK``, so a CR LF pair is never cut)
+    at or past ``_BLOCK`` bytes into the piece, or at the end."""
+    while start < len(data):
+        cut = _BREAK.search(data, start + _BLOCK)
+        end = cut.end() if cut else len(data)
+        yield data[start:end]
+        start = end
 
 
 #: Blank lines, then the header, the first line that is not blank, and
-#: its line end.
-_HEADER = re.compile(rb"[\r\n]*([^\r\n]+)(?:\r\n?|\n)")
+#: its line end (``_BREAK``).
+_HEADER = re.compile(rb"[\r\n]*([^\r\n]+)(?:%s)" % _BREAK.pattern)
 _LF, _CR = b"\n\r"
 
 
@@ -670,6 +667,20 @@ def expand_to_unit_rows(dataset: CategoricalDataset) -> CategoricalDataset:
         [np.repeat(c, reps) for c in dataset.codes],
         validate=False,
     )
+
+
+def _unit_rows(dataset: CategoricalDataset, what: str) -> None:
+    """Refuses ``dataset`` for ``what``, which resamples or scores its
+    rows one by one, unless every row mass is 1."""
+    if not dataset.unit_mass:
+        raise DataError(
+            f"{what} requires unit-mass rows; use expand_to_unit_rows() first")
+
+
+def _row_weights(dataset: CategoricalDataset) -> np.ndarray | None:
+    """The weights a count adds up: ``None`` when every row mass is 1,
+    whose plain counts are exact in float64, else the row masses."""
+    return None if dataset.unit_mass else dataset.mass
 
 
 # -- composite variables ---------------------------------------------------
@@ -1154,10 +1165,7 @@ def split(
     """
     if not 0 < fraction < 1:
         raise DataError("fraction must be in (0, 1)")
-    if not dataset.unit_mass:
-        raise DataError(
-            "split requires unit-mass rows; use expand_to_unit_rows() first"
-        )
+    _unit_rows(dataset, "split")
     n = dataset.n_rows
     k = int(round(fraction * n))
     if not 0 < k < n:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .association import AssociationMatrix, association_matrix
 from .dataset import CategoricalDataset, ContingencyTable, _as_composite, contingency
+from .dataset import _unit_rows
 from .errors import DataError
 
 
@@ -108,10 +109,7 @@ def predict_and_score(
     Requires unit-mass rows; expand weighted tables first.  Deterministic
     for the predictor's seed.
     """
-    if not test.unit_mass:
-        raise DataError(
-            "scoring requires unit-mass rows; use expand_to_unit_rows() first"
-        )
+    _unit_rows(test, "scoring")
     xc = _as_composite(test, predictor.member_names)
     # the composite orders its members by the test file's columns; the
     # conditionals are keyed in the training file's member order

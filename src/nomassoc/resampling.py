@@ -67,6 +67,7 @@ from .association import (
     _ONE_LEVEL, WeightVector, _fit_vector, _known_scheme, _tau, _taus,
 )
 from .dataset import CategoricalDataset, VarRef, _count, _joint_codes, _rank
+from .dataset import _row_weights, _unit_rows
 from .errors import DataError, NomassocError
 
 
@@ -138,10 +139,7 @@ def bootstrap(
     iterations, sample_size = int(iterations), int(sample_size)
     if not 0 < confidence < 1:
         raise DataError("confidence must be in (0, 1)")
-    if not dataset.unit_mass:
-        raise DataError(
-            "bootstrap requires unit-mass rows; use expand_to_unit_rows() first"
-        )
+    _unit_rows(dataset, "bootstrap")
     if stratify_by is None:  # one stratum of every row
         codes = np.zeros(dataset.n_rows, dtype=np.int64)
         strat_name = None
@@ -312,7 +310,7 @@ class _ReductionStatistic:
         _known_scheme(weights)
         y = dataset.variables[y_idx]
         y_codes = dataset.codes[y_idx]
-        mass = None if dataset.unit_mass else dataset.mass
+        mass = _row_weights(dataset)
 
         def observed(members):  # ranked, so a block spans cells x resamples
             key, occupied = _rank(*_joint_codes(dataset, members))

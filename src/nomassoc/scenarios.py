@@ -110,9 +110,9 @@ def generate_flu(config: FluScenarioConfig) -> CategoricalDataset:
 
 
 def flu_population_distribution(
-    flip_prob: float = 0.10,
-    s5_prob: float = 0.8,
-    one_sided_noise: bool = True,
+    flip_prob: float = FluScenarioConfig.flip_prob,
+    s5_prob: float = FluScenarioConfig.s5_prob,
+    one_sided_noise: bool = FluScenarioConfig.one_sided_noise,
 ) -> CategoricalDataset:
     """Exact weighted joint distribution of (Y, X1, X2, R3, R4, S5).
 
@@ -155,9 +155,9 @@ def _copy_prob(value: int, source: int, flip_prob: float, one_sided: bool) -> fl
 
 
 def flu_population_tables(
-    flip_prob: float = 0.10,
-    s5_prob: float = 0.8,
-    one_sided_noise: bool = True,
+    flip_prob: float = FluScenarioConfig.flip_prob,
+    s5_prob: float = FluScenarioConfig.s5_prob,
+    one_sided_noise: bool = FluScenarioConfig.one_sided_noise,
 ) -> dict[str, ContingencyTable]:
     """Exact population tables of Y against X1, X2, and the pair (X1, X2)."""
     population = flu_population_distribution(flip_prob, s5_prob, one_sided_noise)

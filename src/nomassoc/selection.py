@@ -34,6 +34,7 @@ from .dataset import (
     _extend,
     _joint_codes,
     _Occupied,
+    _row_weights,
 )
 from .errors import DataError
 
@@ -109,12 +110,18 @@ def _evaluate_all(
 class _Score:
     """Objective of a composite, read from its mass table against
     ``target`` (``levels`` codes per row; ``None`` and 1 for the cell
-    masses alone): ``value`` maps the table's positive-mass rows, in
-    lexicographic cell order, to the objective."""
+    masses alone), counted with ``weights`` (:func:`_row_weights`, read
+    once): ``value`` maps the table's positive-mass rows, in lexicographic
+    cell order, to the objective.  The empty composite, a point mass, has
+    the value ``empty``; ``maximise`` says which way the objective
+    improves."""
 
     target: np.ndarray | None
     levels: int
     value: Callable[[np.ndarray], float]
+    weights: np.ndarray | None
+    empty: float
+    maximise: bool
 
 
 def _measure(
@@ -122,9 +129,8 @@ def _measure(
 ) -> tuple[int, float]:
     """``(observed cells, objective value)`` of the composite over
     ``indices``, built from scratch."""
-    weights = None if dataset.unit_mass else dataset.mass
     table = _count(*_joint_codes(dataset, sorted(indices)), score.target,
-                   score.levels, weights)[0]
+                   score.levels, score.weights)[0]
     return len(table), score.value(table)
 
 
@@ -132,14 +138,13 @@ def _leave_one_out(
     dataset: CategoricalDataset,
     score: _Score,
     members: Sequence[int],
-    empty_value: float,
 ) -> Iterator[tuple[int, int, float]]:
     """``(member, cells, value)`` of ``members`` less each member in turn,
     in member order, each set built from scratch; the empty set has one
-    cell and ``empty_value``."""
+    cell and ``score.empty``."""
     for v in members:
         rest = [c for c in members if c != v]
-        cells, value = _measure(dataset, score, rest) if rest else (1, empty_value)
+        cells, value = _measure(dataset, score, rest) if rest else (1, score.empty)
         yield v, cells, value
 
 
@@ -148,32 +153,30 @@ def _greedy(
     config: SelectionConfig,
     candidates: list[int],
     score: _Score,
-    empty_value: float,
-    maximise: bool,
 ) -> SelectionResult:
-    """Shared forward/backward loop over the objective of :func:`_objective`.
+    """Shared forward/backward loop over ``score``, the objective of
+    :func:`_objective`, which starts at ``score.empty``.
 
-    The forward phase carries the chosen set's occupied tuples and folds
-    the target into them once per step, so each candidate's table is one
+    The forward phase carries the chosen set's occupied tuples, in pick
+    order (``occupied.members`` is the chosen set), and folds the target
+    into them once per step, so each candidate's table is one
     ``bincount`` (:func:`_candidate_table`); the backward phase builds
     each reduced set from scratch (:func:`_leave_one_out`).  Both give the
     tables, and so the values, of :func:`_measure`.
     """
-    sign = 1.0 if maximise else -1.0
+    sign = 1.0 if score.maximise else -1.0
     cap = config.max_cells
-    chosen: list[int] = []
     occupied = _Occupied.empty(dataset)
-    current = empty_value
+    current = score.empty
     trace: list[SelectionStep] = []
     skipped_ever: set[int] = set()
     terminated = None
-    weights = None if dataset.unit_mass else dataset.mass
 
     while True:
-        if config.max_vars is not None and len(chosen) >= config.max_vars:
+        if config.max_vars is not None and len(occupied.members) >= config.max_vars:
             terminated = "max_vars"
             break
-        remaining = [c for c in candidates if c not in chosen]
+        remaining = [c for c in candidates if c not in occupied.members]
         if not remaining:
             terminated = "exhausted"
             break
@@ -182,7 +185,7 @@ def _greedy(
 
         def evaluate(cand: int) -> tuple[int, float]:
             table = _candidate_table(dataset, occupied, folded, cand,
-                                     score.target, score.levels, weights)
+                                     score.target, score.levels, score.weights)
             return len(table), score.value(table)
 
         evals = _evaluate_all(remaining, evaluate)
@@ -197,10 +200,9 @@ def _greedy(
         best_cand, best_cells, best_value = min(
             usable, key=lambda e: (-sign * e[2], e[1], e[0])
         )
-        if chosen and sign * (best_value - current) <= config.epsilon:
+        if occupied.members and sign * (best_value - current) <= config.epsilon:
             terminated = "no-gain"
             break
-        chosen.append(best_cand)
         occupied = _extend(dataset, occupied, best_cand)
         current = best_value
         trace.append(
@@ -213,10 +215,11 @@ def _greedy(
             )
         )
 
+    chosen = list(occupied.members)
     removed: list[int] = []
     while True:
         # selection order, scored lazily; restart after each removal
-        for v, _, value in _leave_one_out(dataset, score, chosen, empty_value):
+        for v, _, value in _leave_one_out(dataset, score, chosen):
             if sign * (current - value) <= config.epsilon:
                 break
         else:
@@ -231,9 +234,9 @@ def _greedy(
         trace=tuple(trace),
         removed=tuple(removed),
         skipped=tuple(sorted(skipped_ever)),
-        final_value=current if chosen else empty_value,
+        final_value=current,
         terminated_by=terminated,
-        objective="association" if maximise else "concentration",
+        objective="association" if score.maximise else "concentration",
     )
 
 
@@ -267,12 +270,14 @@ def _tau_score(
     def value(table: np.ndarray) -> float:
         return _tau(table, alpha, y_meta.name, y_meta.levels)
 
-    return _Score(dataset.codes[y_idx], y_meta.cardinality, value)
+    return _Score(dataset.codes[y_idx], y_meta.cardinality, value,
+                  _row_weights(dataset), 0.0, True)
 
 
 def _concentration_score(dataset: CategoricalDataset) -> _Score:
     total = dataset.total_mass
-    return _Score(None, 1, lambda table: _concentration(table, total))
+    return _Score(None, 1, lambda table: _concentration(table, total),
+                  _row_weights(dataset), 1.0, False)
 
 
 def _resolve_candidates(
@@ -296,21 +301,21 @@ def _objective(
     response: VarRef | None,
     candidates: Sequence[VarRef] | None,
     config: SelectionConfig,
-) -> tuple[list[int], _Score, float, bool]:
-    """``(candidates, score, empty-set value, maximise)`` of a selection:
-    with ``response``, its weighted association, to be maximised, over the
-    candidates (default: all other variables); without, the joint
-    concentration, to be minimised (default candidates: all variables).
-    The empty composite is a point mass: association 0, concentration 1.
+) -> tuple[list[int], _Score]:
+    """``(candidates, score)`` of a selection: with ``response``, its
+    weighted association, to be maximised, over the candidates (default:
+    all other variables); without, the joint concentration, to be
+    minimised (default candidates: all variables).  The empty composite is
+    a point mass: association 0, concentration 1.
     """
     y_idx = None if response is None else dataset.index_of(response)
     resolved = _resolve_candidates(dataset, candidates, exclude=y_idx)
     if y_idx is None:
-        return resolved, _concentration_score(dataset), 1.0, False
+        return resolved, _concentration_score(dataset)
     if y_idx in resolved:
         raise DataError("response cannot be a candidate")
     alpha = _response_weights(dataset, y_idx, config.weights)
-    return resolved, _tau_score(dataset, y_idx, alpha), 0.0, True
+    return resolved, _tau_score(dataset, y_idx, alpha)
 
 
 def select_supervised(
@@ -327,9 +332,8 @@ def select_supervised(
     ``config.epsilon``.  Backward phase: repeatedly delete any chosen
     variable whose removal changes the value by at most ``epsilon``.
     """
-    return _greedy(
-        dataset, config, *_objective(dataset, response, candidates, config)
-    )
+    candidates, score = _objective(dataset, response, candidates, config)
+    return _greedy(dataset, config, candidates, score)
 
 
 def select_structural(
@@ -346,9 +350,8 @@ def select_structural(
     whose absence leaves the concentration unchanged.  The empty composite
     is a point mass (concentration 1).
     """
-    return _greedy(
-        dataset, config, *_objective(dataset, None, candidates, config)
-    )
+    candidates, score = _objective(dataset, None, candidates, config)
+    return _greedy(dataset, config, candidates, score)
 
 
 # -- verification ------------------------------------------------------------
@@ -408,14 +411,12 @@ def verify_basis(
         raise DataError("basis variables must be distinct")
     if response is not None and dataset.index_of(response) in basis_idx:
         raise DataError("response cannot be a basis member")
-    cand, score, empty_value, maximise = _objective(
-        dataset, response, candidates, config
-    )
+    cand, score = _objective(dataset, response, candidates, config)
     basis_cells, value = _measure(dataset, score, basis_idx)
     full_value = _measure(dataset, score, cand)[1]
-    loo = list(_leave_one_out(dataset, score, basis_idx, empty_value))
+    loo = list(_leave_one_out(dataset, score, basis_idx))
 
-    if maximise:
+    if score.maximise:
         eps = config.epsilon
         achieves = bool(full_value - value <= eps)
         irredundant = not any(full_value - loo_value <= eps
@@ -423,14 +424,13 @@ def verify_basis(
         determinism = None
     else:
         key, cells = _joint_codes(dataset, sorted(basis_idx))
-        weights = None if dataset.unit_mass else dataset.mass
 
         def is_determined(v: int) -> bool:
             card = dataset.variables[v].cardinality
             pairs = key * card
             pairs += dataset.codes[v]
             return basis_cells == len(
-                _count(pairs, cells * card, None, 1, weights)[1])
+                _count(pairs, cells * card, None, 1, score.weights)[1])
 
         determinism = tuple(
             (v, v in basis_idx or is_determined(v)) for v in cand
@@ -438,7 +438,7 @@ def verify_basis(
         achieves = all(determined for _, determined in determinism)
         irredundant = not any(cells == basis_cells for _, cells, _ in loo)
     return BasisReport(
-        kind="association" if maximise else "structural",
+        kind="association" if score.maximise else "structural",
         achieves_full=achieves,
         irredundant=irredundant,
         basis=tuple(basis_idx),

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import os
 import subprocess
@@ -15,7 +16,12 @@ from hypothesis import strategies as st
 
 import nomassoc
 from nomassoc.cli import build_parser, dispatch
+from nomassoc.equivalence import DEFAULT_TOLERANCE
 from nomassoc.reference import fixture_e4_without_e3, loan_tables
+from nomassoc.scenarios import (
+    FluScenarioConfig, flu_population_distribution, flu_population_tables,
+)
+from nomassoc.selection import SelectionConfig
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +173,10 @@ class TestExitCodes:
         (["bootstrap", "--response", "Y", "--subset", "X", "--seed", "1",
           "FILE", "-n"], "--sample-size"),
         (["simulate", "flu", "--seed", "1", "-o", "OUT", "-n"], "-n"),
+        (["select", "supervised", "--response", "Y", "FILE", "--max-cells"],
+         "--max-cells"),
+        (["select", "supervised", "--response", "Y", "FILE", "--max-vars"],
+         "--max-vars"),
     ])
     def test_count_that_is_not_positive_is_a_usage_error(
             self, capsys, tmp_path, argv, flag, value):
@@ -280,6 +290,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
         assert f"{wpath}, line 3: weight 'abc' is not a number" in err
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parse = build_parser().parse_args
+    select = parse(["select", "structural", "FILE"])
+    config = SelectionConfig()
+    assert (select.epsilon, select.max_vars, select.max_cells) == (
+        config.epsilon, config.max_vars, config.max_cells)
+    equiv = parse(["equiv", "--x1", "A", "--x2", "B", "--response", "Y",
+                   "FILE"])
+    assert equiv.tol == DEFAULT_TOLERANCE
+    simulate = parse(["simulate", "flu", "-n", "1", "--seed", "1", "-o", "O"])
+    flu = FluScenarioConfig(n=1, seed=1)
+    assert (simulate.flip_prob, simulate.s5_prob,
+            not simulate.symmetric_noise) == (
+        flu.flip_prob, flu.s5_prob, flu.one_sided_noise)
+    for population in (flu_population_distribution, flu_population_tables):
+        defaults = inspect.signature(population).parameters
+        assert [defaults[name].default for name in (
+            "flip_prob", "s5_prob", "one_sided_noise")] == [
+            flu.flip_prob, flu.s5_prob, flu.one_sided_noise]
 
 
 @pytest.mark.parametrize("module", ["nomassoc", "nomassoc.cli"])

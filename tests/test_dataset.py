@@ -275,7 +275,8 @@ def fixed_width_returns(path):
     """Whether ``dataset._fixed_width`` numbered ``path`` in one ``_scan``,
     one entry per call; the per-line path, which a declined file goes on
     to, raises :class:`PerLine` from ``dataset._blocks`` instead of
-    splitting the body."""
+    splitting the body.  A file whose records are refused after its lines
+    are numbered ends in the record path's :class:`ParseError`."""
     taken = []
     fixed_width = dataset._fixed_width
 
@@ -292,7 +293,7 @@ def fixed_width_returns(path):
         mp.setattr(dataset, "_blocks", per_line)
         try:
             dataset._scan(path)
-        except PerLine:
+        except (PerLine, ParseError):
             pass
     return taken
 
@@ -319,6 +320,16 @@ class TestFixedWidthPath:
             tables.append((table.variables, [c.tolist() for c in table.codes],
                            table.mass.tolist()))
         assert tables[0] == tables[1] == tables[2]
+
+    def test_a_refused_record_is_still_numbered_as_byte_columns(self,
+                                                               tmp_path):
+        # lines of one width whose fields exceed csv.field_size_limit()
+        field = b"x" * (csv.field_size_limit() + 1)
+        path = tmp_path / "long.csv"
+        path.write_bytes(b"a,b\n" + (field + b"," + field + b"\n") * 2)
+        assert fixed_width_returns(path) == [True]
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            _load_table(path)
 
     def test_nearly_distinct_lines_are_declined(self, tmp_path):
         # 200k rows of 30 variables of 2 to 7 levels, written as digits

@@ -1589,12 +1589,16 @@ def test_table_loader_equals_compressed_rows(case):
 @given(st.lists(st.sampled_from([b"\n", b"\r", b"\r\n", b"x", b"yz\x85"]),
                 max_size=30).map(b"".join),
        st.integers(0, 3), st.integers(1, 8))
+@example(b"xx\r\nyz", 0, 3)  # a CR LF pair straddles the cut
+@example(b"x\nyz\rx", 1, 3)  # a lone CR exactly at the cut
+@example(b"x\nyzx", 0, 3)  # no line break at or past the cut
 @settings(max_examples=300, deadline=None)
 def test_blocks_split_where_the_whole_does(data, start, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "_BLOCK", block)
         pieces = list(dataset._blocks(data, start))
     assert b"".join(pieces) == data[start:]
+    assert all(piece.endswith((b"\n", b"\r")) for piece in pieces[:-1])
     assert [line for piece in pieces for line in piece.splitlines()] == (
         data[start:].splitlines())
 
