@@ -460,37 +460,26 @@ def _taus(
             group = mass[at].reshape(len(tables), rows, n_y)
             # as float(mass.sum()): one pairwise sum over the table in C order
             total = group.reshape(len(tables), -1).sum(axis=1)[:, None]
-            out[tables] = _group_taus(
-                group.transpose(0, 2, 1).copy(),
-                x_all[at].reshape(len(tables), rows), total, weights,
-            )
-    return out
-
-
-def _group_taus(kept, x_mass, total, weights) -> np.ndarray:
-    """:func:`_taus` of the tables ``kept``, ``(tables, levels, rows)``
-    C-ordered, with row sums ``x_mass`` and totals ``total`` (``(tables,
-    1)``)."""
-    y_mass = kept.sum(axis=-1)
-    p = y_mass / total
-    _, lift, alt = _lift_forms(_column_sums(kept, x_mass), y_mass, p, total)
-    gini = _gini(p)
-    settled = (
-        (y_mass > 0) & (p < 1.0) & (np.abs(lift - alt) <= _FORMS_TOL)
-        & (lift >= 0.0) & (lift <= 1.0)
-    ).all(axis=1) & (gini > 0)
-    if isinstance(weights, WeightVector):
-        w = weights.weights
-    else:
-        w = _SCHEMES[weights](p, gini[:, None])
-        settled &= (w.min(axis=-1) >= 0) & (
-            np.abs(w.sum(axis=-1) - 1.0) <= CLAMP_TOL
-        )
-    w = np.broadcast_to(w, lift.shape)
-    values = np.full(len(lift), np.nan)
-    for t in np.flatnonzero(settled):
-        values[t] = np.dot(w[t], lift[t])
-    return np.where((values >= 0.0) & (values <= 1.0), values, np.nan)
+            kept = group.transpose(0, 2, 1).copy()
+            y_mass = kept.sum(axis=-1)
+            p = y_mass / total
+            _, lift, alt = _lift_forms(_column_sums(
+                kept, x_all[at].reshape(len(tables), rows)), y_mass, p, total)
+            gini = _gini(p)
+            settled = (
+                (y_mass > 0) & (p < 1.0) & (np.abs(lift - alt) <= _FORMS_TOL)
+                & (lift >= 0.0) & (lift <= 1.0)
+            ).all(axis=1) & (gini > 0)
+            if isinstance(weights, WeightVector):
+                w = np.broadcast_to(weights.weights, p.shape)
+            else:
+                w = _SCHEMES[weights](p, gini[:, None])
+                settled &= (w.min(axis=-1) >= 0) & (
+                    np.abs(w.sum(axis=-1) - 1.0) <= CLAMP_TOL
+                )
+            for t in np.flatnonzero(settled):
+                out[tables[t]] = np.dot(w[t], lift[t])
+    return np.where((out >= 0.0) & (out <= 1.0), out, np.nan)
 
 
 def association_matrix(table: ContingencyTable) -> AssociationMatrix:
@@ -536,12 +525,12 @@ def association_vector(table: ContingencyTable) -> AssociationVector:
     )
     definable, p, lift = _lifts(kept, x_mass, total)
     levels = tuple(int(s) for s in np.flatnonzero(keep)[definable])
-    excluded = set(range(table.y_levels)).difference(levels)
     return AssociationVector(
         components=lift,
         y_marginal=p,
         level_indices=levels,
-        excluded_levels=tuple(sorted(excluded)),
+        excluded_levels=tuple(
+            s for s in range(table.y_levels) if s not in levels),
         y_labels=tuple(table.y_labels[s] for s in levels),
         x_descriptor=table.x_name,
     )
@@ -587,12 +576,6 @@ def goodman_kruskal_tau(table: ContingencyTable) -> float:
 
 # -- weight schemes -----------------------------------------------------------
 
-_ONE_LEVEL = (
-    "weighted association undefined: the response has one level of "
-    "positive mass"
-)
-
-
 #: Each named weight scheme's weights over the last axis of ``p``, the
 #: marginals of the levels strictly inside (0, 1), with their Gini
 #: variation ``gini``; :func:`_weight_array` holds each scheme's refusals.
@@ -633,14 +616,12 @@ def _weight_array(
     variation ``gini``, checked as :class:`WeightVector` checks them.
 
     From :func:`_lifts`, ``p`` covers the levels with marginal strictly
-    inside (0, 1): it is empty exactly when the response has one level of
-    positive mass, which every weighting refuses with one message.
+    inside (0, 1): it is empty exactly when the response has a single level of
+    positive mass, which :func:`_fit_levels` refuses for every weighting.
     """
     _known_scheme(spec)
-    if not p.size:
-        raise DataError(_ONE_LEVEL)
+    _fit_levels(spec, len(p))
     if isinstance(spec, WeightVector):
-        _fit_vector(spec, len(p))
         return spec.weights
     if spec == "gk" and gini <= 0:
         raise DataError("variation-proportional weights undefined: point mass")
@@ -662,9 +643,16 @@ def _known_scheme(spec: Union[str, WeightVector]) -> None:
         )
 
 
-def _fit_vector(spec: WeightVector, levels: int) -> None:
-    """Refuse ``spec`` unless it has one weight per response level."""
-    if spec.size != levels:
+def _fit_levels(spec: Union[str, WeightVector], levels: int) -> None:
+    """Refuse every weighting of a response with ``levels`` levels of
+    marginal strictly inside (0, 1) when there are none, and a
+    :class:`WeightVector` without one weight per such level."""
+    if not levels:
+        raise DataError(
+            "weighted association undefined: the response has one level of "
+            "positive mass"
+        )
+    if isinstance(spec, WeightVector) and spec.size != levels:
         raise DataError(
             f"weight vector has {spec.size} components, response has "
             f"{levels} levels"

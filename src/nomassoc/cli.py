@@ -4,11 +4,11 @@ Subcommands: inspect, matrix, vector, tau, select, equiv, predict,
 bootstrap, simulate.  Exit codes: 0 success, 1 usage error (including a
 ``--delimiter`` that is not one character, or is ``"``, CR or LF, a
 ``--seed`` that is not a non-negative integer, and a count, ``-B``,
-``-n``, ``--max-vars`` or ``--max-cells``, that is not a positive
-integer), 2 data error (including a file that cannot be read or written,
-and a field longer than the csv module's limit, with its line).  Flag
-defaults are the library's own (``SelectionConfig``, ``DEFAULT_TOLERANCE``
-and ``FluScenarioConfig``).
+``-n``, ``--max-vars``, ``--max-cells`` or ``--precision``, that is not
+a positive integer), 2 data error (including a file that cannot be read
+or written, and a field longer than the csv module's limit, with its
+line).  Flag defaults are the library's own (``SelectionConfig``,
+``DEFAULT_TOLERANCE`` and ``FluScenarioConfig``).
 
 Output formats (``--format``): ``human`` prints aligned tables,
 ``delimited`` prints delimiter-separated rows, ``structured`` prints
@@ -63,7 +63,7 @@ class Printer:
 
     def __init__(self, mode: str, precision: int, delimiter: str):
         self.mode = mode
-        self.precision = max(1, precision)
+        self.precision = precision
         self.delimiter = delimiter
 
     def num(self, value) -> str:
@@ -173,7 +173,7 @@ def _command(p: _Parser, handler, reads: str | None) -> None:
         "--format", choices=("human", "delimited", "structured"),
         default="human", dest="out_format",
     )
-    p.add_argument("--precision", type=int, default=4)
+    p.add_argument("--precision", type=_count, default=4)
     p.set_defaults(func=handler, reads=reads)
 
 

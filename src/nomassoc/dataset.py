@@ -677,6 +677,13 @@ def _unit_rows(dataset: CategoricalDataset, what: str) -> None:
             f"{what} requires unit-mass rows; use expand_to_unit_rows() first")
 
 
+def _check_seed(seed: int) -> None:
+    """Refuses ``seed`` unless it is a non-negative integer, a numpy
+    integer included: the seeds numpy's generators take."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DataError("seed must be a non-negative integer")
+
+
 def _row_weights(dataset: CategoricalDataset) -> np.ndarray | None:
     """The weights a count adds up: ``None`` when every row mass is 1,
     whose plain counts are exact in float64, else the row masses."""
@@ -780,6 +787,12 @@ class _Occupied:
         (:func:`_candidate_table`)."""
         return self.key if target is None else self.key * n_target + target
 
+    def extended(self, keys: np.ndarray, card: int) -> np.ndarray:
+        """The member codes of the tuples ``keys`` numbers ``tuple * card +
+        code`` when a member of ``card`` levels is added last."""
+        parent, code = np.divmod(keys, card)
+        return np.column_stack((self.scenarios[parent], code))
+
 
 def _extend(dataset: CategoricalDataset, base: _Occupied, idx: int) -> _Occupied:
     """``base`` with variable ``idx`` added as its last member: one
@@ -789,9 +802,7 @@ def _extend(dataset: CategoricalDataset, base: _Occupied, idx: int) -> _Occupied
     key = base.key * card
     key += dataset.codes[idx]
     key, occupied = _rank(key, len(base.scenarios) * card)
-    parent, code = np.divmod(occupied, card)
-    scenarios = np.column_stack((base.scenarios[parent], code))
-    return _Occupied(base.members + (idx,), key, scenarios)
+    return _Occupied(base.members + (idx,), key, base.extended(occupied, card))
 
 
 #: The largest key an int64 holds: :func:`_joint_codes` ranks before a
@@ -937,9 +948,7 @@ def _candidate_table(
         table, keys = _count(key, cells * card, target, n_target, weights)
     members = base.members + (idx,)
     if list(members) != sorted(members):
-        parent, code = np.divmod(keys, card)
-        scenarios = np.column_stack((base.scenarios[parent], code))
-        scenarios = scenarios[:, np.argsort(members)]
+        scenarios = base.extended(keys, card)[:, np.argsort(members)]
         table = table[np.lexsort(scenarios.T[::-1])]
     return table
 
@@ -1165,6 +1174,7 @@ def split(
     """
     if not 0 < fraction < 1:
         raise DataError("fraction must be in (0, 1)")
+    _check_seed(seed)
     _unit_rows(dataset, "split")
     n = dataset.n_rows
     k = int(round(fraction * n))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .association import AssociationMatrix, association_matrix
 from .dataset import CategoricalDataset, ContingencyTable, _as_composite, contingency
-from .dataset import _unit_rows
+from .dataset import _check_seed, _unit_rows
 from .errors import DataError
 
 
@@ -49,6 +49,7 @@ def fit(
     seed: int = 0,
 ) -> ProportionalPredictor:
     """Estimate plug-in conditionals of ``response`` per ``given`` scenario."""
+    _check_seed(seed)
     xc = _as_composite(train, given)
     table = contingency(train, xc, response)
     marginal = table.y_probabilities()
@@ -116,19 +117,14 @@ def predict_and_score(
     order = [xc.member_names.index(name) for name in predictor.member_names]
     y_meta = test.variable(predictor.response_name)
     level_of = {label: i for i, label in enumerate(predictor.response_levels)}
-    unknown = [lv for lv in y_meta.levels if lv not in level_of]
-    present = np.bincount(
-        test.codes[test.index_of(predictor.response_name)],
-        minlength=y_meta.cardinality,
-    )
-    for lv in unknown:
-        if present[y_meta.levels.index(lv)]:
-            raise DataError(
-                f"test response level {lv!r} was never seen in training"
-            )
+    y_codes = test.codes[test.index_of(predictor.response_name)]
     true_codes = np.asarray(
         [level_of.get(lv, -1) for lv in y_meta.levels], dtype=np.int64
-    )[test.codes[test.index_of(predictor.response_name)]]
+    )[y_codes]
+    unseen = y_codes[true_codes < 0]
+    if unseen.size:  # the first in level order that a row takes
+        raise DataError(f"test response level {y_meta.levels[unseen.min()]!r} "
+                        "was never seen in training")
 
     n = test.n_rows
     n_levels = len(predictor.response_levels)

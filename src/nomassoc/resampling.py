@@ -63,11 +63,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .association import (
-    _ONE_LEVEL, WeightVector, _fit_vector, _known_scheme, _tau, _taus,
-)
+from .association import WeightVector, _fit_levels, _known_scheme, _tau, _taus
 from .dataset import CategoricalDataset, VarRef, _count, _joint_codes, _rank
-from .dataset import _row_weights, _unit_rows
+from .dataset import _check_seed, _row_weights, _unit_rows
 from .errors import DataError, NomassocError
 
 
@@ -139,6 +137,7 @@ def bootstrap(
     iterations, sample_size = int(iterations), int(sample_size)
     if not 0 < confidence < 1:
         raise DataError("confidence must be in (0, 1)")
+    _check_seed(seed)
     _unit_rows(dataset, "bootstrap")
     if stratify_by is None:  # one stratum of every row
         codes = np.zeros(dataset.n_rows, dtype=np.int64)
@@ -160,14 +159,13 @@ def bootstrap(
     if isinstance(statistic, _ReductionStatistic):
         evaluate = statistic.on_cells(dataset)
         settle = evaluate.block
-        # the point estimate, over every row, refuses a response with one
-        # observed level, and a vector that does not fit the levels
+        # the point estimate's refusals, before the first draw: a level's
+        # marginal is strictly inside (0, 1) when its count is neither 0
+        # nor every row
         y_codes = dataset.codes[dataset.index_of(statistic.response)]
-        observed = np.count_nonzero(np.bincount(y_codes))
-        if observed < 2:
-            raise DataError(_ONE_LEVEL)
-        if isinstance(statistic.weights, WeightVector):
-            _fit_vector(statistic.weights, observed)
+        counts = np.bincount(y_codes)
+        _fit_levels(statistic.weights,
+                    np.count_nonzero((counts > 0) & (counts < len(y_codes))))
 
         def estimate() -> float:  # statistic(dataset), on the same cells
             return evaluate(np.arange(dataset.n_rows))

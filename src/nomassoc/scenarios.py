@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CategoricalDataset, ContingencyTable, VariableMeta, contingency
+from .dataset import _check_seed
 from .errors import DataError
 
 #: P(X1, X2) over the four cells in (X1 major, X2 minor) order.
@@ -66,6 +67,7 @@ class FluScenarioConfig:
             raise DataError("sample count must be at least 1")
         if self.n % 1:  # inf % 1 is NaN
             raise DataError("sample count must be a whole number")
+        _check_seed(self.seed)
         if not 0 <= self.flip_prob <= 1:
             raise DataError("flip_prob must be in [0, 1]")
         if not 0 <= self.s5_prob <= 1:

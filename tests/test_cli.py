@@ -177,6 +177,8 @@ class TestExitCodes:
          "--max-cells"),
         (["select", "supervised", "--response", "Y", "FILE", "--max-vars"],
          "--max-vars"),
+        (["tau", "--response", "Y", "--given", "X", "FILE", "--precision"],
+         "--precision"),
     ])
     def test_count_that_is_not_positive_is_a_usage_error(
             self, capsys, tmp_path, argv, flag, value):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from nomassoc import (
+    CategoricalDataset,
     ContingencyTable,
     DataError,
+    VariableMeta,
     association_matrix,
     contingency,
     expand_to_unit_rows,
@@ -266,6 +268,24 @@ class TestPredictAndScore:
         )
         with pytest.raises(DataError, match="never seen"):
             predict_and_score(predictor, alien)
+
+    @pytest.mark.parametrize("y_codes, refused", [
+        ([3, 0, 2, 1], "y9"),  # y7 (code 3) in row 0, y9 (code 2) in row 2
+        ([0, 1, 1, 0], None),  # y9 and y7 declared, taken by no row
+    ])
+    def test_first_unseen_level_a_row_takes_is_refused(self, y_codes, refused):
+        predictor = fit(table_as_unit_dataset([[40, 5], [10, 30]]), "X", "Y")
+        test = CategoricalDataset(
+            [VariableMeta("X", ("x0", "x1")),
+             VariableMeta("Y", ("y0", "y1", "y9", "y7"))],
+            [[0, 1, 0, 1], y_codes],
+        )
+        if refused is None:
+            assert predict_and_score(predictor, test).total == 4
+            return
+        with pytest.raises(DataError, match=f"^test response level "
+                           f"'{refused}' was never seen in training$"):
+            predict_and_score(predictor, test)
 
     def test_monte_carlo_agreement(self):
         # empirical confusion over 10^6 rows matches the expected matrix

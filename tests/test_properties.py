@@ -1250,6 +1250,16 @@ def scalar_tau(mass, weights):
 @example(([np.array([[1e6, 1.0], [3e6, 0.0]])] * 2, "gk"))
 @example(([np.array([[6.0, 0.0, 3.0], [8.0, 1.0, 3.0], [8.0, 1.0, 3.0]])],
           "gk"))  # the first lift is -3.3e-16, so _tau clamps it to 0
+# a plain table, one with a zero-mass level and one of a sole level, under
+# explicit weights of the right size for the first and the wrong size
+@example(([np.array([[3.0, 1.0, 2.0], [1.0, 4.0, 1.0]]),
+           np.array([[3.0, 0.0, 2.0], [1.0, 0.0, 5.0]]),
+           np.array([[2.0, 0.0, 0.0]])],
+          WeightVector.from_raw([1.0, 2.0, 3.0])))
+@example(([np.array([[3.0, 1.0, 2.0], [1.0, 4.0, 1.0]]),
+           np.array([[3.0, 0.0, 2.0], [1.0, 0.0, 5.0]]),
+           np.array([[2.0, 0.0, 0.0]])],
+          WeightVector.from_raw([1.0, 2.0])))
 @settings(max_examples=300, deadline=None)
 def test_batched_taus_equal_tau_table_by_table(case):
     # a table the batch settles has _tau's value to the bit; a table it

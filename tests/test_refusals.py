@@ -134,6 +134,10 @@ CASES = {
         each_input(lambda size: flu_bootstrap(sample_size=size), 2.5, np.inf),
         nm.DataError, "sample size must be a whole number",
     ),
+    "bootstrap-seed": (
+        each_input(lambda seed: flu_bootstrap(seed=seed), -1, 1.5),
+        nm.DataError, "seed must be a non-negative integer",
+    ),
     "bootstrap-confidence": (
         lambda: flu_bootstrap(confidence=1.0),
         nm.DataError, r"confidence must be in \(0, 1\)",
@@ -233,6 +237,11 @@ CASES = {
         each_input(lambda n: nm.FluScenarioConfig(n=n, seed=1), 2.5, np.inf),
         nm.DataError, "sample count must be a whole number",
     ),
+    "flu-seed": (
+        each_input(lambda seed: nm.FluScenarioConfig(n=10, seed=seed),
+                   -1, 1.5),
+        nm.DataError, "seed must be a non-negative integer",
+    ),
     "flu-flip-prob": (
         lambda: nm.FluScenarioConfig(n=10, seed=1, flip_prob=1.5),
         nm.DataError, r"flip_prob must be in \[0, 1\]",
@@ -276,6 +285,14 @@ CASES = {
     "mass-column": (
         from_pipe(b"u,v\na,x\n", mass_column="w"), nm.DataError,
         r"mass column 'w' not in header: \['u', 'v'\]",
+    ),
+    "split-seed": (
+        each_input(lambda seed: nm.split(flu(), 0.5, seed), -1, 1.5),
+        nm.DataError, "seed must be a non-negative integer",
+    ),
+    "fit-seed": (
+        each_input(lambda seed: nm.fit(flu(), "X1", "Y", seed=seed), -1, 1.5),
+        nm.DataError, "seed must be a non-negative integer",
     ),
     "split-fraction": (
         lambda: nm.split(flu(), 1.5, 1), nm.DataError,
@@ -379,3 +396,19 @@ def test_refusal(call, error, message):
         warnings.simplefilter("error")  # a refusal warns of nothing first
         with pytest.raises(error, match=message):
             call()
+
+
+@pytest.mark.filterwarnings("ignore::nomassoc.DroppedLevelsWarning")
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3)])
+def test_a_numpy_integer_seed_draws_as_its_int(seed):
+    data = flu()
+
+    def draws(seed):
+        train, test = nm.split(data, 0.5, seed)
+        predictor = nm.fit(train, "X1", "Y", seed=seed)
+        return (nm.generate_flu(nm.FluScenarioConfig(n=10, seed=seed)).codes,
+                train.codes, nm.predict_and_score(predictor, test).counts,
+                flu_bootstrap(seed=seed).mean)
+
+    for got, want in zip(draws(seed), draws(3)):
+        np.testing.assert_array_equal(got, want)
