@@ -11,9 +11,10 @@ One kernel, :func:`_count`, counts every mass table: a composite's cell
 masses for :func:`compose` and :func:`compress`, a composite against a
 response for :func:`contingency`, selection's tables from scratch, the
 cell masses of a concentration, and the bootstrap's resamples.  Tables
-from the chosen set carried across greedy steps (:func:`_candidate_table`)
-are counted over a key with the response folded in before the candidate,
-and keep their positive rows with the same tail (:func:`_positive_rows`).
+from the chosen set carried across greedy steps (:func:`_candidate_table`,
+:func:`_group_tables`) are counted over a key with the response folded in
+before the candidates, and keep their positive rows with the same tail
+(:func:`_positive_rows`).
 
 One loop, :func:`_joint_codes`, builds the key of every composite built
 from scratch: each member is multiplied onto the key, ``key * card +
@@ -29,11 +30,19 @@ count, so its table is counted densely, with no further rank.
 
 Greedy selection carries the chosen set's codes across steps in pick
 order and folds the response into them once per step, ``key * levels +
-response``; each candidate then counts its table in one ``bincount`` over
-``folded * card + code``, a ``(cell, level, code)`` array moved to one row
-per ``(cell, code)``, with no rank.  That table is the one a
-greedy step sorts, and only when its members are not in ascending order
-(:func:`_candidate_table`).
+response``.  When the row masses' sums are exact in any order
+(:func:`_exact_sums`), the candidates are packed once per selection into
+groups of at most ``_GROUP_SLOTS`` member tuples, each with a one-byte
+mixed-radix code (:func:`_candidate_groups`), and a step counts a group in
+one ``bincount`` over ``folded * size + code``; each member's ``(cell,
+level, code)`` array is the sum over the other members' axes
+(:func:`_group_tables`).  A candidate no group counted, as when one member
+is left or the group's slots pass half the rows, is counted by the same
+kernel as a group of its own, over ``folded * card + code``
+(:func:`_dense_tables`, :func:`_candidate_table`).
+Either array is moved to one row per ``(cell, code)``, with no rank, and
+that table is the one a greedy step sorts, and only when its members are
+not in ascending order (:func:`_in_member_order`).
 
 All structures are immutable after construction; the underlying numpy
 arrays are marked read-only so datasets can be shared without copies.
@@ -922,35 +931,151 @@ def _candidate_table(
     ``target``, with no rank.
 
     ``folded`` is ``base.folded(target, n_target)``, folded once per
-    greedy step for all its candidates.  One ``bincount`` over ``folded *
-    card + code`` counts a ``(cells, n_target, card)`` array; moved to
-    ``(cells * card, n_target)``, its rows are the cells ``cell * card +
-    code``, in lexicographic order over the members in pick order, ``idx``
-    last.  A key range too wide to count takes :func:`_count`'s ranked
-    route on the key ``base.key * card + code``.  Unless the pick order is
-    ascending, the table's rows, one per cell, are sorted by a lexsort of
-    their member codes taken in ascending member index, the composite's own
-    order.  The result equals the table of the composite built from
-    scratch over :func:`_joint_codes`, to the bit.
+    greedy step for all its candidates.  A key range within :func:`_dense`
+    is counted by :func:`_dense_tables` as a group of one; a wider one
+    takes :func:`_count`'s ranked route on the key ``base.key * card +
+    code``, whose rows are then put in the composite's own order
+    (:func:`_in_member_order`).  The result equals the table of the
+    composite built from scratch over :func:`_joint_codes`, to the bit.
     """
     card = dataset.variables[idx].cardinality
     cells = len(base.scenarios)
     if _dense(cells * card * n_target, len(folded)):
-        key = folded * card
-        key += dataset.codes[idx]
-        table = np.bincount(key, weights=weights,
-                            minlength=cells * n_target * card)
-        table, keys = _positive_rows(
-            table.reshape(cells, n_target, card).transpose(0, 2, 1))
-    else:
-        key = base.key * card
-        key += dataset.codes[idx]
-        table, keys = _count(key, cells * card, target, n_target, weights)
+        return _dense_tables(base, folded, (idx,), (card,), dataset.codes[idx],
+                             n_target, weights)[idx]
+    key = base.key * card
+    key += dataset.codes[idx]
+    table, keys = _count(key, cells * card, target, n_target, weights)
+    return _in_member_order(base, idx, card, table, keys)
+
+
+def _in_member_order(
+    base: _Occupied, idx: int, card: int, table: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """The rows of ``table``, one per cell ``keys`` numbers ``tuple * card
+    + code`` over ``base`` with variable ``idx`` (``card`` levels) added
+    last, sorted by a lexsort of their member codes taken in ascending
+    member index, the composite's own order; unsorted when the pick order
+    is already ascending.  The one place a greedy step sorts."""
     members = base.members + (idx,)
     if list(members) != sorted(members):
         scenarios = base.extended(keys, card)[:, np.argsort(members)]
         table = table[np.lexsort(scenarios.T[::-1])]
     return table
+
+
+#: Greedy selection counts a step's candidates in groups whose product of
+#: cardinalities is at most this many slots (:func:`_candidate_groups`), so
+#: a group's code fits in one byte.  A sweep of 64 to 512 read alike.
+_GROUP_SLOTS = 256
+
+
+def _candidate_groups(
+    dataset: CategoricalDataset, candidates: Sequence[int]
+) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """``(members, code)`` of each group of two or more ``candidates``,
+    packed in candidate order while the product of the members'
+    cardinalities stays at most ``_GROUP_SLOTS``; a candidate that fits in
+    no such group is left out.  ``code`` is each row's mixed-radix number
+    of the members' codes, ``c1 * k2 * k3 + c2 * k3 + c3``, in the
+    narrowest unsigned type that holds it."""
+    packed: list[list[int]] = [[]]
+    size = 1
+    for idx in candidates:
+        card = dataset.variables[idx].cardinality
+        if size * card > _GROUP_SLOTS:
+            packed.append([])
+            size = 1
+        packed[-1].append(idx)
+        size *= card
+    groups = []
+    for members in packed:
+        if len(members) < 2:
+            continue
+        # built wide: a cardinality may itself be _GROUP_SLOTS, which the
+        # narrow type does not hold, though every partial number is below it
+        code = np.zeros(dataset.n_rows, np.intp)
+        for idx in members:
+            code *= dataset.variables[idx].cardinality
+            code += dataset.codes[idx]
+        narrow = np.min_scalar_type(_GROUP_SLOTS - 1)
+        groups.append((tuple(members), code.astype(narrow)))
+    return groups
+
+
+def _group_tables(
+    dataset: CategoricalDataset,
+    base: _Occupied,
+    folded: np.ndarray,
+    members: tuple[int, ...],
+    code: np.ndarray,
+    n_target: int,
+    weights: np.ndarray | None,
+) -> dict[int, np.ndarray]:
+    """The :func:`_candidate_table` of each member of a group
+    (:func:`_candidate_groups`) not in ``base``, from one ``bincount``
+    (:func:`_dense_tables`).  A member's sums over the other members' axes
+    add the same masses as its own ``bincount`` in another order, so they
+    are the same to the bit only for masses whose sums are exact
+    (:func:`_exact_sums`).  A group with fewer than two members left, or
+    whose ``cells * n_target * size`` slots (``size`` the product of the
+    members' cardinalities) pass half the rows plus ``_SMALL_SLOTS``,
+    counts nothing and returns ``{}``.
+    """
+    cards = tuple(dataset.variables[i].cardinality for i in members)
+    left = [idx for idx in members if idx not in base.members]
+    # summed once per member, slots past about half the rows cost more
+    # than a bincount per member (a sweep at 200k rows)
+    slots = len(base.scenarios) * n_target * math.prod(cards)
+    if len(left) < 2 or 2 * slots > len(folded) + _SMALL_SLOTS:
+        return {}
+    return _dense_tables(base, folded, members, cards, code, n_target, weights)
+
+
+def _dense_tables(
+    base: _Occupied,
+    folded: np.ndarray,
+    members: tuple[int, ...],
+    cards: tuple[int, ...],
+    code: np.ndarray,
+    n_target: int,
+    weights: np.ndarray | None,
+) -> dict[int, np.ndarray]:
+    """The table of each of ``members`` (``cards`` levels) not in
+    ``base``, keyed by member, from one dense ``bincount``.
+
+    ``code`` is each row's mixed-radix number of the members' codes
+    (:func:`_candidate_groups`; a lone member's own codes), so
+    ``bincount(folded * size + code)``, ``size`` the product of ``cards``,
+    counts a ``(cells, n_target, k1, ..., km)`` array.  Summed over every
+    member axis but one, and moved to ``(cells * card, n_target)``, its
+    rows are the cells ``cell * card + code`` in lexicographic order over
+    ``base``'s members in pick order, the member last; they are then put
+    in the composite's own order (:func:`_in_member_order`).
+    """
+    size = math.prod(cards)
+    cells = len(base.scenarios)
+    key = folded * size
+    key += code
+    counts = np.bincount(key, weights=weights,
+                         minlength=cells * n_target * size)
+    counts = counts.reshape(cells, n_target, *cards)
+    tables = {}
+    for j, idx in enumerate(members):
+        if idx in base.members:
+            continue
+        others = tuple(2 + i for i in range(len(members)) if i != j)
+        table = counts.sum(axis=others) if others else counts
+        table, keys = _positive_rows(table.transpose(0, 2, 1))
+        tables[idx] = _in_member_order(base, idx, cards[j], table, keys)
+    return tables
+
+
+def _exact_sums(dataset: CategoricalDataset) -> bool:
+    """Whether every sum of row masses is exact in float64, in any order:
+    integer masses with a total below 2**53."""
+    mass = dataset.mass
+    return dataset.total_mass < 2**53 and np.array_equal(mass, np.floor(mass))
 
 
 def _representatives(
@@ -974,11 +1099,10 @@ def compress(dataset: CategoricalDataset) -> CategoricalDataset:
     results are bit-identical to the row form's; any other dataset is
     returned unchanged.
     """
-    mass = dataset.mass
-    if not (dataset.total_mass < 2**53 and np.array_equal(mass, np.floor(mass))):
+    if not _exact_sums(dataset):
         return dataset
     key, cells = _joint_codes(dataset, range(dataset.n_variables))
-    cell_mass, keys = _count(key, cells, None, 1, mass)
+    cell_mass, keys = _count(key, cells, None, 1, dataset.mass)
     rows = _representatives(key, cells, keys)
     return CategoricalDataset(
         dataset.variables, [c[rows] for c in dataset.codes], cell_mass[:, 0],

@@ -31,7 +31,9 @@ class ProportionalPredictor:
     ``conditionals`` maps each observed explanatory label tuple to a
     probability vector over ``response_levels``; unseen tuples fall back to
     the training marginal.  Rows are matched by labels, so any dataset whose
-    level labels agree with the training data can be scored.
+    level labels agree with the training data can be scored.  ``seed`` is
+    checked on construction, so a predictor from :func:`fit`, from
+    ``dataclasses.replace`` or built by hand refuses the same seeds.
     """
 
     member_names: tuple[str, ...]
@@ -41,6 +43,9 @@ class ProportionalPredictor:
     fallback: np.ndarray
     seed: int
 
+    def __post_init__(self):
+        _check_seed(self.seed)
+
 
 def fit(
     train: CategoricalDataset,
@@ -49,7 +54,6 @@ def fit(
     seed: int = 0,
 ) -> ProportionalPredictor:
     """Estimate plug-in conditionals of ``response`` per ``given`` scenario."""
-    _check_seed(seed)
     xc = _as_composite(train, given)
     table = contingency(train, xc, response)
     marginal = table.y_probabilities()

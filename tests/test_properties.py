@@ -986,6 +986,160 @@ def test_max_cells_skips_follow_scratch_cell_counts(objective):
         assert set(step.skipped) <= {1, 3}
 
 
+# -- greedy candidates counted in groups ---------------------------------------
+
+
+def scored_tables(ds, objective, config, grouped=True):
+    """``(result, tables, calls)`` of a selector: every table its objective
+    reads, in order, and for each group a forward step was to count
+    (:func:`dataset._group_tables`), the group's members not yet chosen,
+    the chosen members, and the members it read a table off for.  With
+    ``grouped=False`` no group is packed, so each candidate takes its own
+    ``bincount``."""
+    tables, calls = [], []
+
+    def reading(read):
+        def value(table, *args):
+            tables.append(table)
+            return read(table, *args)
+        return value
+
+    def counting(ds, base, folded, members, *args):
+        got = group_tables(ds, base, folded, members, *args)
+        left = tuple(m for m in members if m not in base.members)
+        calls.append((left, base.members, tuple(sorted(got))))
+        return got
+
+    group_tables = selection._group_tables
+    patches = {"_tau": reading(selection._tau),
+               "_concentration": reading(selection._concentration),
+               "_group_tables": counting}
+    if not grouped:
+        patches["_candidate_groups"] = lambda ds, candidates: []
+    with mock.patch.multiple(selection, **patches):
+        if objective == "supervised":
+            result = select_supervised(ds, 0, config=config)
+        else:
+            result = select_structural(ds, config=config)
+    return result, tables, calls
+
+
+def check_grouped_against_single(ds, objective, config):
+    """Every table the selector reads, and its result, are the same with
+    and without groups; returns the grouped run's calls."""
+    result, tables, calls = scored_tables(ds, objective, config)
+    single, want, none = scored_tables(ds, objective, config, grouped=False)
+    assert not none
+    assert result == single
+    assert len(tables) == len(want)
+    for got, table in zip(tables, want):
+        assert got.dtype == table.dtype == np.float64
+        assert got.flags.c_contiguous
+        assert got.tolist() == table.tolist()
+    return calls
+
+
+#: :func:`greedy_cases` of unit or integer (some zero) masses, whose sums
+#: are exact, with up to seven candidates of up to five levels, so a
+#: selection packs one or more groups.
+EXACT_GREEDY_CASES = greedy_cases(max_vars=8).filter(
+    lambda case: dataset._exact_sums(case[0]))
+
+
+@given(EXACT_GREEDY_CASES)
+@settings(max_examples=150, deadline=None)
+def test_grouped_tables_equal_single_tables(case):
+    ds, _, cap = case
+    config = SelectionConfig(epsilon=0.0, max_cells=cap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # response levels unseen in a cell
+        for objective in ("supervised", "structural"):
+            calls = check_grouped_against_single(ds, objective, config)
+            event(f"{objective}: tables read off a group: "
+                  f"{any(got for _, _, got in calls)}")
+            event(f"{objective}: a group of two or more left not counted: "
+                  f"{any(len(left) > 1 and not got for left, _, got in calls)}")
+
+
+def grouping_dataset(mass):
+    """600 rows and ``mass`` per row: Y follows V3 and V5, and the
+    candidates pack as V1-V3 and V5-V7, with V4, of 200 levels, alone.
+    The structural objective picks V4 first, which leaves both groups too
+    wide to count."""
+    rng = np.random.default_rng(31)
+    cards = (3, 3, 4, 2, 200, 4, 4, 2)
+    codes = [rng.integers(0, card, 600) for card in cards]
+    codes[0] = np.where(rng.random(600) < 0.8, (codes[5] + codes[3]) % 3,
+                        codes[0])
+    metas = [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
+             for v, card in enumerate(cards)]
+    return CategoricalDataset(metas, codes, mass)
+
+
+@pytest.mark.parametrize("mass", [None, np.arange(600) % 3],
+                         ids=["unit", "integer"])
+def test_grouped_route_takes_each_case(mass):
+    ds = grouping_dataset(mass)
+    assert [m for m, _ in dataset._candidate_groups(ds, range(1, 8))] == [
+        (1, 2, 3), (5, 6, 7)]
+    supervised = SelectionConfig(epsilon=0.0, max_cells=100)
+    assert 4 in select_supervised(ds, 0, config=supervised).skipped
+    calls = (check_grouped_against_single(ds, "supervised", supervised)
+             + check_grouped_against_single(
+                 ds, "structural", SelectionConfig(epsilon=0.0,
+                                                   max_cells=None)))
+    counted = [(chosen, got) for _, chosen, got in calls if got]
+    # tables read off a group with nothing chosen, off a group holding a
+    # chosen member, and of a candidate below a chosen member
+    assert any(not chosen for chosen, _ in counted)
+    assert any({1, 2, 3} & set(chosen) and set(got) <= {1, 2, 3}
+               or {5, 6, 7} & set(chosen) and set(got) <= {5, 6, 7}
+               for chosen, got in counted)
+    assert any(min(got) < max(chosen, default=0) for chosen, got in counted)
+    # a lone member left, and a group too wide, each counted one at a time
+    assert any(len(left) == 1 and not got for left, _, got in calls)
+    assert any(4 in chosen and len(left) > 1 and not got
+               for left, chosen, got in calls)
+
+
+def test_group_of_one_level_and_full_width_candidates():
+    # a one-level candidate before one of _GROUP_SLOTS levels packs a group
+    # whose last multiplier is past the one-byte code's type
+    rng = np.random.default_rng(7)
+    cards = (2, 1, dataset._GROUP_SLOTS)
+    ds = CategoricalDataset(
+        [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
+         for v, card in enumerate(cards)],
+        [rng.integers(0, card, 3000) for card in cards])
+    [(members, code)] = dataset._candidate_groups(ds, range(1, 3))
+    assert members == (1, 2) and code.dtype == np.uint8
+    assert code.tolist() == ds.codes[2].tolist()
+    calls = check_grouped_against_single(ds, "supervised", SelectionConfig())
+    assert calls[0] == ((1, 2), (), (1, 2))
+    check_grouped_against_single(ds, "structural", SelectionConfig())
+
+
+@pytest.mark.parametrize("mass, grouped", [
+    (np.full(8, 0.5), False),
+    (np.full(8, 2.0**51), False),  # total 2**54
+    (np.full(8, 2.0**49), True),  # total 2**52
+    (np.full(8, 3.0), True),
+], ids=["fractional", "integer-above-2**53", "integer-below-2**53",
+        "integer"])
+def test_only_exact_sums_are_grouped(mass, grouped):
+    # four candidates of two levels pack into one group
+    columns = [[0, 1, 0, 1, 0, 1, 1, 0], [0, 0, 1, 1, 0, 0, 1, 1],
+               [0, 1, 1, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1, 1, 1, 1],
+               [1, 0, 0, 1, 1, 0, 1, 0]]
+    ds = CategoricalDataset(
+        [VariableMeta(f"V{v}", ("0", "1")) for v in range(5)],
+        [np.array(c) for c in columns], mass)
+    for objective in ("supervised", "structural"):
+        calls = scored_tables(ds, objective, SelectionConfig(epsilon=0.0))[2]
+        assert bool(calls) == grouped
+        assert any(got for _, _, got in calls) == grouped
+
+
 # -- every joint mass table against the dict oracle ---------------------------
 
 

@@ -2,6 +2,7 @@
 not reach, each through a public call, with its exception type and message.
 """
 
+import dataclasses
 import os
 import warnings
 
@@ -294,6 +295,17 @@ CASES = {
         each_input(lambda seed: nm.fit(flu(), "X1", "Y", seed=seed), -1, 1.5),
         nm.DataError, "seed must be a non-negative integer",
     ),
+    "replaced-predictor-seed": (
+        each_input(lambda seed: dataclasses.replace(
+            nm.fit(flu(), "X1", "Y"), seed=seed), -1, 1.5),
+        nm.DataError, "seed must be a non-negative integer",
+    ),
+    "hand-built-predictor-seed": (
+        each_input(lambda seed: nm.ProportionalPredictor(
+            ("X1",), "Y", ("a", "b"), {}, np.array([0.5, 0.5]), seed),
+            -1, 1.5),
+        nm.DataError, "seed must be a non-negative integer",
+    ),
     "split-fraction": (
         lambda: nm.split(flu(), 1.5, 1), nm.DataError,
         r"fraction must be in \(0, 1\)",
@@ -406,8 +418,10 @@ def test_a_numpy_integer_seed_draws_as_its_int(seed):
     def draws(seed):
         train, test = nm.split(data, 0.5, seed)
         predictor = nm.fit(train, "X1", "Y", seed=seed)
+        replaced = dataclasses.replace(nm.fit(train, "X1", "Y"), seed=seed)
         return (nm.generate_flu(nm.FluScenarioConfig(n=10, seed=seed)).codes,
                 train.codes, nm.predict_and_score(predictor, test).counts,
+                nm.predict_and_score(replaced, test).counts,
                 flu_bootstrap(seed=seed).mean)
 
     for got, want in zip(draws(seed), draws(3)):
