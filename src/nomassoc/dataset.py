@@ -11,9 +11,9 @@ One kernel, :func:`_count`, counts every mass table: a composite's cell
 masses for :func:`compose` and :func:`compress`, a composite against a
 response for :func:`contingency`, selection's tables from scratch, the
 cell masses of a concentration, and the bootstrap's resamples.  Tables
-from the chosen set carried across greedy steps (:func:`_candidate_table`,
-:func:`_group_tables`) are counted over a key with the response folded in
-before the candidates, and keep their positive rows with the same tail
+from the chosen set carried across greedy steps (:func:`_group_tables`)
+are counted over a key with the response folded in before the
+candidates, and keep their positive rows with the same tail
 (:func:`_positive_rows`).
 
 One loop, :func:`_joint_codes`, builds the key of every composite built
@@ -30,16 +30,17 @@ count, so its table is counted densely, with no further rank.
 
 Greedy selection carries the chosen set's codes across steps in pick
 order and folds the response into them once per step, ``key * levels +
-response``.  When the row masses' sums are exact in any order
-(:func:`_exact_sums`), the candidates are packed once per selection into
-groups of at most ``_GROUP_SLOTS`` member tuples, each with a one-byte
-mixed-radix code (:func:`_candidate_groups`), and a step counts a group in
-one ``bincount`` over ``folded * size + code``; each member's ``(cell,
-level, code)`` array is the sum over the other members' axes
-(:func:`_group_tables`).  A candidate no group counted, as when one member
-is left or the group's slots pass half the rows, is counted by the same
-kernel as a group of its own, over ``folded * card + code``
-(:func:`_dense_tables`, :func:`_candidate_table`).
+response``.  Once per selection the candidates are partitioned, in
+candidate order, into groups of at most ``_GROUP_SLOTS`` member tuples,
+each with a mixed-radix code per row (:func:`_candidate_groups`); when
+the row masses' sums are not exact in any order (:func:`_exact_sums`),
+every candidate is a group of its own.  Every candidate's table comes
+from its group (:func:`_group_tables`), the one route: a group with two
+or more members left whose slots are at most half the rows is counted
+in one ``bincount`` over ``folded * size + code``, and each member's
+``(cell, level, code)`` array is the sum over the other members' axes;
+any other member is counted alone by the same kernel, over ``folded *
+card + code``, or ranked by :func:`_count` when that key is too wide.
 Either array is moved to one row per ``(cell, code)``, with no rank, and
 that table is the one a greedy step sorts, and only when its members are
 not in ascending order (:func:`_in_member_order`).
@@ -102,7 +103,8 @@ class CategoricalDataset:
         Ordered variable descriptions; names must be unique.
     codes : sequence of integer arrays
         One array per variable, all of equal length; every code of variable
-        ``v`` must lie in ``[0, cardinality(v))``.
+        ``v`` must lie in ``[0, cardinality(v))``.  Bool and whole-valued
+        float arrays are taken as integers; any other codes are refused.
     mass : array, optional
         Non-negative, finite per-row mass.  Defaults to 1.0 per row.  Masses
         may be counts or probabilities; queries normalise by ``total_mass``.
@@ -119,7 +121,7 @@ class CategoricalDataset:
         validate: bool = True,
     ):
         variables = tuple(variables)
-        codes = tuple(_readonly(np.asarray(c, dtype=np.int64)) for c in codes)
+        codes = tuple(np.asarray(c) for c in codes)
         n = len(codes[0]) if codes else 0
         if mass is None:
             mass = np.ones(n, dtype=np.float64)
@@ -131,6 +133,12 @@ class CategoricalDataset:
             if len(codes) != len(variables):
                 raise DataError("one code array per variable is required")
             for meta, col in zip(variables, codes):
+                # checked before the int64 cast, which would truncate
+                if col.dtype.kind not in "biu" and not (
+                        col.dtype.kind == "f"
+                        and np.array_equal(col, np.floor(col))):
+                    raise DataError(
+                        f"codes of variable {meta.name!r} must be integers")
                 if len(col) != n:
                     raise DataError("code arrays must have equal length")
                 if n and (col.min() < 0 or col.max() >= meta.cardinality):
@@ -151,7 +159,8 @@ class CategoricalDataset:
         if validate and total == np.inf:
             raise DataError("total mass overflows float64")
         self.variables = variables
-        self.codes = codes
+        self.codes = tuple(_readonly(c.astype(np.int64, copy=False))
+                           for c in codes)
         self.mass = mass
         self.total_mass = total
 
@@ -174,7 +183,8 @@ class CategoricalDataset:
         return bool(np.all(self.mass == 1.0))
 
     def index_of(self, ref: VarRef) -> int:
-        """Resolve a variable name or index to a validated index."""
+        """Resolve a variable name or an integer index (not a bool) to a
+        validated index."""
         if isinstance(ref, str):
             try:
                 return self.names.index(ref)
@@ -182,6 +192,9 @@ class CategoricalDataset:
                 raise DataError(
                     f"unknown variable {ref!r}; available: {', '.join(self.names)}"
                 ) from None
+        if isinstance(ref, bool) or not isinstance(ref, (int, np.integer)):
+            raise DataError(
+                f"variable reference {ref!r} is not a name or an integer index")
         idx = int(ref)
         if not 0 <= idx < self.n_variables:
             raise DataError(f"variable index {idx} out of range")
@@ -777,8 +790,8 @@ class _Occupied:
     in the order of ``members``, the order they were added in;
     ``scenarios[k]`` holds the member codes of tuple ``k`` in that order.
     Greedy selection carries one of these for its chosen set, in pick
-    order, so that a candidate's table costs one ``bincount``
-    (:func:`_candidate_table`).
+    order, so that a step counts its candidates' tables over one folded
+    key (:func:`_group_tables`).
     """
 
     members: tuple[int, ...]
@@ -792,8 +805,8 @@ class _Occupied:
 
     def folded(self, target: np.ndarray | None, n_target: int) -> np.ndarray:
         """``key * n_target + target`` (``key`` itself when ``target`` is
-        ``None``): the key a greedy step folds once for all its candidates
-        (:func:`_candidate_table`)."""
+        ``None``): the key a greedy step folds once for all its candidates,
+        which every group counts over (:func:`_group_tables`)."""
         return self.key if target is None else self.key * n_target + target
 
     def extended(self, keys: np.ndarray, card: int) -> np.ndarray:
@@ -918,37 +931,6 @@ def _count(
     return table, keys if occupied is None else occupied[keys]
 
 
-def _candidate_table(
-    dataset: CategoricalDataset,
-    base: _Occupied,
-    folded: np.ndarray,
-    idx: int,
-    target: np.ndarray | None,
-    n_target: int,
-    weights: np.ndarray | None,
-) -> np.ndarray:
-    """:func:`_count` of ``base`` with variable ``idx`` added against
-    ``target``, with no rank.
-
-    ``folded`` is ``base.folded(target, n_target)``, folded once per
-    greedy step for all its candidates.  A key range within :func:`_dense`
-    is counted by :func:`_dense_tables` as a group of one; a wider one
-    takes :func:`_count`'s ranked route on the key ``base.key * card +
-    code``, whose rows are then put in the composite's own order
-    (:func:`_in_member_order`).  The result equals the table of the
-    composite built from scratch over :func:`_joint_codes`, to the bit.
-    """
-    card = dataset.variables[idx].cardinality
-    cells = len(base.scenarios)
-    if _dense(cells * card * n_target, len(folded)):
-        return _dense_tables(base, folded, (idx,), (card,), dataset.codes[idx],
-                             n_target, weights)[idx]
-    key = base.key * card
-    key += dataset.codes[idx]
-    table, keys = _count(key, cells * card, target, n_target, weights)
-    return _in_member_order(base, idx, card, table, keys)
-
-
 def _in_member_order(
     base: _Occupied, idx: int, card: int, table: np.ndarray, keys: np.ndarray
 ) -> np.ndarray:
@@ -973,33 +955,36 @@ _GROUP_SLOTS = 256
 def _candidate_groups(
     dataset: CategoricalDataset, candidates: Sequence[int]
 ) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """``(members, code)`` of each group of two or more ``candidates``,
+    """``(members, code)`` of each group of ``candidates``: a partition,
     packed in candidate order while the product of the members'
-    cardinalities stays at most ``_GROUP_SLOTS``; a candidate that fits in
-    no such group is left out.  ``code`` is each row's mixed-radix number
-    of the members' codes, ``c1 * k2 * k3 + c2 * k3 + c3``, in the
-    narrowest unsigned type that holds it."""
-    packed: list[list[int]] = [[]]
-    size = 1
+    cardinalities stays at most ``_GROUP_SLOTS``.  ``code`` is each row's
+    mixed-radix number of the members' codes, ``c1 * k2 * k3 + c2 * k3 +
+    c3``, in the narrowest unsigned type that holds it; a lone member's
+    code is its own codes.  A group's members' tables are summed off one
+    count (:func:`_group_tables`), the same to the bit only when the row
+    masses' sums are exact (:func:`_exact_sums`), so with any other masses
+    every candidate is alone."""
+    exact = _exact_sums(dataset)
+    packed: list[list[int]] = []
     for idx in candidates:
         card = dataset.variables[idx].cardinality
-        if size * card > _GROUP_SLOTS:
+        if not packed or not exact or size * card > _GROUP_SLOTS:
             packed.append([])
             size = 1
         packed[-1].append(idx)
         size *= card
     groups = []
     for members in packed:
-        if len(members) < 2:
-            continue
-        # built wide: a cardinality may itself be _GROUP_SLOTS, which the
-        # narrow type does not hold, though every partial number is below it
-        code = np.zeros(dataset.n_rows, np.intp)
-        for idx in members:
-            code *= dataset.variables[idx].cardinality
-            code += dataset.codes[idx]
-        narrow = np.min_scalar_type(_GROUP_SLOTS - 1)
-        groups.append((tuple(members), code.astype(narrow)))
+        code = dataset.codes[members[0]]
+        if len(members) > 1:
+            # built wide: a cardinality may itself be _GROUP_SLOTS, which
+            # the narrow type does not hold, though every number is below it
+            code = np.zeros(dataset.n_rows, np.intp)
+            for idx in members:
+                code *= dataset.variables[idx].cardinality
+                code += dataset.codes[idx]
+            code = code.astype(np.min_scalar_type(_GROUP_SLOTS - 1))
+        groups.append((tuple(members), code))
     return groups
 
 
@@ -1009,65 +994,65 @@ def _group_tables(
     folded: np.ndarray,
     members: tuple[int, ...],
     code: np.ndarray,
+    target: np.ndarray | None,
     n_target: int,
     weights: np.ndarray | None,
 ) -> dict[int, np.ndarray]:
-    """The :func:`_candidate_table` of each member of a group
-    (:func:`_candidate_groups`) not in ``base``, from one ``bincount``
-    (:func:`_dense_tables`).  A member's sums over the other members' axes
-    add the same masses as its own ``bincount`` in another order, so they
-    are the same to the bit only for masses whose sums are exact
-    (:func:`_exact_sums`).  A group with fewer than two members left, or
-    whose ``cells * n_target * size`` slots (``size`` the product of the
-    members' cardinalities) pass half the rows plus ``_SMALL_SLOTS``,
-    counts nothing and returns ``{}``.
+    """The table of each of a group's ``members``
+    (:func:`_candidate_groups`) not in ``base``, keyed by member: :func:`_count` of ``base`` with the
+    member added against ``target``, equal to the table of the composite
+    built from scratch over :func:`_joint_codes`, to the bit.
+
+    ``folded`` is ``base.folded(target, n_target)``, folded once per
+    greedy step for all its candidates, and ``code`` the group's code.
+    While two or more members are left and the group's ``cells * n_target
+    * size`` slots (``size`` the product of the members' cardinalities)
+    are at most half the rows plus ``_SMALL_SLOTS``, the group is counted
+    in one ``bincount``; otherwise each member left is counted alone by
+    the same kernel, as a group of one, or past :func:`_dense` on
+    :func:`_count`'s ranked route over ``base.key * card + code``.
+
+    One ``bincount(folded * size + code)`` counts a ``(cells, n_target,
+    k1, ..., km)`` array.  Summed over every member axis but one, and
+    moved to ``(cells * card, n_target)``, its rows are the cells ``cell *
+    card + code`` in lexicographic order over ``base``'s members in pick
+    order, the member last.  A member's sums add the same masses as its
+    own ``bincount`` in another order, which only a group of exact sums
+    does.  Either way the rows are then put in the composite's own order
+    (:func:`_in_member_order`).
     """
-    cards = tuple(dataset.variables[i].cardinality for i in members)
+    cells = len(base.scenarios)
+    cards = {idx: dataset.variables[idx].cardinality for idx in members}
     left = [idx for idx in members if idx not in base.members]
+    slots = cells * n_target * math.prod(cards.values())
     # summed once per member, slots past about half the rows cost more
     # than a bincount per member (a sweep at 200k rows)
-    slots = len(base.scenarios) * n_target * math.prod(cards)
-    if len(left) < 2 or 2 * slots > len(folded) + _SMALL_SLOTS:
-        return {}
-    return _dense_tables(base, folded, members, cards, code, n_target, weights)
-
-
-def _dense_tables(
-    base: _Occupied,
-    folded: np.ndarray,
-    members: tuple[int, ...],
-    cards: tuple[int, ...],
-    code: np.ndarray,
-    n_target: int,
-    weights: np.ndarray | None,
-) -> dict[int, np.ndarray]:
-    """The table of each of ``members`` (``cards`` levels) not in
-    ``base``, keyed by member, from one dense ``bincount``.
-
-    ``code`` is each row's mixed-radix number of the members' codes
-    (:func:`_candidate_groups`; a lone member's own codes), so
-    ``bincount(folded * size + code)``, ``size`` the product of ``cards``,
-    counts a ``(cells, n_target, k1, ..., km)`` array.  Summed over every
-    member axis but one, and moved to ``(cells * card, n_target)``, its
-    rows are the cells ``cell * card + code`` in lexicographic order over
-    ``base``'s members in pick order, the member last; they are then put
-    in the composite's own order (:func:`_in_member_order`).
-    """
-    size = math.prod(cards)
-    cells = len(base.scenarios)
-    key = folded * size
-    key += code
-    counts = np.bincount(key, weights=weights,
-                         minlength=cells * n_target * size)
-    counts = counts.reshape(cells, n_target, *cards)
+    if len(left) > 1 and 2 * slots <= len(folded) + _SMALL_SLOTS:
+        parts = [(members, code)]
+    else:
+        parts = [((idx,), dataset.codes[idx]) for idx in left]
     tables = {}
-    for j, idx in enumerate(members):
-        if idx in base.members:
+    for part, code in parts:
+        size = math.prod(cards[idx] for idx in part)
+        if not _dense(cells * size * n_target, len(folded)):  # one member
+            [idx] = part
+            key = base.key * size
+            key += code
+            table, keys = _count(key, cells * size, target, n_target, weights)
+            tables[idx] = _in_member_order(base, idx, size, table, keys)
             continue
-        others = tuple(2 + i for i in range(len(members)) if i != j)
-        table = counts.sum(axis=others) if others else counts
-        table, keys = _positive_rows(table.transpose(0, 2, 1))
-        tables[idx] = _in_member_order(base, idx, cards[j], table, keys)
+        key = folded * size
+        key += code
+        counts = np.bincount(key, weights=weights,
+                             minlength=cells * n_target * size)
+        counts = counts.reshape(cells, n_target, *(cards[i] for i in part))
+        for j, idx in enumerate(part):
+            if idx in base.members:
+                continue
+            others = tuple(2 + i for i in range(len(part)) if i != j)
+            table = counts.sum(axis=others) if others else counts
+            table, keys = _positive_rows(table.transpose(0, 2, 1))
+            tables[idx] = _in_member_order(base, idx, cards[idx], table, keys)
     return tables
 
 
@@ -1110,12 +1095,18 @@ def compress(dataset: CategoricalDataset) -> CategoricalDataset:
     )
 
 
-def compose(dataset: CategoricalDataset, indices: Sequence[VarRef]) -> CompositeVariable:
+def compose(
+    dataset: CategoricalDataset, indices: VarRef | Iterable[VarRef]
+) -> CompositeVariable:
     """View an ordered set of variables as one composite categorical variable.
 
-    Member order is normalised to ascending variable index; composite level
-    codes enumerate only observed (positive-mass) tuples, lexicographically.
+    ``indices`` is a sequence of variable references, or one reference,
+    which is the one member.  Member order is normalised to ascending
+    variable index; composite level codes enumerate only observed
+    (positive-mass) tuples, lexicographically.
     """
+    if isinstance(indices, str) or not np.iterable(indices):
+        indices = [indices]
     resolved = [dataset.index_of(i) for i in indices]
     if not resolved:
         raise DataError("composite requires at least one variable")
@@ -1230,11 +1221,7 @@ class ContingencyTable:
 def _as_composite(
     dataset: CategoricalDataset, ref
 ) -> CompositeVariable:
-    if isinstance(ref, CompositeVariable):
-        return ref
-    if isinstance(ref, (int, str, np.integer)):
-        return compose(dataset, [ref])
-    return compose(dataset, list(ref))
+    return ref if isinstance(ref, CompositeVariable) else compose(dataset, ref)
 
 
 def contingency(

@@ -30,9 +30,7 @@ from .dataset import (
     CategoricalDataset,
     VarRef,
     _candidate_groups,
-    _candidate_table,
     _count,
-    _exact_sums,
     _extend,
     _group_tables,
     _joint_codes,
@@ -162,19 +160,16 @@ def _greedy(
 
     The forward phase carries the chosen set's occupied tuples, in pick
     order (``occupied.members`` is the chosen set), and folds the target
-    into them once per step, so each candidate's table is one
-    ``bincount`` (:func:`_candidate_table`).  When the masses' sums are
-    exact (:func:`_exact_sums`), the candidates are packed into groups
-    once per call (:func:`_candidate_groups`), and a step counts each
-    group in one ``bincount`` and reads its members' tables off it
-    (:func:`_group_tables`); a candidate no group counted takes its own.
+    into them once per step.  The candidates are packed into groups once
+    per call (:func:`_candidate_groups`), and a step takes the table of
+    every candidate from its group (:func:`_group_tables`).
     The backward phase builds each reduced set from scratch
     (:func:`_leave_one_out`).  All give the tables, and so the values, of
     :func:`_measure`.
     """
     sign = 1.0 if score.maximise else -1.0
     cap = config.max_cells
-    groups = _candidate_groups(dataset, candidates) if _exact_sums(dataset) else []
+    groups = _candidate_groups(dataset, candidates)
     occupied = _Occupied.empty(dataset)
     current = score.empty
     trace: list[SelectionStep] = []
@@ -194,14 +189,11 @@ def _greedy(
         tables: dict[int, np.ndarray] = {}
         for members, code in groups:
             tables.update(_group_tables(dataset, occupied, folded, members,
-                                        code, score.levels, score.weights))
+                                        code, score.target, score.levels,
+                                        score.weights))
 
         def evaluate(cand: int) -> tuple[int, float]:
-            table = tables.get(cand)
-            if table is None:
-                table = _candidate_table(dataset, occupied, folded, cand,
-                                         score.target, score.levels,
-                                         score.weights)
+            table = tables[cand]
             return len(table), score.value(table)
 
         evals = _evaluate_all(remaining, evaluate)

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import math
 import os
 import sys
 import tempfile
@@ -44,9 +45,9 @@ from nomassoc import (
 from nomassoc import association, dataset, resampling, selection
 from nomassoc.association import _tau, _taus
 from nomassoc.dataset import (
-    _candidate_table,
     _count,
     _extend,
+    _group_tables,
     _joint_codes,
     _Occupied,
 )
@@ -915,8 +916,9 @@ def test_candidate_tables_equal_scratch_tables(case):
             if cand in order:
                 continue
             for target, levels, y in targets:
-                got = _candidate_table(ds, base, base.folded(target, levels),
-                                       cand, target, levels, weights)
+                got = _group_tables(ds, base, base.folded(target, levels),
+                                    (cand,), ds.codes[cand], target, levels,
+                                    weights)[cand]
                 assert got.dtype == np.float64
                 assert got.flags.c_contiguous
                 assert got.tolist() == oracle_table(ds, order + [cand], y)
@@ -959,8 +961,8 @@ def test_wide_candidate_tables_match_dict_oracle(order):
     targets = [(ds.codes[0], 3, 0), (None, 1, None)]
     with PathCounter() as paths:
         for target, levels, y in targets:
-            got = _candidate_table(ds, base, base.folded(target, levels), 1,
-                                   target, levels, ds.mass)
+            got = _group_tables(ds, base, base.folded(target, levels), (1,),
+                                ds.codes[1], target, levels, ds.mass)[1]
             assert got.tolist() == oracle_table(ds, order + [1], y)
     assert paths.fallbacks == 2
 
@@ -989,14 +991,47 @@ def test_max_cells_skips_follow_scratch_cell_counts(objective):
 # -- greedy candidates counted in groups ---------------------------------------
 
 
+class CountedParts:
+    """Records, while active, each part of a group that
+    :func:`dataset._group_tables` counts in one ``bincount`` (its own, or
+    :func:`dataset._count`'s on the ranked route) as ``(part, group,
+    chosen)``: the members counted together, the group's members and the
+    chosen members, read from that call's locals ``part``, ``members`` and
+    ``base``."""
+
+    def __enter__(self):
+        self.parts = []
+        parts = self.parts
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def bincount(*args, **kwargs):
+                frame = sys._getframe(1)
+                while frame and frame.f_code.co_name != "_group_tables":
+                    frame = frame.f_back
+                if frame:
+                    local = frame.f_locals
+                    parts.append((local["part"], local["members"],
+                                  local["base"].members))
+                return np.bincount(*args, **kwargs)
+
+        self._patch = mock.patch.object(dataset, "np", Numpy())
+        self._patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._patch.stop()
+
+
 def scored_tables(ds, objective, config, grouped=True):
-    """``(result, tables, calls)`` of a selector: every table its objective
-    reads, in order, and for each group a forward step was to count
-    (:func:`dataset._group_tables`), the group's members not yet chosen,
-    the chosen members, and the members it read a table off for.  With
-    ``grouped=False`` no group is packed, so each candidate takes its own
-    ``bincount``."""
-    tables, calls = [], []
+    """``(result, tables, parts)`` of a selector: every table its objective
+    reads, in order, and each part of a group a forward step counted
+    (:class:`CountedParts`).  With ``grouped=False`` every candidate is
+    packed alone, so each takes its own ``bincount``."""
+    tables = []
 
     def reading(read):
         def value(table, *args):
@@ -1004,39 +1039,39 @@ def scored_tables(ds, objective, config, grouped=True):
             return read(table, *args)
         return value
 
-    def counting(ds, base, folded, members, *args):
-        got = group_tables(ds, base, folded, members, *args)
-        left = tuple(m for m in members if m not in base.members)
-        calls.append((left, base.members, tuple(sorted(got))))
-        return got
-
-    group_tables = selection._group_tables
     patches = {"_tau": reading(selection._tau),
-               "_concentration": reading(selection._concentration),
-               "_group_tables": counting}
+               "_concentration": reading(selection._concentration)}
     if not grouped:
-        patches["_candidate_groups"] = lambda ds, candidates: []
-    with mock.patch.multiple(selection, **patches):
+        patches["_candidate_groups"] = lambda ds, candidates: [
+            ((c,), ds.codes[c]) for c in candidates]
+    with mock.patch.multiple(selection, **patches), CountedParts() as counted:
         if objective == "supervised":
             result = select_supervised(ds, 0, config=config)
         else:
             result = select_structural(ds, config=config)
-    return result, tables, calls
+    return result, tables, counted.parts
 
 
 def check_grouped_against_single(ds, objective, config):
     """Every table the selector reads, and its result, are the same with
-    and without groups; returns the grouped run's calls."""
-    result, tables, calls = scored_tables(ds, objective, config)
-    single, want, none = scored_tables(ds, objective, config, grouped=False)
-    assert not none
+    and without groups; returns the grouped run's counted parts."""
+    result, tables, parts = scored_tables(ds, objective, config)
+    single, want, alone = scored_tables(ds, objective, config, grouped=False)
+    assert alone and all(len(group) == 1 for _, group, _ in alone)
     assert result == single
     assert len(tables) == len(want)
     for got, table in zip(tables, want):
         assert got.dtype == table.dtype == np.float64
         assert got.flags.c_contiguous
         assert got.tolist() == table.tolist()
-    return calls
+    return parts
+
+
+def split_groups(parts):
+    """``(group, chosen)`` of each group member counted on its own while
+    the group holds another."""
+    return [(group, chosen) for part, group, chosen in parts
+            if len(part) == 1 and len(group) > 1]
 
 
 #: :func:`greedy_cases` of unit or integer (some zero) masses, whose sums
@@ -1054,11 +1089,13 @@ def test_grouped_tables_equal_single_tables(case):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # response levels unseen in a cell
         for objective in ("supervised", "structural"):
-            calls = check_grouped_against_single(ds, objective, config)
+            parts = check_grouped_against_single(ds, objective, config)
             event(f"{objective}: tables read off a group: "
-                  f"{any(got for _, _, got in calls)}")
-            event(f"{objective}: a group of two or more left not counted: "
-                  f"{any(len(left) > 1 and not got for left, _, got in calls)}")
+                  f"{any(len(part) > 1 for part, _, _ in parts)}")
+            split = [set(group) - set(chosen)
+                     for group, chosen in split_groups(parts)]
+            event(f"{objective}: a group of two or more left counted alone: "
+                  f"{any(len(left) > 1 for left in split)}")
 
 
 def grouping_dataset(mass):
@@ -1081,25 +1118,26 @@ def grouping_dataset(mass):
 def test_grouped_route_takes_each_case(mass):
     ds = grouping_dataset(mass)
     assert [m for m, _ in dataset._candidate_groups(ds, range(1, 8))] == [
-        (1, 2, 3), (5, 6, 7)]
+        (1, 2, 3), (4,), (5, 6, 7)]
     supervised = SelectionConfig(epsilon=0.0, max_cells=100)
     assert 4 in select_supervised(ds, 0, config=supervised).skipped
-    calls = (check_grouped_against_single(ds, "supervised", supervised)
+    parts = (check_grouped_against_single(ds, "supervised", supervised)
              + check_grouped_against_single(
                  ds, "structural", SelectionConfig(epsilon=0.0,
                                                    max_cells=None)))
-    counted = [(chosen, got) for _, chosen, got in calls if got]
+    shared = [(set(part), set(chosen)) for part, _, chosen in parts
+              if len(part) > 1]
     # tables read off a group with nothing chosen, off a group holding a
     # chosen member, and of a candidate below a chosen member
-    assert any(not chosen for chosen, _ in counted)
-    assert any({1, 2, 3} & set(chosen) and set(got) <= {1, 2, 3}
-               or {5, 6, 7} & set(chosen) and set(got) <= {5, 6, 7}
-               for chosen, got in counted)
-    assert any(min(got) < max(chosen, default=0) for chosen, got in counted)
+    assert any(not chosen for _, chosen in shared)
+    assert any(part & chosen for part, chosen in shared)
+    assert any(min(part - chosen) < max(chosen, default=0)
+               for part, chosen in shared)
     # a lone member left, and a group too wide, each counted one at a time
-    assert any(len(left) == 1 and not got for left, _, got in calls)
-    assert any(4 in chosen and len(left) > 1 and not got
-               for left, chosen, got in calls)
+    alone = [(set(group) - set(chosen), chosen)
+             for group, chosen in split_groups(parts)]
+    assert any(len(left) == 1 for left, _ in alone)
+    assert any(4 in chosen and len(left) > 1 for left, chosen in alone)
 
 
 def test_group_of_one_level_and_full_width_candidates():
@@ -1114,8 +1152,8 @@ def test_group_of_one_level_and_full_width_candidates():
     [(members, code)] = dataset._candidate_groups(ds, range(1, 3))
     assert members == (1, 2) and code.dtype == np.uint8
     assert code.tolist() == ds.codes[2].tolist()
-    calls = check_grouped_against_single(ds, "supervised", SelectionConfig())
-    assert calls[0] == ((1, 2), (), (1, 2))
+    parts = check_grouped_against_single(ds, "supervised", SelectionConfig())
+    assert parts[0] == ((1, 2), (1, 2), ())
     check_grouped_against_single(ds, "structural", SelectionConfig())
 
 
@@ -1135,9 +1173,65 @@ def test_only_exact_sums_are_grouped(mass, grouped):
         [VariableMeta(f"V{v}", ("0", "1")) for v in range(5)],
         [np.array(c) for c in columns], mass)
     for objective in ("supervised", "structural"):
-        calls = scored_tables(ds, objective, SelectionConfig(epsilon=0.0))[2]
-        assert bool(calls) == grouped
-        assert any(got for _, _, got in calls) == grouped
+        parts = scored_tables(ds, objective, SelectionConfig(epsilon=0.0))[2]
+        assert parts
+        assert any(len(group) > 1 for _, group, _ in parts) == grouped
+        assert any(len(part) > 1 for part, _, _ in parts) == grouped
+
+
+@st.composite
+def packing_cases(draw):
+    """A dataset of up to ten variables of 1 to 300 levels, some of them
+    past ``_GROUP_SLOTS``, with unit, integer or fractional masses, and
+    some of its variables, in any order, as candidates."""
+    n_vars = draw(st.integers(1, 10))
+    n_rows = draw(st.integers(1, 20))
+    cards = draw(st.lists(st.sampled_from([1, 2, 3, 4, 7, 16, 64, 255, 256,
+                                           300]),
+                          min_size=n_vars, max_size=n_vars))
+    columns = [draw(st.lists(st.integers(0, card - 1), min_size=n_rows,
+                             max_size=n_rows)) for card in cards]
+    kind = draw(st.sampled_from([(1.0,), (1.0, 2.0, 5.0), (0.5, 1.0, 3.0)]))
+    masses = draw(st.lists(st.sampled_from(kind), min_size=n_rows,
+                           max_size=n_rows))
+    masses[0] = kind[0]  # 0.5 makes the fractional kind fractional
+    order = draw(st.permutations(range(n_vars)))
+    candidates = order[:draw(st.integers(1, n_vars))]
+    metas = [VariableMeta(f"V{v}", tuple(str(c) for c in range(card)))
+             for v, card in enumerate(cards)]
+    ds = CategoricalDataset(metas, [np.asarray(c) for c in columns],
+                            np.asarray(masses))
+    return ds, candidates
+
+
+@given(packing_cases())
+@settings(max_examples=200, deadline=None)
+def test_candidate_groups_partition_the_candidates(case):
+    ds, candidates = case
+    exact = dataset._exact_sums(ds)
+    event(f"exact sums: {exact}")
+    groups = dataset._candidate_groups(ds, candidates)
+    assert [m for members, _ in groups for m in members] == list(candidates)
+    sizes = []
+    for members, code in groups:
+        cards = [ds.variables[m].cardinality for m in members]
+        sizes.append(math.prod(cards))
+        if len(members) == 1:
+            assert code.dtype == np.int64
+            assert code.tolist() == ds.codes[members[0]].tolist()
+            continue
+        event("a group of two or more")
+        assert exact
+        assert sizes[-1] <= dataset._GROUP_SLOTS
+        want = [0] * ds.n_rows
+        for m, card in zip(members, cards):
+            want = [w * card + int(c) for w, c in zip(want, ds.codes[m])]
+        assert code.dtype == np.uint8
+        assert code.tolist() == want
+    if exact:  # a group closes only when the next candidate does not fit
+        for size, (members, _) in zip(sizes, groups[1:]):
+            card = ds.variables[members[0]].cardinality
+            assert size * card > dataset._GROUP_SLOTS
 
 
 # -- every joint mass table against the dict oracle ---------------------------

@@ -159,6 +159,12 @@ CASES = {
         two_variables(codes=[[0, 2], [1, 0]]), nm.DataError,
         r"codes of variable 'u' outside \[0, 2\)",
     ),
+    "dataset-code-type": (  # checked before an int64 cast truncates
+        each_input(lambda codes: two_variables(codes=codes)(),
+                   [np.array([0.5, 1.2]), [1, 0]], [["a", "b"], [1, 0]],
+                   [[0, np.nan], [1, 0]]),
+        nm.DataError, "codes of variable 'u' must be integers",
+    ),
     "dataset-mass-length": (
         two_variables(mass=[1.0]), nm.DataError,
         "mass array length does not match rows",
@@ -266,6 +272,27 @@ CASES = {
     "variable-index": (
         lambda: flu().index_of(99), nm.DataError,
         "variable index 99 out of range",
+    ),
+    # a float or a bool is not truncated to an index
+    "variable-reference-float": (
+        lambda: flu().index_of(1.5), nm.DataError,
+        "variable reference 1.5 is not a name or an integer index",
+    ),
+    "variable-reference-bool": (
+        lambda: flu().index_of(True), nm.DataError,
+        "variable reference True is not a name or an integer index",
+    ),
+    "selection-response-float": (
+        lambda: nm.select_supervised(flu(), 0.9), nm.DataError,
+        "variable reference 0.9 is not a name or an integer index",
+    ),
+    "tau-given-float": (
+        lambda: nm.tau_for(flu(), "Y", [1.2]), nm.DataError,
+        "variable reference 1.2 is not a name or an integer index",
+    ),
+    "contingency-bare-float": (
+        lambda: nm.contingency(flu(), 1.5, "Y"), nm.DataError,
+        "variable reference 1.5 is not a name or an integer index",
     ),
     "scenario-names": (
         lambda: nm.from_scenarios([(("a", "b"), 1.0)], names=["u"]),
@@ -426,3 +453,23 @@ def test_a_numpy_integer_seed_draws_as_its_int(seed):
 
     for got, want in zip(draws(seed), draws(3)):
         np.testing.assert_array_equal(got, want)
+
+
+def test_a_numpy_integer_or_bare_name_is_one_reference():
+    data = flu()
+    assert data.index_of(np.int64(1)) == data.index_of(1) == 1
+    for ref in ("X1", 1, np.int64(1)):
+        composite = nm.compose(data, ref)
+        assert composite.member_names == ("X1",)
+        np.testing.assert_array_equal(composite.row_codes,
+                                      nm.compose(data, ["X1"]).row_codes)
+    assert nm.tau_for(data, "Y", "X1") == nm.tau_for(data, "Y", [np.int64(1)])
+
+
+@pytest.mark.parametrize("codes", [
+    [0, 1, 1], np.array([0, 1, 1], np.uint8), np.array([False, True, True]),
+    np.array([0.0, 1.0, 1.0])], ids=["int", "uint8", "bool", "integral-float"])
+def test_integer_codes_of_any_type_are_kept(codes):
+    data = nm.CategoricalDataset([nm.VariableMeta("u", ("a", "b"))], [codes])
+    assert data.codes[0].dtype == np.int64
+    assert data.codes[0].tolist() == [0, 1, 1]
